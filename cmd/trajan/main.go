@@ -11,20 +11,24 @@
 //	       [-sensitivity] [-timeout 30s] [-workers N]
 //	       [-trace events.json] [-metrics-addr :9090] [-metrics-dump]
 //	       [-cpuprofile f] [-memprofile f]
-//	trajan -admit churn.json [same observability and tuning flags]
+//	trajan -admit churn.json [-backend trajectory|holistic|netcalc|combined]
+//	       [same observability and tuning flags]
 //	       [-route auto -topology clos:4x4x4|topo.json [-route-k 4]]
 //	trajan -trace-report events.json
 //
 // With no -config the paper's Section-5 example is analysed.
 //
 // -admit replays a churn trace (an event log of flow adds, removes and
-// updates) through the warm admission engine: each add is tested by a
-// delta re-analysis of the running flow set and reverted when refused,
-// so the replay cost tracks the change size, not the set size. With
+// updates) through the admission core trajand runs
+// (feasibility.Controller): each add is an admission test and each
+// update a renegotiation in place, both judged by a delta re-analysis
+// of the running flow set under -backend and undone when refused, so
+// the replay cost tracks the change size, not the set size. With
 // -route auto the submitted path of every add is only read for its
 // endpoints: up to -route-k shortest candidate paths over -topology are
 // scored as one parallel what-if batch and the flow is admitted on the
-// feasible path with the widest post-admission slack.
+// feasible path with the widest post-admission slack; update paths are
+// validated against -topology. -admit is exclusive with -ef.
 //
 // Observability (see docs/OBSERVABILITY.md): -trace streams a
 // replayable JSON event log of the analysis — fixed-point sweeps,
@@ -128,7 +132,7 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 		explainFlow = fl.String("explain", "", "print the full bound derivation for this flow name")
 		sensitivity = fl.Bool("sensitivity", false, "probe each flow's period and cost headroom (requires deadlines)")
 		timeout     = fl.Duration("timeout", 0, "abort the analysis after this duration (exit 3); 0 disables the budget")
-		admitPath   = fl.String("admit", "", "churn-trace JSON: replay add/remove/update events through the warm admission engine")
+		admitPath   = fl.String("admit", "", "churn-trace JSON: replay add/remove/update events through the warm admission core, judged under -backend")
 		routeFlag   = fl.String("route", "", "with -admit: \"auto\" re-routes every add over the k-shortest paths of -topology, admitting on the best feasible one (empty or \"manual\": source routing, paths taken as submitted)")
 		topoSpec    = fl.String("topology", "", "with -route auto: the network graph candidate paths are enumerated over — a spec (line:N|ring:N|star:N|grid:RxC|clos:SxLxH|paper) or a topology JSON file")
 		routeK      = fl.Int("route-k", 0, "with -route auto: candidate-path fan-out (0 = 4)")
@@ -264,8 +268,22 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 		return false, model.Errorf(model.ErrInvalidConfig, "-route %q (want auto or manual)", *routeFlag)
 	}
 
+	var backend feasibility.Backend
+	if *backendName != "" {
+		if *useEF {
+			return false, model.Errorf(model.ErrInvalidConfig, "-backend and -ef are exclusive; use -backend with pure-FIFO sets and -ef for the Property-3 pipeline")
+		}
+		var berr error
+		if backend, berr = feasibility.ParseBackend(*backendName); berr != nil {
+			return false, berr
+		}
+	}
+
 	if *admitPath != "" {
-		return runAdmit(ctx, *admitPath, opt, topo, *routeK, out)
+		if *useEF {
+			return false, model.Errorf(model.ErrInvalidConfig, "-admit and -ef are exclusive; admission judges pure-FIFO sets, use -ef for the Property-3 pipeline")
+		}
+		return runAdmit(ctx, *admitPath, opt, backend, topo, *routeK, out)
 	}
 
 	fs, originals, err := loadFlowSet(*configPath)
@@ -274,14 +292,7 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 	}
 	wasSplit := fs.N() != len(originals)
 
-	if *backendName != "" {
-		if *useEF {
-			return false, model.Errorf(model.ErrInvalidConfig, "-backend and -ef are exclusive; use -backend with pure-FIFO sets and -ef for the Property-3 pipeline")
-		}
-		backend, err := feasibility.ParseBackend(*backendName)
-		if err != nil {
-			return false, err
-		}
+	if backend != "" {
 		if wasSplit {
 			defer fmt.Fprintln(out,
 				"\n* some flows were split to satisfy Assumption 1; bounds are per virtual fragment")
@@ -486,13 +497,15 @@ type churnEvent struct {
 	Flow *model.FlowConfig `json:"flow,omitempty"`
 }
 
-// runAdmit replays a churn trace through one warm analyzer: every add
-// is an admission test (delta re-analysis, revert on refusal), removes
-// and updates mutate the engine in place. The exit verdict reports
-// whether the final admitted set meets all deadlines. A non-nil topo
-// turns on route=auto admission: each add is re-routed onto the best
-// feasible of its routeK shortest candidate paths before the commit.
-func runAdmit(ctx context.Context, path string, opt trajectory.Options, topo *model.Topology, routeK int, out io.Writer) (bool, error) {
+// runAdmit replays a churn trace through the admission core
+// (feasibility.Controller): every add is an admission test and every
+// update a renegotiation in place (delta re-analysis, undone on
+// refusal), every remove a release. backend judges each verdict. The
+// exit verdict reports whether the final admitted set meets all
+// deadlines. A non-nil topo validates every submitted path and turns on
+// route=auto admission: each add is placed on the best feasible of its
+// routeK shortest candidate paths.
+func runAdmit(ctx context.Context, path string, opt trajectory.Options, backend feasibility.Backend, topo *model.Topology, routeK int, out io.Writer) (bool, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return false, model.Classify(model.ErrInvalidConfig, err)
@@ -504,196 +517,68 @@ func runAdmit(ctx context.Context, path string, opt trajectory.Options, topo *mo
 		return false, model.Errorf(model.ErrInvalidConfig, "admit: decoding trace: %w", err)
 	}
 	net := model.Network{Lmin: trace.Network.Lmin, Lmax: trace.Network.Lmax}
+	if backend == "" {
+		backend = feasibility.BackendTrajectory
+	}
+	c, err := feasibility.NewController(net, opt, backend, topo, routeK)
+	if err != nil {
+		return false, err
+	}
 
-	tab := report.NewTable("Admission trace replay (trajectory, warm re-analysis)",
+	tab := report.NewTable(fmt.Sprintf("Admission trace replay (%s, warm re-analysis)", backend),
 		"#", "op", "flow", "decision", "flows", "min slack")
-
-	var a *trajectory.Analyzer
 	allFeasible := true
-
-	// verdict re-analyses the current set; it reports feasibility and
-	// the tightest deadline slack (TimeInfinity when no flow has one).
-	verdict := func() (bool, model.Time, error) {
-		if a == nil {
-			return true, model.TimeInfinity, nil
-		}
-		bounds, err := a.BoundsContext(ctx)
-		if err != nil {
-			return false, 0, err
-		}
-		ok, minSlack := true, model.TimeInfinity
-		for i, f := range a.FlowSet().Flows {
-			if f.Deadline <= 0 {
-				continue
-			}
-			var sat bool
-			if s := model.SubSat(f.Deadline, bounds[i], &sat); s < minSlack {
-				minSlack = s
-			}
-			if bounds[i] > f.Deadline {
-				ok = false
-			}
-		}
-		return ok, minSlack, nil
-	}
-	// refusal decides whether an analysis error means "candidate
-	// refused" (divergence/overflow) or a real failure.
-	refusal := func(err error) bool {
-		return errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow)
-	}
-	findFlow := func(name string) int {
-		if a == nil {
-			return -1
-		}
-		for i, f := range a.FlowSet().Flows {
-			if f.Name == name {
-				return i
-			}
-		}
-		return -1
-	}
-	slackStr := func(s model.Time) string {
-		if s >= model.TimeInfinity {
-			return "-"
-		}
-		return fmt.Sprintf("%d", s)
-	}
-	emitDecision := func(flow, outcome string) {
-		if tr := opt.Tracer; tr != nil {
-			tr.Emit(obs.Event{Type: obs.EvAdmission, Flow: flow, Op: "churn", Outcome: outcome})
-		}
-	}
-
 	for k, ev := range trace.Events {
+		var d feasibility.Decision
 		switch ev.Op {
-		case "add":
+		case "add", "update":
 			if ev.Flow == nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: add needs a flow", k)
+				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %s needs a flow", k, ev.Op)
 			}
-			f, err := ev.Flow.Build()
-			if err != nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
+			f, berr := ev.Flow.Build()
+			if berr != nil {
+				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, berr)
 			}
-			if topo != nil {
-				// route=auto: enumerate candidate paths, score them all as
-				// one parallel what-if batch (cold against the empty set),
-				// and commit the best feasible one through the ordinary add
-				// below; refusals leave the set untouched.
-				cfs, err := feasibility.RouteCandidates(topo, f, routeK)
-				if err != nil {
-					return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-				}
-				var scored []feasibility.RouteCandidate
-				if a == nil {
-					scored = feasibility.ScoreRoutesCold(ctx, net, opt, nil, cfs)
-				} else {
-					scored = feasibility.ScoreRoutesWhatIf(ctx, a, cfs, -1)
-				}
-				win := feasibility.ChooseRoute(scored)
-				if win < 0 {
-					emitDecision(f.Name, "rejected (no feasible route)")
-					tab.AddRow(k, "add", f.Name, "rejected (no feasible route)", flowCount(a), "-")
-					continue
-				}
-				f = scored[win].Flow
-			}
-			var idx int
-			if a == nil {
-				fs, err := model.NewFlowSet(net, []*model.Flow{f})
-				if err != nil {
-					return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-				}
-				a, err = trajectory.NewAnalyzer(fs, opt)
-				if err != nil {
-					return false, err
-				}
-				idx = 0
+			if ev.Op == "add" {
+				d, err = c.Admit(ctx, f, topo != nil)
 			} else {
-				idx, err = a.AddFlow(f)
-				if err != nil {
-					return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-				}
+				d, err = c.Renegotiate(ctx, f, false)
 			}
-			ok, minSlack, err := verdict()
-			if err != nil && !refusal(err) {
-				return false, err
-			}
-			if err != nil || !ok {
-				// Refused: divergence or a deadline miss. Revert.
-				if a.FlowSet().N() == 1 {
-					a = nil
-				} else if rerr := a.RemoveFlow(idx); rerr != nil {
-					return false, rerr
-				}
-				reason := "rejected (deadline miss)"
-				if err != nil {
-					reason = "rejected (unstable)"
-				}
-				emitDecision(f.Name, reason)
-				tab.AddRow(k, "add", f.Name, reason, flowCount(a), slackStr(minSlack))
-				continue
-			}
-			allFeasible = ok
-			emitDecision(f.Name, "admitted")
-			tab.AddRow(k, "add", f.Name, "admitted", flowCount(a), slackStr(minSlack))
 		case "remove":
-			i := findFlow(ev.Name)
-			if i < 0 {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: unknown flow %q", k, ev.Name)
-			}
-			if a.FlowSet().N() == 1 {
-				a = nil
-			} else if err := a.RemoveFlow(i); err != nil {
-				return false, err
-			}
-			ok, minSlack, err := verdict()
-			if err != nil && !refusal(err) {
-				return false, err
-			}
-			allFeasible = err == nil && ok
-			tab.AddRow(k, "remove", ev.Name, "removed", flowCount(a), slackStr(minSlack))
-		case "update":
-			if ev.Flow == nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: update needs a flow", k)
-			}
-			f, err := ev.Flow.Build()
-			if err != nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-			}
-			i := findFlow(f.Name)
-			if i < 0 {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: unknown flow %q", k, f.Name)
-			}
-			if err := a.UpdateFlow(i, f); err != nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-			}
-			ok, minSlack, err := verdict()
-			if err != nil && !refusal(err) {
-				return false, err
-			}
-			allFeasible = err == nil && ok
-			decision := "updated"
-			if err != nil {
-				decision = "updated (unstable)"
-			} else if !ok {
-				decision = "updated (deadline miss)"
-			}
-			tab.AddRow(k, "update", f.Name, decision, flowCount(a), slackStr(minSlack))
+			d, err = c.Release(ctx, ev.Name)
 		default:
 			return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: unknown op %q", k, ev.Op)
 		}
+		if err != nil {
+			return false, fmt.Errorf("admit: event %d: %w", k, err)
+		}
+		d.Emit(opt.Tracer, "")
+		row := d.Outcome
+		switch {
+		case row == "rejected":
+			row += " (" + d.Reason + ")"
+		case ev.Op == "update":
+			row = "updated"
+		case ev.Op == "remove":
+			row = "removed"
+		}
+		if d.Outcome != "rejected" {
+			allFeasible = d.AllFeasible
+		}
+		slack := "-"
+		if d.MinSlack < model.TimeInfinity && d.Reason != "no feasible route" {
+			slack = fmt.Sprint(d.MinSlack)
+		}
+		flows := 0
+		if fs := c.FlowSet(); fs != nil {
+			flows = fs.N()
+		}
+		tab.AddRow(k, ev.Op, d.Flow, row, flows, slack)
 	}
 	if err := tab.Render(out); err != nil {
 		return false, err
 	}
 	return allFeasible, nil
-}
-
-func flowCount(a *trajectory.Analyzer) int {
-	if a == nil {
-		return 0
-	}
-	return a.FlowSet().N()
 }
 
 // runTraceReport renders a -trace log as the bound-decomposition report.

@@ -269,19 +269,12 @@ func TestAdmitMode(t *testing.T) {
 // TestAdmitModeErrors: malformed traces are configuration errors
 // (exit 2), not crashes.
 func TestAdmitModeErrors(t *testing.T) {
-	write := func(body string) string {
-		path := filepath.Join(t.TempDir(), "trace.json")
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
 	cases := map[string]string{
-		"missing file": filepath.Join(t.TempDir(), "nope.json"),
-		"bad json":     write(`{"events": [`),
-		"unknown op":   write(`{"network":{"lmin":1,"lmax":1},"events":[{"op":"evict","name":"x"}]}`),
-		"unknown flow": write(`{"network":{"lmin":1,"lmax":1},"events":[{"op":"remove","name":"x"}]}`),
-		"add sans flow": write(`{"network":{"lmin":1,"lmax":1},"events":[{"op":"add"}]}`),
+		"missing file":  filepath.Join(t.TempDir(), "nope.json"),
+		"bad json":      writeTrace(t, `{"events": [`),
+		"unknown op":    writeTrace(t, `{"network":{"lmin":1,"lmax":1},"events":[{"op":"evict","name":"x"}]}`),
+		"unknown flow":  writeTrace(t, `{"network":{"lmin":1,"lmax":1},"events":[{"op":"remove","name":"x"}]}`),
+		"add sans flow": writeTrace(t, `{"network":{"lmin":1,"lmax":1},"events":[{"op":"add"}]}`),
 	}
 	for name, path := range cases {
 		var b strings.Builder
@@ -289,6 +282,93 @@ func TestAdmitModeErrors(t *testing.T) {
 		if err == nil || code != 2 {
 			t.Errorf("%s: code %d, err %v; want code 2 with error", name, code, err)
 		}
+	}
+}
+
+// writeTrace writes a churn trace fixture and returns its path.
+func writeTrace(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// admitRows runs -admit and returns the decision table's data rows,
+// each split into fields, with the exit code.
+func admitRows(t *testing.T, args ...string) ([][]string, int) {
+	t.Helper()
+	var b strings.Builder
+	code, err := run(args, &b)
+	if err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	var rows [][]string
+	for _, l := range lines[3:] {
+		rows = append(rows, strings.Fields(l))
+	}
+	return rows, code
+}
+
+// TestAdmitBackend: -admit judges every decision under -backend, like
+// trajand -backend. The holistic baseline refuses the video flow the
+// trajectory bounds admit; -admit with -ef is a configuration error.
+func TestAdmitBackend(t *testing.T) {
+	trace := writeTrace(t, `{"network": {"lmin": 1, "lmax": 1}, "events": [
+		{"op": "add", "flow": {"name": "voice1", "period": 50, "deadline": 20, "path": [1, 2, 3], "cost": 2}},
+		{"op": "add", "flow": {"name": "voice2", "period": 50, "deadline": 20, "path": [2, 3, 4], "cost": 2}},
+		{"op": "add", "flow": {"name": "video", "period": 40, "deadline": 30, "path": [1, 2, 3, 4], "cost": 3}}]}`)
+	for backend, want := range map[string]string{"trajectory": "admitted", "combined": "admitted", "holistic": "rejected"} {
+		out := runCLI(t, "-admit", trace, "-backend", backend)
+		if !strings.Contains(out, "("+backend+", warm re-analysis)") {
+			t.Errorf("-backend %s: title does not name the backend:\n%s", backend, out)
+		}
+		rows, _ := admitRows(t, "-admit", trace, "-backend", backend)
+		if got := rows[2][3]; got != want {
+			t.Errorf("-backend %s: video %s, want %s:\n%s", backend, got, want, out)
+		}
+	}
+	var b strings.Builder
+	if code, err := run([]string{"-admit", trace, "-ef"}, &b); err == nil || code != 2 {
+		t.Errorf("-admit with -ef: code %d, err %v; want code 2 with error", code, err)
+	}
+}
+
+// TestAdmitRenegotiationRefused: an update is an admission-tested
+// renegotiation in place. One that would break a deadline is refused
+// and the old contract stays in force: after the cross traffic leaves,
+// voice1's slack is its original deadline's (20 - 8).
+func TestAdmitRenegotiationRefused(t *testing.T) {
+	trace := writeTrace(t, `{"network": {"lmin": 1, "lmax": 1}, "events": [
+		{"op": "add", "flow": {"name": "voice1", "period": 50, "deadline": 20, "path": [1, 2, 3], "cost": 2}},
+		{"op": "add", "flow": {"name": "voice2", "period": 50, "deadline": 20, "path": [2, 3, 4], "cost": 2}},
+		{"op": "update", "flow": {"name": "voice1", "period": 50, "deadline": 9, "path": [1, 2, 3], "cost": 2}},
+		{"op": "remove", "name": "voice2"}]}`)
+	rows, code := admitRows(t, "-admit", trace)
+	if code != 0 {
+		t.Errorf("exit code %d, want 0 (final set feasible)", code)
+	}
+	if got := strings.Join(rows[2], " "); got != "2 update voice1 rejected (deadline miss) 2 -1" {
+		t.Errorf("refused update row %q", got)
+	}
+	if got := strings.Join(rows[3], " "); got != "3 remove voice2 removed 1 12" {
+		t.Errorf("release row %q: the old contract is not in force", got)
+	}
+}
+
+// TestAdmitRouteUpdateValidation: under -route auto the topology
+// validates update paths as well: an update over a link the fabric
+// lacks is invalid input (exit 2), not an analysis of that link.
+func TestAdmitRouteUpdateValidation(t *testing.T) {
+	trace := writeTrace(t, `{"network": {"lmin": 1, "lmax": 1}, "events": [
+		{"op": "add", "flow": {"name": "x", "period": 50, "deadline": 40, "path": [1000, 100, 0, 101, 1100], "cost": 2}},
+		{"op": "update", "flow": {"name": "x", "period": 50, "deadline": 40, "path": [1000, 0], "cost": 2}}]}`)
+	var b strings.Builder
+	code, err := run([]string{"-admit", trace, "-route", "auto", "-topology", "clos:2x2x1"}, &b)
+	if err == nil || code != 2 || !strings.Contains(err.Error(), "event 1") {
+		t.Errorf("update over a nonexistent link: code %d, err %v; want code 2 at event 1", code, err)
 	}
 }
 

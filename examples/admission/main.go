@@ -19,13 +19,12 @@ import (
 
 func main() {
 	net := model.UnitDelayNetwork()
-	ctl := feasibility.NewController(net, trajectory.Options{})
 
 	// Pre-installed lower-class background on the backbone: charged to
 	// EF flows only as Lemma-4 non-preemption blocking.
 	bulk := model.UniformFlow("bulk", 60, 0, 0, 12, 0, 1, 2, 3)
 	bulk.Class = model.ClassBE
-	ctl.Preload(bulk)
+	installed := []*model.Flow{bulk}
 
 	// Boundary conditioning: each call contract is one packet per 40
 	// ticks with a burst of 2; the shaper's worst added delay becomes
@@ -39,7 +38,7 @@ func main() {
 	admitted := 0
 	for k := 0; k < 12; k++ {
 		call := model.UniformFlow(fmt.Sprintf("call%02d", k), 40, 2, 70, 2, 0, 1, 2, 3)
-		ok, rep, err := ctl.TryAdmit(call)
+		ok, rep, err := feasibility.AdmitEF(net, trajectory.Options{}, installed, call)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -48,6 +47,7 @@ func main() {
 			verdict = "reject"
 		} else {
 			admitted++
+			installed = append(installed, call)
 		}
 		var bounds []model.Time
 		for _, v := range rep.Verdicts {
@@ -59,5 +59,5 @@ func main() {
 		}
 	}
 	fmt.Printf("\nadmitted %d calls; %d flows installed (incl. background)\n",
-		admitted, len(ctl.Admitted()))
+		admitted, len(installed))
 }

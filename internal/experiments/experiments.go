@@ -331,35 +331,22 @@ func AdmissionCapacity() (*report.Table, error) {
 	}
 	t := report.NewTable("E9. Admission capacity (identical calls, 4 hops, D=40)",
 		"method", "calls admitted")
-	// The trajectory arm models the controller as deployed: one warm
-	// analyzer, one AddFlow per arriving call. Each admission test is a
-	// delta re-analysis seeded from the previous converged table rather
-	// than a cold rebuild of the whole set.
+	// The trajectory arm runs the admission core as deployed: one warm
+	// analyzer, one admission test per arriving call until the first
+	// refusal. Each test is a delta re-analysis seeded from the previous
+	// converged table rather than a cold rebuild of the whole set.
 	trajCap, err := func() (int, error) {
-		fs, err := mkSet(1)
+		c, err := feasibility.NewController(model.UnitDelayNetwork(), trajectory.Options{}, "", nil, 0)
 		if err != nil {
 			return 0, err
 		}
-		a, err := trajectory.NewAnalyzer(fs, trajectory.Options{})
-		if err != nil {
-			return 0, err
-		}
-		for n := 1; n <= 64; n++ {
-			bounds, err := a.Bounds()
-			if err != nil {
-				return n - 1, nil // divergence = refusal
-			}
-			rep, err := feasibility.Check(a.FlowSet(), bounds, nil, "cap")
+		for n := 0; n < 64; n++ {
+			d, err := c.Admit(context.Background(), mkCall(n), false)
 			if err != nil {
 				return 0, err
 			}
-			if !rep.AllFeasible {
-				return n - 1, nil
-			}
-			if n < 64 {
-				if _, err := a.AddFlow(mkCall(n)); err != nil {
-					return 0, err
-				}
+			if d.Outcome != "admitted" {
+				return n, nil
 			}
 		}
 		return 64, nil

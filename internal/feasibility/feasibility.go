@@ -6,12 +6,10 @@
 package feasibility
 
 import (
-	"errors"
 	"fmt"
 
 	"trajan/internal/ef"
 	"trajan/internal/model"
-	"trajan/internal/obs"
 	"trajan/internal/trajectory"
 )
 
@@ -47,273 +45,65 @@ func Check(fs *model.FlowSet, bounds, jitters []model.Time, method string) (*Rep
 	if len(bounds) != fs.N() {
 		return nil, model.Errorf(model.ErrInvalidConfig, "feasibility: %d bounds for %d flows", len(bounds), fs.N())
 	}
-	rep := &Report{Method: method, AllFeasible: true}
+	rep := &Report{Method: method}
 	for i, f := range fs.Flows {
-		v := Verdict{
-			Flow:     i,
-			Name:     f.Name,
-			Bound:    bounds[i],
-			Deadline: f.Deadline,
-		}
+		var jitter model.Time
 		if jitters != nil {
-			v.Jitter = jitters[i]
+			jitter = jitters[i]
 		}
-		if f.Deadline > 0 {
-			// An Unbounded verdict (TimeInfinity) always misses any
-			// finite deadline; SubSat keeps the slack a well-defined
-			// saturated negative instead of a wrapped number.
-			var sat bool
-			v.Slack = model.SubSat(f.Deadline, bounds[i], &sat)
-			v.Feasible = bounds[i] <= f.Deadline
-		} else {
-			v.Feasible = true
-		}
-		if !v.Feasible {
-			rep.AllFeasible = false
-		}
-		rep.Verdicts = append(rep.Verdicts, v)
+		rep.Verdicts = append(rep.Verdicts, verdictOf(i, f, bounds[i], jitter))
 	}
+	rep.AllFeasible, _ = SetVerdict(fs.Flows, bounds)
 	return rep, nil
 }
 
-// Controller is an incremental EF admission controller: it maintains
-// the set of admitted flows (EF flows under test plus the fixed
-// lower-class background) and accepts a candidate only if the whole
-// resulting set remains feasible under the trajectory analysis
-// (Property 3 when non-EF background flows are present).
-type Controller struct {
-	net      model.Network
-	opt      trajectory.Options
-	admitted []*model.Flow
-	// warm is the delta re-analysis engine over the admitted set, kept
-	// converged between admission tests so each candidate costs one
-	// AddFlow (dirty-closure re-sweep) instead of a cold rebuild. It is
-	// only usable when every admitted flow is EF (the non-preemption
-	// penalty δi is then identically zero) and is dropped whenever that
-	// cannot be guaranteed.
-	warm *trajectory.Analyzer
+// verdictOf judges one flow's bound against its deadline.
+func verdictOf(i int, f *model.Flow, bound, jitter model.Time) Verdict {
+	v := Verdict{Flow: i, Name: f.Name, Bound: bound, Deadline: f.Deadline, Jitter: jitter, Feasible: true}
+	if f.Deadline > 0 {
+		// An Unbounded verdict (TimeInfinity) always misses any finite
+		// deadline; SubSat keeps the slack a well-defined saturated
+		// negative instead of a wrapped number.
+		var sat bool
+		v.Slack = model.SubSat(f.Deadline, bound, &sat)
+		v.Feasible = bound <= f.Deadline
+	}
+	return v
 }
 
-// NewController starts a controller over an empty network. Background
-// (non-EF) flows may be pre-installed with Preload; they are never
-// checked for deadlines but contribute non-preemption blocking.
-func NewController(net model.Network, opt trajectory.Options) *Controller {
-	return &Controller{net: net, opt: opt}
-}
-
-// Preload installs flows without an admission test (e.g. the AF/BE
-// background, or already-contracted EF flows).
-func (c *Controller) Preload(flows ...*model.Flow) {
-	for _, f := range flows {
-		c.admitted = append(c.admitted, f.Clone())
-	}
-	c.warm = nil // background flows changed outside the warm engine
-}
-
-// Admitted returns the currently admitted flows.
-func (c *Controller) Admitted() []*model.Flow { return c.admitted }
-
-// emitDecision records one admission verdict on the configured tracer:
-// Op names the path taken (warm delta re-analysis vs cold rebuild),
-// Outcome starts with "admitted" or "rejected" (the metrics aggregation
-// keys on the first word).
-func (c *Controller) emitDecision(op, flow, outcome string) {
-	if tr := c.opt.Tracer; tr != nil {
-		tr.Emit(obs.Event{Type: obs.EvAdmission, Op: op, Flow: flow, Outcome: outcome})
-	}
-}
-
-// Release evicts an admitted flow by name. Removal can only shrink
-// interference, so no feasibility test is needed. It reports whether
-// the name matched an admitted flow.
-func (c *Controller) Release(name string) bool {
-	for i, g := range c.admitted {
-		if g.Name == name {
-			c.admitted = append(c.admitted[:i], c.admitted[i+1:]...)
-			c.warm = nil // the set changed outside the warm engine
-			c.emitDecision("cold", name, "released")
-			return true
-		}
-	}
-	return false
-}
-
-// TryRenegotiate replaces an admitted flow's contract (matched by
-// f.Name) and accepts only if the resulting set remains feasible; a
-// rejected renegotiation leaves the previous contract in force. The
-// returned report describes the hypothetical set either way, exactly
-// as TryAdmit does.
-func (c *Controller) TryRenegotiate(f *model.Flow) (bool, *Report, error) {
-	idx := -1
-	for i, g := range c.admitted {
-		if g.Name == f.Name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return false, nil, model.Errorf(model.ErrInvalidConfig, "feasibility: renegotiate: unknown flow %q", f.Name)
-	}
-	old := c.admitted[idx]
-	c.admitted = append(c.admitted[:idx], c.admitted[idx+1:]...)
-	ok, rep, err := c.TryAdmit(f)
-	if !ok {
-		// Restore the previous contract at its original position.
-		c.admitted = append(c.admitted[:idx], append([]*model.Flow{old}, c.admitted[idx:]...)...)
-		c.warm = nil
-	}
-	return ok, rep, err
-}
-
-// TryAdmit tests the candidate flow against the current set. On
-// success the flow is committed and the post-admission report returned;
-// on refusal the state is unchanged and the hypothetical report
-// explains which flow would have missed its deadline.
-func (c *Controller) TryAdmit(f *model.Flow) (bool, *Report, error) {
-	if ok, rep, err, handled := c.tryAdmitWarm(f); handled {
-		return ok, rep, err
-	}
-	trial := make([]*model.Flow, 0, len(c.admitted)+1)
-	for _, g := range c.admitted {
+// AdmitEF is the cold Property-3 admission test: it judges cand
+// against admitted — EF flows plus any lower-class background, charged
+// to EF flows as non-preemption blocking — splitting flows where
+// Assumption 1 requires, with the full EF analysis (ef.Analyze). It
+// reports whether every EF flow of the hypothetical set meets its
+// deadline, and that set's per-EF-flow verdicts. Divergence or
+// overflow is a refusal (an empty, infeasible report); any other
+// failure is an error. The warm Controller cannot run this pipeline:
+// background flows and Assumption-1 splits reshape the analysed set
+// behind its engine.
+func AdmitEF(net model.Network, opt trajectory.Options, admitted []*model.Flow, cand *model.Flow) (bool, *Report, error) {
+	trial := make([]*model.Flow, 0, len(admitted)+1)
+	for _, g := range admitted {
 		trial = append(trial, g.Clone())
 	}
-	trial = append(trial, f.Clone())
-	trial = model.EnforceAssumption1(trial)
-	fs, err := model.NewFlowSet(c.net, trial)
+	trial = append(trial, cand.Clone())
+	fs, err := model.NewFlowSet(net, model.EnforceAssumption1(trial))
 	if err != nil {
-		return false, nil, model.Classify(model.ErrInvalidConfig, fmt.Errorf("feasibility: candidate %q: %w", f.Name, err))
+		return false, nil, model.Classify(model.ErrInvalidConfig, fmt.Errorf("feasibility: candidate %q: %w", cand.Name, err))
 	}
-	res, err := ef.Analyze(fs, c.opt)
+	res, err := ef.Analyze(fs, opt)
 	if err != nil {
-		// Analysis divergence or overflow (overload) is a refusal, not a
-		// failure; anything else — bad config, cancellation, an internal
-		// panic — propagates to the caller.
-		if errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow) {
-			c.emitDecision("cold", f.Name, "rejected (unstable)")
-			return false, &Report{Method: "trajectory-ef", AllFeasible: false}, nil
+		if isRefusal(err) {
+			return false, &Report{Method: "trajectory-ef"}, nil
 		}
 		return false, nil, err
 	}
-	rep := &Report{Method: "trajectory-ef", AllFeasible: true}
+	rep := &Report{Method: "trajectory-ef"}
+	efFlows := make([]*model.Flow, len(res.EFIndex))
 	for k, idx := range res.EFIndex {
-		fl := fs.Flows[idx]
-		v := Verdict{
-			Flow:     idx,
-			Name:     fl.Name,
-			Bound:    res.Trajectory.Bounds[k],
-			Deadline: fl.Deadline,
-			Jitter:   res.Trajectory.Jitters[k],
-		}
-		if fl.Deadline > 0 {
-			var sat bool
-			v.Slack = model.SubSat(fl.Deadline, v.Bound, &sat)
-			v.Feasible = v.Bound <= fl.Deadline
-		} else {
-			v.Feasible = true
-		}
-		if !v.Feasible {
-			rep.AllFeasible = false
-		}
-		rep.Verdicts = append(rep.Verdicts, v)
+		efFlows[k] = fs.Flows[idx]
+		rep.Verdicts = append(rep.Verdicts, verdictOf(idx, fs.Flows[idx], res.Trajectory.Bounds[k], res.Trajectory.Jitters[k]))
 	}
-	if !rep.AllFeasible {
-		c.emitDecision("cold", f.Name, "rejected")
-		return false, rep, nil
-	}
-	c.admitted = append(c.admitted, f.Clone())
-	c.warm = nil // the cold path mutated the set behind the warm engine
-	c.emitDecision("cold", f.Name, "admitted")
-	return true, rep, nil
-}
-
-// tryAdmitWarm is the incremental admission fast path. It applies when
-// the whole set (admitted plus candidate) is pure EF, Assumption 1
-// already holds (no flow splitting needed) and no per-flow option
-// vectors are set: the EF analysis then reduces to the plain trajectory
-// analysis of the set (δi ≡ 0 for an all-EF set), so the candidate is
-// tested with one warm AddFlow on the persistent analyzer and reverted
-// with RemoveFlow on refusal — the converged Smax table carries over
-// between decisions. handled=false defers to the cold path. The warm
-// path skips the holistic comparison baseline the cold path computes;
-// the Report never contained it, and admission is decided by the
-// trajectory bounds alone.
-func (c *Controller) tryAdmitWarm(f *model.Flow) (ok bool, rep *Report, err error, handled bool) {
-	if c.opt.NonPreemption != nil || f.Class != model.ClassEF || len(c.admitted) == 0 {
-		return
-	}
-	for _, g := range c.admitted {
-		if g.Class != model.ClassEF {
-			return
-		}
-	}
-	trial := make([]*model.Flow, 0, len(c.admitted)+1)
-	trial = append(trial, c.admitted...)
-	trial = append(trial, f)
-	if len(model.CheckAssumption1(trial)) != 0 {
-		return // EnforceAssumption1 would split flows: cold path
-	}
-	if c.warm == nil || c.warm.FlowSet().N() != len(c.admitted) {
-		base := make([]*model.Flow, len(c.admitted))
-		for k, g := range c.admitted {
-			base[k] = g.Clone()
-		}
-		fs, ferr := model.NewFlowSet(c.net, base)
-		if ferr != nil {
-			return // let the cold path produce its usual error
-		}
-		a, aerr := trajectory.NewAnalyzer(fs, c.opt)
-		if aerr != nil {
-			return
-		}
-		c.warm = a
-	}
-	idx, aerr := c.warm.AddFlow(f.Clone())
-	if aerr != nil {
-		// Same validation NewFlowSet runs, same wrapping as the cold path.
-		return false, nil, model.Classify(model.ErrInvalidConfig,
-			fmt.Errorf("feasibility: candidate %q: %w", f.Name, aerr)), true
-	}
-	revert := func() {
-		if rerr := c.warm.RemoveFlow(idx); rerr != nil {
-			c.warm = nil // unusable state: rebuild cold next time
-		}
-	}
-	res, aerr := c.warm.Analyze()
-	if aerr != nil {
-		revert()
-		if errors.Is(aerr, model.ErrUnstable) || errors.Is(aerr, model.ErrOverflow) {
-			c.emitDecision("warm", f.Name, "rejected (unstable)")
-			return false, &Report{Method: "trajectory-ef", AllFeasible: false}, nil, true
-		}
-		return false, nil, aerr, true
-	}
-	rep = &Report{Method: "trajectory-ef", AllFeasible: true}
-	for i, fl := range c.warm.FlowSet().Flows {
-		v := Verdict{
-			Flow:     i,
-			Name:     fl.Name,
-			Bound:    res.Bounds[i],
-			Deadline: fl.Deadline,
-			Jitter:   res.Jitters[i],
-		}
-		if fl.Deadline > 0 {
-			var sat bool
-			v.Slack = model.SubSat(fl.Deadline, v.Bound, &sat)
-			v.Feasible = v.Bound <= fl.Deadline
-		} else {
-			v.Feasible = true
-		}
-		if !v.Feasible {
-			rep.AllFeasible = false
-		}
-		rep.Verdicts = append(rep.Verdicts, v)
-	}
-	if !rep.AllFeasible {
-		revert()
-		c.emitDecision("warm", f.Name, "rejected")
-		return false, rep, nil, true
-	}
-	c.admitted = append(c.admitted, f.Clone())
-	c.emitDecision("warm", f.Name, "admitted")
-	return true, rep, nil, true
+	rep.AllFeasible, _ = SetVerdict(efFlows, res.Trajectory.Bounds)
+	return rep.AllFeasible, rep, nil
 }

@@ -1,12 +1,12 @@
 package feasibility
 
 import (
+	"context"
 	"errors"
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
-	"trajan/internal/ef"
 	"trajan/internal/holistic"
 	"trajan/internal/model"
 	"trajan/internal/trajectory"
@@ -75,7 +75,8 @@ func TestCheckArity(t *testing.T) {
 // tandem are admitted while deadlines hold, then refused; the state
 // must not change on refusal.
 func TestControllerAdmitsUntilSaturation(t *testing.T) {
-	c := NewController(model.UnitDelayNetwork(), trajectory.Options{})
+	c, _ := newController(t, model.UnitDelayNetwork(), trajectory.Options{}, "", nil)
+	ctx := context.Background()
 	mk := func(k int) *model.Flow {
 		return model.UniformFlow(
 			// The n-th identical flow's bound is 2n+6, so deadline 20
@@ -84,50 +85,45 @@ func TestControllerAdmitsUntilSaturation(t *testing.T) {
 	}
 	admittedCount := 0
 	for k := 0; k < 12; k++ {
-		ok, rep, err := c.TryAdmit(mk(k))
+		d, err := c.Admit(ctx, mk(k), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
+		if d.Outcome == "admitted" {
 			admittedCount++
-			if !rep.AllFeasible {
-				t.Fatal("admission with infeasible report")
+			if !d.AllFeasible {
+				t.Fatal("admission with infeasible verdict")
 			}
 		} else {
-			if rep.AllFeasible {
-				t.Fatal("refusal with feasible report")
+			if d.AllFeasible || d.Reason != "deadline miss" {
+				t.Fatalf("refusal %+v", d)
 			}
 			break
 		}
 	}
-	if admittedCount == 0 || admittedCount == 12 {
-		t.Fatalf("admitted %d flows; expected saturation strictly inside 1..11", admittedCount)
+	if admittedCount != 7 {
+		t.Fatalf("admitted %d flows; want 7", admittedCount)
 	}
-	if len(c.Admitted()) != admittedCount {
-		t.Errorf("state has %d flows after %d admissions", len(c.Admitted()), admittedCount)
+	if c.FlowSet().N() != admittedCount {
+		t.Errorf("state has %d flows after %d admissions", c.FlowSet().N(), admittedCount)
 	}
 	// A later, laxer flow can still be admitted: refusal is per
 	// candidate, not terminal. (Deadline-free candidate never misses.)
 	lax := model.UniformFlow("lax", 50, 0, 0, 2, 7, 8)
-	ok, _, err := c.TryAdmit(lax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("off-path deadline-free flow refused")
+	if d, err := c.Admit(ctx, lax, false); err != nil || d.Outcome != "admitted" {
+		t.Errorf("off-path deadline-free flow: %+v, %v", d, err)
 	}
 }
 
-// TestControllerPreloadBackground: preloaded BE flows are not deadline-
-// checked but inflate the EF bound through δ.
+// TestControllerPreloadBackground: background BE flows are not
+// deadline-checked but inflate the EF bound through δ.
 func TestControllerPreloadBackground(t *testing.T) {
 	bulk := model.UniformFlow("bulk", 100, 0, 1, 9, 1, 2) // absurd deadline, non-EF
 	bulk.Class = model.ClassBE
+	net := model.UnitDelayNetwork()
 
-	withBG := NewController(model.UnitDelayNetwork(), trajectory.Options{})
-	withBG.Preload(bulk)
 	voice := model.UniformFlow("v", 50, 0, 20, 2, 1, 2)
-	ok, rep, err := withBG.TryAdmit(voice)
+	ok, rep, err := AdmitEF(net, trajectory.Options{}, []*model.Flow{bulk}, voice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +136,7 @@ func TestControllerPreloadBackground(t *testing.T) {
 			boundWithBG = v.Bound
 		}
 	}
-	without := NewController(model.UnitDelayNetwork(), trajectory.Options{})
-	ok2, rep2, err := without.TryAdmit(voice.Clone())
+	ok2, rep2, err := AdmitEF(net, trajectory.Options{}, nil, voice)
 	if err != nil || !ok2 {
 		t.Fatal(err)
 	}
@@ -152,29 +147,38 @@ func TestControllerPreloadBackground(t *testing.T) {
 }
 
 // TestControllerRefusesOverload: a candidate that saturates a node is
-// refused via the divergence path rather than erroring out.
+// refused via the divergence path rather than erroring out, and the
+// refusal leaves the committed set unchanged.
 func TestControllerRefusesOverload(t *testing.T) {
-	c := NewController(model.UnitDelayNetwork(), trajectory.Options{})
-	c.Preload(model.UniformFlow("base", 4, 0, 0, 3, 1))
-	ok, rep, err := c.TryAdmit(model.UniformFlow("cand", 4, 0, 100, 3, 1))
+	c, _ := newController(t, model.UnitDelayNetwork(), trajectory.Options{}, "", nil)
+	ctx := context.Background()
+	if d, err := c.Admit(ctx, model.UniformFlow("base", 4, 0, 0, 3, 1), false); err != nil || d.Outcome != "admitted" {
+		t.Fatalf("base: %+v, %v", d, err)
+	}
+	d, err := c.Admit(ctx, model.UniformFlow("cand", 4, 0, 100, 3, 1), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok || rep.AllFeasible {
-		t.Error("overloading candidate admitted")
+	if d.Outcome != "rejected" || d.Reason != "unstable" {
+		t.Errorf("overloading candidate: %+v", d)
 	}
-	if len(c.Admitted()) != 1 {
+	if c.FlowSet().N() != 1 {
 		t.Error("refusal mutated state")
+	}
+	// The cold Property-3 test refuses it the same way.
+	ok, rep, err := AdmitEF(model.UnitDelayNetwork(), trajectory.Options{}, c.FlowSet().Flows,
+		model.UniformFlow("cand", 4, 0, 100, 3, 1))
+	if err != nil || ok || rep.AllFeasible {
+		t.Errorf("AdmitEF overload: ok=%v rep=%+v err=%v", ok, rep, err)
 	}
 }
 
 // TestControllerSplitsForAssumption1: a candidate weaving across an
-// admitted path is split, not rejected.
+// admitted path is split by the cold Property-3 test, not rejected.
 func TestControllerSplitsForAssumption1(t *testing.T) {
-	c := NewController(model.UnitDelayNetwork(), trajectory.Options{})
-	c.Preload(model.UniformFlow("base", 50, 0, 0, 2, 1, 2, 3, 4, 5))
+	base := model.UniformFlow("base", 50, 0, 0, 2, 1, 2, 3, 4, 5)
 	weave := model.UniformFlow("weave", 50, 0, 0, 2, 2, 3, 9, 4, 5)
-	ok, _, err := c.TryAdmit(weave)
+	ok, _, err := AdmitEF(model.UnitDelayNetwork(), trajectory.Options{}, []*model.Flow{base}, weave)
 	if err != nil {
 		t.Fatalf("assumption-1 candidate errored: %v", err)
 	}
@@ -183,56 +187,11 @@ func TestControllerSplitsForAssumption1(t *testing.T) {
 	}
 }
 
-// coldAdmitOracle replicates the cold TryAdmit decision (the
-// EnforceAssumption1 + ef.Analyze pipeline) for a hypothetical
-// admitted-set + candidate, without touching any controller state.
-func coldAdmitOracle(t *testing.T, net model.Network, opt trajectory.Options,
-	admitted []*model.Flow, f *model.Flow) (bool, *Report) {
-	t.Helper()
-	trial := make([]*model.Flow, 0, len(admitted)+1)
-	for _, g := range admitted {
-		trial = append(trial, g.Clone())
-	}
-	trial = append(trial, f.Clone())
-	trial = model.EnforceAssumption1(trial)
-	fs, err := model.NewFlowSet(net, trial)
-	if err != nil {
-		t.Fatalf("oracle flow set: %v", err)
-	}
-	res, err := ef.Analyze(fs, opt)
-	if err != nil {
-		if errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow) {
-			return false, &Report{Method: "trajectory-ef", AllFeasible: false}
-		}
-		t.Fatalf("oracle analysis: %v", err)
-	}
-	rep := &Report{Method: "trajectory-ef", AllFeasible: true}
-	for k, idx := range res.EFIndex {
-		fl := fs.Flows[idx]
-		v := Verdict{Flow: idx, Name: fl.Name, Bound: res.Trajectory.Bounds[k],
-			Deadline: fl.Deadline, Jitter: res.Trajectory.Jitters[k]}
-		if fl.Deadline > 0 {
-			var sat bool
-			v.Slack = model.SubSat(fl.Deadline, v.Bound, &sat)
-			v.Feasible = v.Bound <= fl.Deadline
-		} else {
-			v.Feasible = true
-		}
-		if !v.Feasible {
-			rep.AllFeasible = false
-		}
-		rep.Verdicts = append(rep.Verdicts, v)
-	}
-	return rep.AllFeasible, rep
-}
-
 // TestControllerWarmMatchesColdOracle: a long all-EF admission sequence
-// through the warm fast path produces, decision by decision, the exact
-// verdicts of the cold ef.Analyze pipeline.
+// through the warm core produces, decision by decision, the verdicts
+// and bounds of a cold analysis of the resulting set.
 func TestControllerWarmMatchesColdOracle(t *testing.T) {
-	net := model.UnitDelayNetwork()
-	opt := trajectory.Options{}
-	c := NewController(net, opt)
+	c, o := newController(t, model.UnitDelayNetwork(), trajectory.Options{}, "", nil)
 	mk := func(k int, dl model.Time, path ...model.NodeID) *model.Flow {
 		return model.UniformFlow("f"+string(rune('a'+k)), 40+model.Time(k%3)*10, model.Time(k%2), dl, 2, path...)
 	}
@@ -248,26 +207,19 @@ func TestControllerWarmMatchesColdOracle(t *testing.T) {
 		mk(8, 60, 1, 2, 3, 4),
 	}
 	for k, f := range cands {
-		wantOK, wantRep := coldAdmitOracle(t, net, opt, c.Admitted(), f)
-		gotOK, gotRep, err := c.TryAdmit(f)
-		if err != nil {
-			t.Fatalf("cand %d: %v", k, err)
-		}
-		if gotOK != wantOK {
-			t.Fatalf("cand %d: warm admit=%v, cold oracle=%v", k, gotOK, wantOK)
-		}
-		if !reflect.DeepEqual(gotRep, wantRep) {
-			t.Fatalf("cand %d: report mismatch\nwarm: %+v\ncold: %+v", k, gotRep, wantRep)
-		}
+		want, wantErr := o.admit(f)
+		got, err := c.Admit(context.Background(), f, false)
+		o.check(fmt.Sprintf("cand %d", k), c, got, err, want, wantErr)
 	}
-	if len(c.Admitted()) == 0 || len(c.Admitted()) == len(cands) {
-		t.Fatalf("admitted %d of %d: want a mix of accepts and refusals", len(c.Admitted()), len(cands))
+	if n := c.FlowSet().N(); n == 0 || n == len(cands) {
+		t.Fatalf("admitted %d of %d: want a mix of accepts and refusals", n, len(cands))
 	}
-	// Duplicate-name candidate: identical wrapped validation error.
-	dup := c.Admitted()[0].Clone()
-	if _, _, err := c.TryAdmit(dup); err == nil ||
+	// Duplicate-name candidate: a typed validation error, state intact.
+	dup := c.FlowSet().Flows[0].Clone()
+	if _, err := c.Admit(context.Background(), dup, false); err == nil ||
 		!strings.Contains(err.Error(), "duplicate flow name") ||
 		!errors.Is(err, model.ErrInvalidConfig) {
 		t.Fatalf("duplicate candidate: %v", err)
 	}
+	o.check("after duplicate", c, Decision{}, errors.New("skip"), Decision{}, errors.New("skip"))
 }

@@ -3,9 +3,9 @@
 // candidate paths between the flow's endpoints, score every candidate's
 // post-admission state, and admit on the best feasible path. The
 // scoring is deliberately cheap and embarrassingly parallel — one
-// analysis per candidate — so the serve layer runs it as a single
-// Analyzer.WhatIf batch of copy-on-write forks; this package provides
-// the candidate construction, the deterministic selection rule, and the
+// analysis per candidate — so the Controller runs it as a single
+// Analyzer.WhatIf batch of copy-on-write forks; this file provides the
+// candidate construction, the deterministic selection rule, and the
 // sequential cold oracle those parallel decisions must match
 // bit-for-bit.
 package feasibility
@@ -81,7 +81,7 @@ func RouteCandidates(topo *model.Topology, f *model.Flow, k int) ([]*model.Flow,
 
 // ClassifyRouteOutcome converts one candidate's analysis error (nil on
 // success) and post-admission verdict into the RouteCandidate outcome
-// taxonomy. It is shared by the parallel (serve) and sequential (cold
+// taxonomy. It is shared by the parallel (warm) and sequential (cold
 // oracle) scorers, so both classify identically.
 func ClassifyRouteOutcome(err error, allFeasible bool) string {
 	switch {
@@ -212,36 +212,4 @@ func ScoreRoutesWhatIf(ctx context.Context, a *trajectory.Analyzer, cands []*mod
 		out[i].Outcome = ClassifyRouteOutcome(nil, ok)
 	}
 	return out
-}
-
-// TryAdmitRoute is the Controller's routing-aware admission: enumerate
-// up to k candidate paths for f, score them sequentially (cold), and
-// commit the winner through TryAdmit. The returned candidates carry the
-// per-path verdicts whatever the decision; chosen is the committed path
-// (nil on refusal). Candidate construction errors (no topology,
-// non-uniform cost, unknown endpoints) propagate as err.
-func (c *Controller) TryAdmitRoute(topo *model.Topology, f *model.Flow, k int) (ok bool, chosen model.Path, cands []RouteCandidate, err error) {
-	cfs, err := RouteCandidates(topo, f, k)
-	if err != nil {
-		return false, nil, nil, err
-	}
-	cands = ScoreRoutesCold(context.Background(), c.net, c.opt, c.admitted, cfs)
-	win := ChooseRoute(cands)
-	if win < 0 {
-		c.emitDecision("route", f.Name, "rejected (no feasible route)")
-		return false, nil, cands, nil
-	}
-	ok, _, err = c.TryAdmit(cands[win].Flow)
-	if err != nil {
-		return false, nil, cands, err
-	}
-	if !ok {
-		// The scoring said feasible but the committing analysis refused —
-		// only possible when the two disagree (e.g. an Assumption-1 split
-		// changed the set shape). Surface the refusal honestly.
-		c.emitDecision("route", f.Name, "rejected")
-		return false, nil, cands, nil
-	}
-	c.emitDecision("route", f.Name, "admitted")
-	return true, cands[win].Path, cands, nil
 }

@@ -141,40 +141,44 @@ func TestClassifyRouteOutcome(t *testing.T) {
 	}
 }
 
-// TestTryAdmitRoute drives the cold controller path end to end: the
-// direct path is refused under the spine-0 load, the alternate admits.
+// TestTryAdmitRoute drives route=auto admission through the core end
+// to end: the direct path is refused under the spine-0 load, the
+// alternate admits, and the decision matches the cold oracle.
 func TestTryAdmitRoute(t *testing.T) {
 	topo, hog, f := closFixture(t)
-	c := NewController(model.UnitDelayNetwork(), trajectory.Options{})
-	c.Preload(hog)
+	c, o := newController(t, model.UnitDelayNetwork(), trajectory.Options{}, "", topo)
+	ctx := context.Background()
+	if d, err := c.Admit(ctx, hog, false); err != nil || d.Outcome != "admitted" {
+		t.Fatalf("hog: %+v, %v", d, err)
+	}
+	o.flows = []*model.Flow{hog}
 
 	// Manual admission on the direct path is refused outright.
-	if ok, _, err := c.TryAdmit(f.Clone()); err != nil {
+	if d, err := c.Admit(ctx, f.Clone(), false); err != nil {
 		t.Fatal(err)
-	} else if ok {
-		t.Fatal("direct-path admission unexpectedly succeeded")
+	} else if d.Outcome != "rejected" || d.Reason != "deadline miss" {
+		t.Fatalf("direct-path admission: %+v", d)
 	}
 
-	ok, chosen, cands, err := c.TryAdmitRoute(topo, f, 4)
-	if err != nil {
-		t.Fatal(err)
+	want, wantErr := o.route("admit", f)
+	d, err := c.Admit(ctx, f, true)
+	o.check("route admit", c, d, err, want, wantErr)
+	if d.Outcome != "admitted" {
+		t.Fatalf("auto-route admission refused; candidates: %+v", d.Cands)
 	}
-	if !ok {
-		t.Fatalf("auto-route admission refused; candidates: %+v", cands)
+	if len(d.Cands) != 2 {
+		t.Fatalf("candidates = %d, want 2", len(d.Cands))
 	}
-	if len(cands) != 2 {
-		t.Fatalf("candidates = %d, want 2", len(cands))
+	if d.Cands[0].Outcome != "infeasible" {
+		t.Fatalf("direct candidate outcome %q, want infeasible", d.Cands[0].Outcome)
 	}
-	if cands[0].Outcome != "infeasible" {
-		t.Fatalf("direct candidate outcome %q, want infeasible", cands[0].Outcome)
+	if d.Cands[1].Outcome != "feasible" {
+		t.Fatalf("alternate candidate outcome %q, want feasible", d.Cands[1].Outcome)
 	}
-	if cands[1].Outcome != "feasible" {
-		t.Fatalf("alternate candidate outcome %q, want feasible", cands[1].Outcome)
+	if d.Path[2] != workload.ClosSpine(1) {
+		t.Fatalf("chosen path %v does not transit spine 1", d.Path)
 	}
-	if chosen[2] != workload.ClosSpine(1) {
-		t.Fatalf("chosen path %v does not transit spine 1", chosen)
-	}
-	if got := len(c.Admitted()); got != 2 {
+	if got := c.FlowSet().N(); got != 2 {
 		t.Fatalf("admitted = %d, want 2", got)
 	}
 }

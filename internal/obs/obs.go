@@ -58,8 +58,10 @@ const (
 	// EvSaturation marks a saturated (Unbounded) verdict: Flow, Op
 	// (the site, e.g. "bound").
 	EvSaturation = "saturation"
-	// EvAdmission is one admission-control decision: Flow, Op
-	// ("warm"|"cold"|"churn"|"serve"), Outcome ("admitted"|"rejected"|...).
+	// EvAdmission is one decision of the admission core
+	// (feasibility.Controller): Flow, Op ("admit"|"release"|
+	// "renegotiate"), Outcome ("admitted"|"released"|"renegotiated", or
+	// "rejected (<reason>)"; metrics key on the first word).
 	EvAdmission = "admission.decision"
 	// EvServeRequest is one HTTP request handled by the admission
 	// service (internal/serve): Op (the route, e.g. "admit", "whatif",

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"trajan/internal/feasibility"
 	"trajan/internal/model"
 	"trajan/internal/obs"
 )
@@ -437,7 +438,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 func wireProbe(p *whatifProbe) WhatIfOutcome {
 	out := WhatIfOutcome{Op: p.Op, Target: p.Target}
 	switch {
-	case p.Err != nil && isRefusal(p.Err):
+	case p.Err != nil && feasibility.ClassifyRouteOutcome(p.Err, false) == "unstable":
 		out.Decision = "unstable"
 	case p.Err != nil:
 		out.Decision = "error"

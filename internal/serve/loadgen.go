@@ -117,6 +117,11 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenStats, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
+	// Close the pooled connections on return: net/http's graceful
+	// shutdown waits up to five seconds for a connection the transport
+	// dialed but never sent a request on, which would stall the
+	// daemon's drain after a run.
+	defer hc.CloseIdleConnections()
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

@@ -112,8 +112,8 @@ func runRecoveryWorkload(t *testing.T, fs *faultfs.FS) (maxAcked int64) {
 
 // verifyRecovery rehydrates tenant t1 from disk and checks it against
 // the cold oracle: per-flow bounds bit-identical to a cold analysis of
-// the replayed journal, and subsequent admission decisions bit-identical
-// to a cold feasibility.Controller holding the same set.
+// the replayed journal, and subsequent admission decisions identical to
+// a cold scoring of each candidate against the same set.
 func verifyRecovery(t *testing.T, disk *faultfs.FS, crash, tear int, maxAcked int64) {
 	t.Helper()
 	fail := func(format string, args ...any) {
@@ -153,13 +153,13 @@ func verifyRecovery(t *testing.T, disk *faultfs.FS, crash, tear int, maxAcked in
 		if ferr != nil {
 			fail("replayed set invalid: %v", ferr)
 		}
-		a, aerr := trajectory.NewAnalyzer(fsSet, trajectory.Options{})
+		res, aerr := trajectory.AnalyzeContext(context.Background(), fsSet, trajectory.Options{})
 		if aerr != nil {
-			fail("cold analyzer: %v", aerr)
+			fail("cold bounds: %v", aerr)
 		}
-		wantBounds, err = a.BoundsContext(context.Background())
-		if err != nil {
-			fail("cold bounds: %v", err)
+		wantBounds = res.Bounds
+		if ok, _ := feasibility.SetVerdict(flows, wantBounds); !ok {
+			fail("replayed set misses a deadline: %v", wantBounds)
 		}
 	}
 
@@ -200,15 +200,12 @@ func verifyRecovery(t *testing.T, disk *faultfs.FS, crash, tear int, maxAcked in
 		}
 	}
 
-	// Subsequent decisions: the rehydrated warm server and a cold
-	// controller holding the replayed set must decide identically.
-	oracle := feasibility.NewController(net, trajectory.Options{})
+	// Subsequent decisions: the rehydrated warm server must decide as a
+	// cold ScoreRoutesCold scoring of each candidate against the
+	// replayed set does.
+	admitted := make([]*model.Flow, len(flowCfgs))
 	for i := range flowCfgs {
-		f, _ := flowCfgs[i].Build()
-		ok, _, oerr := oracle.TryAdmit(f)
-		if oerr != nil || !ok {
-			fail("oracle refused replayed flow %q (ok=%v err=%v)", flowCfgs[i].Name, ok, oerr)
-		}
+		admitted[i], _ = flowCfgs[i].Build()
 	}
 	for i := 0; i < 3; i++ {
 		probe := callFlow(90 + i)
@@ -217,13 +214,10 @@ func verifyRecovery(t *testing.T, disk *faultfs.FS, crash, tear int, maxAcked in
 			fail("post-recovery admit %d: %v", i, d.Err)
 		}
 		f, _ := probe.Build()
-		ok, _, oerr := oracle.TryAdmit(f)
-		if oerr != nil {
-			fail("oracle post-recovery admit %d: %v", i, oerr)
-		}
 		want := "rejected"
-		if ok {
+		if sc := feasibility.ScoreRoutesCold(context.Background(), net, trajectory.Options{}, admitted, []*model.Flow{f}); sc[0].Outcome == "feasible" {
 			want = "admitted"
+			admitted = append(admitted, f)
 		}
 		if d.Outcome != want {
 			fail("post-recovery admit %d: server %q, oracle %q", i, d.Outcome, want)

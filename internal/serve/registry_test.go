@@ -360,29 +360,19 @@ func TestRegistryQuarantineRestart(t *testing.T) {
 		t.Fatalf("recovered set %v, want [call00 call01 call02 boom call03]", names)
 	}
 
-	// Bit-exact parity with the cold oracle over the same sequence.
-	oracle := feasibility.NewController(model.UnitDelayNetwork(), trajectory.Options{})
-	var rep *feasibility.Report
+	// Bit-exact parity with the cold oracle over the same sequence: each
+	// admit feasible under ScoreRoutesCold, the recovered bounds those of
+	// a cold analysis of the resulting set.
+	var oracleSet []*model.Flow
 	for _, fc := range []*model.FlowConfig{callFlow(0), callFlow(1), callFlow(2), boom, callFlow(3)} {
 		f := mustBuild(t, fc)
-		ok, r, oerr := oracle.TryAdmit(f)
-		if oerr != nil || !ok {
-			t.Fatalf("oracle admit %s: ok=%v err=%v", fc.Name, ok, oerr)
+		sc := feasibility.ScoreRoutesCold(context.Background(), model.UnitDelayNetwork(), trajectory.Options{}, oracleSet, []*model.Flow{f})
+		if sc[0].Outcome != "feasible" {
+			t.Fatalf("oracle admit %s: %s (%v)", fc.Name, sc[0].Outcome, sc[0].Err)
 		}
-		rep = r
+		oracleSet = append(oracleSet, f)
 	}
-	var b BoundsResponse
-	if code := getJSON(t, client, ts.URL+"/v1/t1/bounds", &b); code != http.StatusOK {
-		t.Fatalf("t1 bounds: HTTP %d", code)
-	}
-	if len(b.Verdicts) != len(rep.Verdicts) {
-		t.Fatalf("recovered %d verdicts, oracle %d", len(b.Verdicts), len(rep.Verdicts))
-	}
-	for i, v := range b.Verdicts {
-		if v.Bound != rep.Verdicts[i].Bound || v.Flow != rep.Verdicts[i].Name {
-			t.Fatalf("flow %d: recovered %s/%d, oracle %s/%d", i, v.Flow, v.Bound, rep.Verdicts[i].Name, rep.Verdicts[i].Bound)
-		}
-	}
+	requireServedBounds(t, client, ts.URL+"/v1/t1/bounds", model.UnitDelayNetwork(), oracleSet)
 
 	// t2 was never quarantined and still holds its 5 flows.
 	var t2b BoundsResponse

@@ -184,7 +184,8 @@ func TestRouteManualPathValidation(t *testing.T) {
 // /v1/admit?route=auto and, in lockstep, through the sequential cold
 // oracle (feasibility.ScoreRoutesCold + ChooseRoute). Every decision,
 // chosen path, and per-candidate verdict must be bit-identical — the
-// serve layer's parallel warm scoring may not change a single choice.
+// core's parallel warm scoring may not change a single choice — and
+// the served bounds must equal a cold analysis of the oracle's set.
 func TestRouteDecisionOracleParity(t *testing.T) {
 	topo, err := workload.ClosTopology(3, 4, 1)
 	if err != nil {
@@ -245,6 +246,7 @@ func TestRouteDecisionOracleParity(t *testing.T) {
 			}
 			oracleAdmitted = append(oracleAdmitted, scored[win].Flow)
 		}
+		requireServedBounds(t, client, ts.URL+"/v1/bounds", net, oracleAdmitted)
 	}
 	if len(oracleAdmitted) == 0 {
 		t.Fatal("oracle admitted nothing; the fixture is degenerate")

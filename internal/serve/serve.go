@@ -9,12 +9,13 @@
 //
 // Architecture (see docs/SERVING.md):
 //
-//   - A single-writer mutation loop owns the Analyzer. Admit, release
-//     and renegotiate requests are serialized through a bounded channel;
-//     each decision re-analyses the mutated set and is undone on a
-//     deadline miss or divergence, exactly like feasibility.Controller.
-//     A full queue pushes back immediately (HTTP 429 + Retry-After)
-//     instead of letting latency grow without bound.
+//   - A single-writer mutation loop owns one feasibility.Controller,
+//     the admission core. Admit, release and renegotiate requests are
+//     serialized through a bounded channel; the core decides each one
+//     (warm re-analysis, undone on a deadline miss or divergence), and
+//     the loop makes a committed decision durable in the journal before
+//     publishing it. A full queue pushes back immediately (HTTP 429 +
+//     Retry-After) instead of letting latency grow without bound.
 //   - Read paths (/v1/bounds, /v1/flows, /healthz) never touch the
 //     Analyzer: they serve from an immutable Snapshot swapped atomically
 //     after every committed mutation, so any number of readers run
@@ -28,9 +29,9 @@
 //     every decision already enqueued, then stops the loop. No request
 //     that was accepted is ever dropped without a reply.
 //
-// Decisions are bit-identical to a cold feasibility.Controller replay
-// of the same request sequence over an all-EF flow set; the
-// differential test in serve_test.go enforces this.
+// Decisions and bounds are bit-identical to a cold analysis of the
+// resulting flow set; the oracle parity tests in serve_test.go and
+// route_test.go enforce this.
 package serve
 
 import (
@@ -50,7 +51,7 @@ import (
 
 // ErrUnknownFlow marks release/renegotiate/what-if targets that name no
 // admitted flow; the HTTP layer maps it to 404.
-var ErrUnknownFlow = errors.New("serve: unknown flow")
+var ErrUnknownFlow = feasibility.ErrUnknownFlow
 
 // ErrShuttingDown is returned (and mapped to 503) once Shutdown has
 // begun: no new requests are accepted, queued ones still drain.
@@ -65,10 +66,10 @@ type Config struct {
 	// Network is the link-delay envelope all admitted flows share.
 	Network model.Network
 	// Options configures the underlying Analyzer. Options.Tracer
-	// receives every engine event plus the serve-layer admission
-	// decisions (obs.EvAdmission with Op "serve") and HTTP request
-	// outcomes (obs.EvServeRequest). Options.Parallelism bounds the
-	// per-batch what-if fan-out.
+	// receives every engine event plus the admission decisions
+	// (obs.EvAdmission, Op the operation, emitted once durable) and HTTP
+	// request outcomes (obs.EvServeRequest). Options.Parallelism bounds
+	// the per-batch what-if fan-out.
 	Options trajectory.Options
 	// Preload installs flows at startup without an admission test (the
 	// already-contracted set, or a lower-class background). New fails if
@@ -150,13 +151,6 @@ func (c Config) queueDepth() int {
 	return c.QueueDepth
 }
 
-func (c Config) routeK() int {
-	if c.RouteK <= 0 {
-		return feasibility.DefaultRouteK
-	}
-	return c.RouteK
-}
-
 func (c Config) checkpointEvery() int {
 	if c.CheckpointEvery == 0 {
 		return 64
@@ -193,20 +187,12 @@ func (s *Snapshot) N() int {
 }
 
 // decision is the mutation loop's reply to one admit/release/
-// renegotiate request.
+// renegotiate request: the admission core's decision plus the request
+// error and the snapshot in force after it.
 type decision struct {
-	Outcome string // "admitted" | "rejected" | "released" | "renegotiated"
-	Reason  string // set when rejected: "deadline miss" | "unstable"
-	Err     error  // invalid request, unknown flow, timeout, internal
-	Snap    *Snapshot
-	// Path is the committed route of a route=auto decision (nil on
-	// refusal and on manual-path requests).
-	Path model.Path
-	// Cands carries the per-candidate verdicts of a route=auto decision
-	// and Winner the index of the chosen candidate (-1 when none was
-	// feasible); Cands is nil on manual-path requests.
-	Cands  []feasibility.RouteCandidate
-	Winner int
+	feasibility.Decision
+	Err  error // invalid request, unknown flow, timeout, internal
+	Snap *Snapshot
 }
 
 // mutation is one serialized write request.
@@ -276,18 +262,6 @@ type Server struct {
 // synchronously (so a misconfigured daemon fails at startup, not on
 // first request), and starts the mutation loop.
 func New(cfg Config) (*Server, error) {
-	if err := cfg.Network.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Options.NonPreemption != nil {
-		return nil, model.Errorf(model.ErrInvalidConfig,
-			"serve: per-flow NonPreemption vectors cannot be remapped across mutations")
-	}
-	if cfg.Backend != "" {
-		if _, err := feasibility.ParseBackend(string(cfg.Backend)); err != nil {
-			return nil, err
-		}
-	}
 	s := &Server{
 		cfg:   cfg,
 		opt:   cfg.Options,
@@ -296,7 +270,11 @@ func New(cfg Config) (*Server, error) {
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	st := &loopState{s: s}
+	c, err := feasibility.NewController(cfg.Network, cfg.Options, cfg.Backend, cfg.Topology, cfg.RouteK)
+	if err != nil {
+		return nil, err
+	}
+	st := &loopState{s: s, c: c}
 	if cfg.restoreSeq > 0 {
 		// Rehydrated server: the initial publish below carries the
 		// recovered sequence, so readers observe a seamless continuation.
@@ -311,19 +289,13 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := trajectory.NewAnalyzer(fs, s.opt)
-		if err != nil {
-			return nil, err
-		}
-		st.a = a
-		ok, bounds, minSlack, err := st.verdict(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		st.publish(bounds, minSlack, ok)
-	} else {
-		st.publish(nil, model.TimeInfinity, true)
+		c.Restore(fs)
 	}
+	d, err := c.Judge(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	st.publish(&d)
 	if j := cfg.Journal; j != nil && j.NextSeq() == 0 {
 		// Fresh journal: anchor it with a checkpoint of the initial
 		// snapshot (seq 1 — empty or preloaded), so the first mutation's
@@ -552,7 +524,7 @@ func (s *Server) drainQueues(st *loopState) {
 // goroutine touches it.
 type loopState struct {
 	s         *Server
-	a         *trajectory.Analyzer // nil when no flow is admitted
+	c         *feasibility.Controller
 	seq       int64
 	sinceCkpt int  // committed mutations since the last checkpoint
 	jreported bool // OnJournalFailure already fired
@@ -572,24 +544,27 @@ func (st *loopState) journalFailed() error {
 	return nil
 }
 
-// journalCommit makes one decision durable — append + fsync — strictly
-// before its snapshot is published. The record's sequence is the
-// snapshot sequence the decision will publish (st.seq+1). On failure
-// the in-memory mutation is reverted by a cold rebuild from the
-// still-pre-mutation snapshot, OnJournalFailure fires once, and the
-// latched journal refuses all further mutations.
-func (st *loopState) journalCommit(op, name string, f *model.Flow) error {
+// journalCommit makes one committed decision durable — append + fsync
+// — strictly before its snapshot is published. The record's sequence is
+// the snapshot sequence the decision will publish (st.seq+1) and its
+// flow the contract as committed (the chosen path of a route=auto
+// decision). On failure the core is restored to the still-published
+// pre-decision set, OnJournalFailure fires once, and the latched
+// journal refuses all further mutations.
+func (st *loopState) journalCommit(d *feasibility.Decision) error {
 	j := st.s.cfg.Journal
 	if j == nil {
 		return nil
 	}
-	rec := journal.Record{Seq: st.seq + 1, Op: op, Name: name}
-	if f != nil {
-		cfg := model.ConfigOfFlow(f)
+	rec := journal.Record{Seq: st.seq + 1, Op: d.Op}
+	if d.Op == "release" {
+		rec.Name = d.Flow
+	} else {
+		cfg := model.ConfigOfFlow(st.c.FlowSet().Flows[st.c.Index(d.Flow)])
 		rec.Flow = &cfg
 	}
 	if err := j.Append(rec); err != nil {
-		st.rebuild()
+		st.c.Restore(st.s.snap.Load().FS)
 		st.reportJournalFailure(err)
 		return model.Errorf(model.ErrInternal, "serve: journal append: %w", err)
 	}
@@ -635,400 +610,63 @@ func checkpointOf(net model.Network, sn *Snapshot) journal.Checkpoint {
 	return cp
 }
 
-// isRefusal classifies analysis errors that mean "candidate refused"
-// (the configuration diverges or overflows the time domain) as opposed
-// to request or server failures — the same split feasibility.Controller
-// and the trajan -admit replay apply.
-func isRefusal(err error) bool {
-	return errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow)
-}
-
-// verdict re-analyses the current set under ctx: feasibility of every
-// deadline, the full bounds vector, and the tightest slack. With a
-// non-default Config.Backend the bounds come from that backend (cold,
-// via feasibility.AnalyzeBackend); otherwise from the warm Analyzer.
-func (st *loopState) verdict(ctx context.Context) (ok bool, bounds []model.Time, minSlack model.Time, err error) {
-	if st.a == nil {
-		return true, nil, model.TimeInfinity, nil
-	}
-	if b := st.s.cfg.Backend; b != "" && b != feasibility.BackendTrajectory {
-		res, rerr := feasibility.AnalyzeBackend(ctx, st.a.FlowSet(), b, st.s.opt)
-		if rerr != nil {
-			return false, nil, 0, rerr
-		}
-		bounds = res.Bounds
-	} else {
-		bounds, err = st.a.BoundsContext(ctx)
-		if err != nil {
-			return false, nil, 0, err
-		}
-	}
-	ok, minSlack = true, model.TimeInfinity
-	for i, f := range st.a.FlowSet().Flows {
-		if f.Deadline <= 0 {
-			continue
-		}
-		var sat bool
-		if s := model.SubSat(f.Deadline, bounds[i], &sat); s < minSlack {
-			minSlack = s
-		}
-		if bounds[i] > f.Deadline {
-			ok = false
-		}
-	}
-	return ok, bounds, minSlack, nil
-}
-
-// publish swaps in a new immutable snapshot after a committed mutation.
-func (st *loopState) publish(bounds []model.Time, minSlack model.Time, feasible bool) *Snapshot {
+// publish swaps in a new immutable snapshot of the committed set with
+// the verdict d.
+func (st *loopState) publish(d *feasibility.Decision) *Snapshot {
 	st.seq++
-	var fs *model.FlowSet
-	if st.a != nil {
-		fs = st.a.FlowSet()
-	}
 	sn := &Snapshot{
 		Seq:         st.seq,
-		FS:          fs,
-		Bounds:      bounds,
-		AllFeasible: feasible,
-		MinSlack:    minSlack,
+		FS:          st.c.FlowSet(),
+		Bounds:      d.Bounds,
+		AllFeasible: d.AllFeasible,
+		MinSlack:    d.MinSlack,
 	}
 	st.s.snap.Store(sn)
 	return sn
 }
 
-// rebuild reconstructs the analyzer cold from the last published
-// snapshot — the recovery path when undoing a mutation itself failed
-// and the warm engine's state can no longer be trusted.
-func (st *loopState) rebuild() {
-	sn := st.s.snap.Load()
-	if sn == nil || sn.FS == nil {
-		st.a = nil
-		return
-	}
-	a, err := trajectory.NewAnalyzer(sn.FS, st.s.opt)
-	if err != nil {
-		st.a = nil
-		return
-	}
-	st.a = a
-}
-
-func (st *loopState) emitAdmission(flow, outcome string) {
-	if tr := st.s.opt.Tracer; tr != nil {
-		tr.Emit(obs.Event{Type: obs.EvAdmission, Op: "serve", Flow: flow, Outcome: outcome, Tenant: st.s.cfg.Tenant})
-	}
-}
-
-func (st *loopState) findFlow(name string) int {
-	if st.a == nil {
-		return -1
-	}
-	for i, f := range st.a.FlowSet().Flows {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
+// handleMutation runs one decision through the admission core and
+// wraps a committed one with durability and visibility: journal append
+// before snapshot publish, then the periodic checkpoint. Refusals and
+// errors commit nothing and leave the published snapshot in force.
 func (st *loopState) handleMutation(m *mutation) decision {
 	if err := st.journalFailed(); err != nil {
 		return decision{Err: err, Snap: st.s.snap.Load()}
 	}
+	var d feasibility.Decision
+	var err error
 	switch m.op {
 	case "admit":
-		if m.route {
-			return st.admitRoute(m)
-		}
-		return st.admit(m)
+		d, err = st.c.Admit(m.ctx, m.flow, m.route)
 	case "release":
-		return st.release(m)
+		d, err = st.c.Release(m.ctx, m.name)
 	case "renegotiate":
-		if m.route {
-			return st.renegotiateRoute(m)
-		}
-		return st.renegotiate(m)
+		d, err = st.c.Renegotiate(m.ctx, m.flow, m.route)
 	default:
-		return decision{Err: model.Errorf(model.ErrInternal, "serve: unknown mutation op %q", m.op)}
+		err = model.Errorf(model.ErrInternal, "serve: unknown mutation op %q", m.op)
 	}
-}
-
-// admit tests the candidate with one warm AddFlow and undoes it on
-// refusal — the delta re-analysis admission probe. Decision rule
-// (identical to feasibility.Controller): admitted iff the analysis
-// succeeds and every deadline still holds; divergence/overflow is a
-// refusal; any other analysis error is the caller's failure and leaves
-// the set unchanged.
-func (st *loopState) admit(m *mutation) decision {
-	f := m.flow
-	if err := st.validatePath(f); err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	var idx int
-	if st.a == nil {
-		fs, err := model.NewFlowSet(st.s.cfg.Network, []*model.Flow{f})
-		if err != nil {
-			return decision{Err: model.Classify(model.ErrInvalidConfig, err), Snap: st.s.snap.Load()}
+	if d.Outcome == "" || d.Outcome == "rejected" {
+		if err == nil {
+			d.Emit(st.s.opt.Tracer, st.s.cfg.Tenant)
 		}
-		a, err := trajectory.NewAnalyzer(fs, st.s.opt)
-		if err != nil {
-			return decision{Err: err, Snap: st.s.snap.Load()}
-		}
-		st.a, idx = a, 0
-	} else {
-		var err error
-		idx, err = st.a.AddFlow(f)
-		if err != nil {
-			return decision{Err: model.Classify(model.ErrInvalidConfig, err), Snap: st.s.snap.Load()}
-		}
+		return decision{Decision: d, Err: err, Snap: st.s.snap.Load()}
 	}
-	revert := func() {
-		if st.a.FlowSet().N() == 1 {
-			st.a = nil
-		} else if rerr := st.a.RemoveFlow(idx); rerr != nil {
-			st.rebuild()
-		}
-	}
-	ok, bounds, minSlack, err := st.verdict(m.ctx)
-	if err != nil && !isRefusal(err) {
-		revert()
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	if err != nil || !ok {
-		revert()
-		reason := "deadline miss"
-		if err != nil {
-			reason = "unstable"
-		}
-		st.emitAdmission(f.Name, "rejected ("+reason+")")
-		return decision{Outcome: "rejected", Reason: reason, Snap: st.s.snap.Load()}
-	}
-	if jerr := st.journalCommit("admit", "", f); jerr != nil {
+	if jerr := st.journalCommit(&d); jerr != nil {
 		return decision{Err: jerr, Snap: st.s.snap.Load()}
 	}
-	st.emitAdmission(f.Name, "admitted")
-	d := decision{Outcome: "admitted", Snap: st.publish(bounds, minSlack, ok)}
-	st.maybeCheckpoint()
-	return d
-}
-
-// release evicts a flow unconditionally (removal can only shrink
-// interference) and republishes the bounds of the remaining set.
-func (st *loopState) release(m *mutation) decision {
-	i := st.findFlow(m.name)
-	if i < 0 {
-		return decision{Err: model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, m.name), Snap: st.s.snap.Load()}
-	}
-	if st.a.FlowSet().N() == 1 {
-		st.a = nil
-	} else if err := st.a.RemoveFlow(i); err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	// The removal commits unconditionally (it can only shrink
-	// interference), so it is journaled before either publish below.
-	if jerr := st.journalCommit("release", m.name, nil); jerr != nil {
-		return decision{Err: jerr, Snap: st.s.snap.Load()}
-	}
-	ok, bounds, minSlack, err := st.verdict(m.ctx)
 	if err != nil {
-		// The removal is committed; the re-analysis failed (it cannot
-		// diverge on a shrunk set, so this is a timeout or a bug).
-		// Publish a conservative infeasible snapshot so readers see the
-		// new set rather than the stale one.
-		st.publish(nil, 0, false)
+		// A release committed but its re-analysis failed (a shrunk set
+		// cannot diverge, so this is a timeout or a bug). Publish a
+		// conservative infeasible snapshot so readers see the new set
+		// rather than the stale one.
+		st.publish(&feasibility.Decision{})
 		st.maybeCheckpoint()
 		return decision{Err: err, Snap: st.s.snap.Load()}
 	}
-	st.emitAdmission(m.name, "released")
-	d := decision{Outcome: "released", Snap: st.publish(bounds, minSlack, ok)}
+	d.Emit(st.s.opt.Tracer, st.s.cfg.Tenant)
+	out := decision{Decision: d, Snap: st.publish(&d)}
 	st.maybeCheckpoint()
-	return d
-}
-
-// renegotiate replaces an admitted flow's contract and undoes the
-// replacement if any deadline would be missed — a rejected renegotiation
-// leaves the previous contract in force.
-func (st *loopState) renegotiate(m *mutation) decision {
-	f := m.flow
-	i := st.findFlow(f.Name)
-	if i < 0 {
-		return decision{Err: model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, f.Name), Snap: st.s.snap.Load()}
-	}
-	if err := st.validatePath(f); err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	old := st.a.FlowSet().Flows[i].Clone()
-	if err := st.a.UpdateFlow(i, f); err != nil {
-		return decision{Err: model.Classify(model.ErrInvalidConfig, err), Snap: st.s.snap.Load()}
-	}
-	revert := func() {
-		if rerr := st.a.UpdateFlow(i, old); rerr != nil {
-			st.rebuild()
-		}
-	}
-	ok, bounds, minSlack, err := st.verdict(m.ctx)
-	if err != nil && !isRefusal(err) {
-		revert()
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	if err != nil || !ok {
-		revert()
-		reason := "deadline miss"
-		if err != nil {
-			reason = "unstable"
-		}
-		st.emitAdmission(f.Name, "rejected ("+reason+")")
-		return decision{Outcome: "rejected", Reason: reason, Snap: st.s.snap.Load()}
-	}
-	if jerr := st.journalCommit("renegotiate", "", f); jerr != nil {
-		return decision{Err: jerr, Snap: st.s.snap.Load()}
-	}
-	st.emitAdmission(f.Name, "renegotiated")
-	d := decision{Outcome: "renegotiated", Snap: st.publish(bounds, minSlack, ok)}
-	st.maybeCheckpoint()
-	return d
-}
-
-// validatePath checks a manually-routed flow's path edge by edge
-// against the daemon topology: a request that routes over links the
-// network does not have is a client error (400), not an analysis of a
-// fictional graph. Topology-oblivious servers (Config.Topology nil)
-// keep taking paths at face value.
-func (st *loopState) validatePath(f *model.Flow) error {
-	topo := st.s.cfg.Topology
-	if topo == nil {
-		return nil
-	}
-	if err := topo.ValidatePath(f.Path); err != nil {
-		return model.Errorf(model.ErrInvalidConfig, "serve: flow %q: %w", f.Name, err)
-	}
-	return nil
-}
-
-// scoreRoutes scores candidate flows — one per candidate path — as a
-// single parallel WhatIf batch of copy-on-write forks on the warm
-// analyzer. updateIdx >= 0 scores each candidate as an Update of that
-// admitted flow (path renegotiation); -1 scores Adds. With no analyzer
-// (empty set) the candidates are scored cold and sequentially, which
-// is the ScoreRoutesCold oracle against the empty set by construction.
-// Either way the outcome vector is bit-identical to the sequential
-// cold oracle's — the WhatIf contract — so ChooseRoute decides
-// identically; the parity test enforces it.
-func (st *loopState) scoreRoutes(ctx context.Context, cfs []*model.Flow, updateIdx int) []feasibility.RouteCandidate {
-	if st.a == nil {
-		return feasibility.ScoreRoutesCold(ctx, st.s.cfg.Network, st.s.opt, nil, cfs)
-	}
-	return feasibility.ScoreRoutesWhatIf(ctx, st.a, cfs, updateIdx)
-}
-
-func (st *loopState) emitRouteCandidates(flow string, cands []feasibility.RouteCandidate) {
-	tr := st.s.opt.Tracer
-	if tr == nil {
-		return
-	}
-	for i := range cands {
-		tr.Emit(obs.Event{
-			Type: obs.EvRouteCandidate, Tenant: st.s.cfg.Tenant, Flow: flow,
-			Index: i + 1, Op: fmt.Sprint(cands[i].Path),
-			Outcome: cands[i].Outcome, Value: cands[i].MinSlack,
-		})
-	}
-}
-
-func (st *loopState) emitRouteDecision(flow, op, outcome string, n, winIdx int, slack model.Time) {
-	if tr := st.s.opt.Tracer; tr != nil {
-		tr.Emit(obs.Event{
-			Type: obs.EvRouteDecision, Tenant: st.s.cfg.Tenant, Flow: flow,
-			Op: op, Outcome: outcome, Candidates: n, Index: winIdx, Value: slack,
-		})
-	}
-}
-
-// admitRoute is the route=auto admission: enumerate up to RouteK
-// shortest candidate paths between the submitted flow's endpoints,
-// score all of them as one parallel what-if batch, and commit the
-// feasible candidate with the widest post-admission MinSlack through
-// the ordinary admit path — so the journal records the resolved
-// chosen-path flow and crash recovery replays it without re-routing.
-func (st *loopState) admitRoute(m *mutation) decision {
-	topo := st.s.cfg.Topology
-	if topo == nil {
-		return decision{
-			Err:  model.Errorf(model.ErrInvalidConfig, "serve: route=auto needs a daemon topology (start with -topology)"),
-			Snap: st.s.snap.Load(),
-		}
-	}
-	cfs, err := feasibility.RouteCandidates(topo, m.flow, st.s.cfg.routeK())
-	if err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	cands := st.scoreRoutes(m.ctx, cfs, -1)
-	win := feasibility.ChooseRoute(cands)
-	st.emitRouteCandidates(m.flow.Name, cands)
-	if win < 0 {
-		st.emitRouteDecision(m.flow.Name, "admit", "rejected", len(cands), 0, 0)
-		st.emitAdmission(m.flow.Name, "rejected (no feasible route)")
-		return decision{Outcome: "rejected", Reason: "no feasible route", Cands: cands, Winner: -1, Snap: st.s.snap.Load()}
-	}
-	m2 := *m
-	m2.flow = cands[win].Flow
-	d := st.admit(&m2)
-	if d.Outcome == "admitted" {
-		d.Path = cands[win].Path
-	}
-	d.Cands, d.Winner = cands, win
-	outcome := d.Outcome
-	if outcome == "" {
-		outcome = "rejected"
-	}
-	st.emitRouteDecision(m.flow.Name, "admit", outcome, len(cands), win+1, cands[win].MinSlack)
-	return d
-}
-
-// renegotiateRoute re-routes an already-admitted flow: the same
-// candidate enumeration and batch scoring as admitRoute, but every
-// candidate is scored as an Update of the admitted flow, so a flow
-// whose current path has turned infeasible is moved to the best
-// alternate path instead of being refused. A rejection (no feasible
-// route at all) leaves the previous contract and path in force.
-func (st *loopState) renegotiateRoute(m *mutation) decision {
-	topo := st.s.cfg.Topology
-	if topo == nil {
-		return decision{
-			Err:  model.Errorf(model.ErrInvalidConfig, "serve: route=auto needs a daemon topology (start with -topology)"),
-			Snap: st.s.snap.Load(),
-		}
-	}
-	i := st.findFlow(m.flow.Name)
-	if i < 0 {
-		return decision{Err: model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, m.flow.Name), Snap: st.s.snap.Load()}
-	}
-	cfs, err := feasibility.RouteCandidates(topo, m.flow, st.s.cfg.routeK())
-	if err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	cands := st.scoreRoutes(m.ctx, cfs, i)
-	win := feasibility.ChooseRoute(cands)
-	st.emitRouteCandidates(m.flow.Name, cands)
-	if win < 0 {
-		st.emitRouteDecision(m.flow.Name, "renegotiate", "rejected", len(cands), 0, 0)
-		st.emitAdmission(m.flow.Name, "rejected (no feasible route)")
-		return decision{Outcome: "rejected", Reason: "no feasible route", Cands: cands, Winner: -1, Snap: st.s.snap.Load()}
-	}
-	m2 := *m
-	m2.flow = cands[win].Flow
-	d := st.renegotiate(&m2)
-	if d.Outcome == "renegotiated" {
-		d.Path = cands[win].Path
-	}
-	d.Cands, d.Winner = cands, win
-	outcome := d.Outcome
-	if outcome == "" {
-		outcome = "rejected"
-	}
-	st.emitRouteDecision(m.flow.Name, "renegotiate", outcome, len(cands), win+1, cands[win].MinSlack)
-	return d
+	return out
 }
 
 // handleWhatIfBatch answers a coalesced set of what-if requests with
@@ -1043,6 +681,15 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
+	}
+
+	a, err := st.c.Analyzer()
+	if err != nil {
+		sn := st.s.snap.Load()
+		for _, w := range batch {
+			w.reply <- whatifReply{err: err, snap: sn}
+		}
+		return
 	}
 
 	// Resolve every candidate against the committed set. Unresolvable
@@ -1064,7 +711,7 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 			}
 			switch c.op {
 			case "add":
-				if st.a == nil {
+				if a == nil {
 					// Probe against the empty set: a cold single-flow
 					// analysis, outside the fork batch.
 					*p = st.probeEmptyAdd(ctx, c.flow)
@@ -1072,12 +719,12 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 				}
 				slots = append(slots, slot{p, trajectory.Candidate{Add: c.flow}})
 			case "remove":
-				i := st.findFlow(c.name)
+				i := st.c.Index(c.name)
 				if i < 0 {
 					p.Err = model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, c.name)
 					continue
 				}
-				if st.a.FlowSet().N() == 1 {
+				if a.FlowSet().N() == 1 {
 					// Removing the only flow leaves the trivially
 					// feasible empty set.
 					p.AllFeasible, p.MinSlack = true, model.TimeInfinity
@@ -1085,7 +732,7 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 				}
 				slots = append(slots, slot{p, trajectory.Candidate{Remove: true, Index: i}})
 			case "update":
-				i := st.findFlow(c.flow.Name)
+				i := st.c.Index(c.flow.Name)
 				if i < 0 {
 					p.Err = model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, c.flow.Name)
 					continue
@@ -1102,7 +749,7 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 		for x := range slots {
 			cands[x] = slots[x].cand
 		}
-		outcomes := st.a.WhatIfContext(ctx, cands)
+		outcomes := a.WhatIfContext(ctx, cands)
 		for x := range slots {
 			op, target := slots[x].probe.Op, slots[x].probe.Target
 			*slots[x].probe = st.probeFromOutcome(&slots[x].cand, outcomes[x])
@@ -1155,7 +802,7 @@ func (st *loopState) probeFromOutcome(c *trajectory.Candidate, o trajectory.What
 // shift down, updates replace in place — the same index contract as the
 // Analyzer mutations.
 func (st *loopState) hypotheticalSet(c *trajectory.Candidate) []*model.Flow {
-	base := st.a.FlowSet().Flows
+	base := st.c.FlowSet().Flows
 	switch {
 	case c.Add != nil:
 		out := make([]*model.Flow, 0, len(base)+1)
@@ -1179,19 +826,9 @@ func fillProbe(p *whatifProbe, flows []*model.Flow, bounds []model.Time) {
 	p.Names = make([]string, len(flows))
 	p.Deadlines = make([]model.Time, len(flows))
 	p.Bounds = bounds
-	p.AllFeasible, p.MinSlack = true, model.TimeInfinity
 	for i, f := range flows {
 		p.Names[i] = f.Name
 		p.Deadlines[i] = f.Deadline
-		if f.Deadline <= 0 {
-			continue
-		}
-		var sat bool
-		if s := model.SubSat(f.Deadline, bounds[i], &sat); s < p.MinSlack {
-			p.MinSlack = s
-		}
-		if bounds[i] > f.Deadline {
-			p.AllFeasible = false
-		}
 	}
+	p.AllFeasible, p.MinSlack = feasibility.SetVerdict(flows, bounds)
 }

@@ -505,101 +505,118 @@ func oracleScript() []oracleOp {
 	return ops
 }
 
+// coldVerdict is the parity oracle: a cold trajectory analysis of one
+// flow list (trajectory.AnalyzeContext), summarised by SetVerdict. The
+// empty list is trivially feasible.
+func coldVerdict(t *testing.T, net model.Network, flows []*model.Flow) (bounds []model.Time, ok bool, err error) {
+	t.Helper()
+	if len(flows) == 0 {
+		return nil, true, nil
+	}
+	fs, err := model.NewFlowSet(net, flows)
+	if err != nil {
+		t.Fatalf("oracle set: %v", err)
+	}
+	res, err := trajectory.AnalyzeContext(context.Background(), fs, trajectory.Options{})
+	if err != nil {
+		return nil, false, err
+	}
+	ok, _ = feasibility.SetVerdict(flows, res.Bounds)
+	return res.Bounds, ok, nil
+}
+
+// requireServedBounds checks the served snapshot bit for bit against a
+// cold analysis of the oracle's committed flow list, flow by flow in
+// order.
+func requireServedBounds(t *testing.T, client *http.Client, url string, net model.Network, flows []*model.Flow) {
+	t.Helper()
+	var b BoundsResponse
+	if code := getJSON(t, client, url, &b); code != http.StatusOK {
+		t.Fatalf("bounds: HTTP %d", code)
+	}
+	want, _, err := coldVerdict(t, net, flows)
+	if err != nil {
+		t.Fatalf("cold analysis of the committed set: %v", err)
+	}
+	if len(b.Verdicts) != len(flows) {
+		t.Fatalf("served %d verdicts, oracle holds %d flows", len(b.Verdicts), len(flows))
+	}
+	for i, v := range b.Verdicts {
+		if v.Flow != flows[i].Name || v.Bound != want[i] {
+			t.Fatalf("flow %d: served %s/%d, cold oracle %s/%d", i, v.Flow, v.Bound, flows[i].Name, want[i])
+		}
+	}
+}
+
 // TestDecisionOracleParity replays the same request sequence through
-// the serving layer (HTTP, warm single-writer analyzer) and through a
-// fresh feasibility.Controller (the admission oracle) and requires
-// bit-identical decisions. For the all-EF sets used here the EF
-// analysis the controller runs reduces to the plain trajectory
-// analysis the serving loop runs (δi ≡ 0), so any divergence is a bug
-// in the serving layer's decision rule.
+// the serving layer (HTTP, warm single-writer core) and a cold oracle:
+// each admit is scored by ScoreRoutesCold as a single candidate, each
+// renegotiation and release by a cold analysis of the resulting set.
+// Decisions must be identical and, after every step, the served bounds
+// must equal a cold analysis of the oracle's committed set bit for bit.
 func TestDecisionOracleParity(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	oracle := feasibility.NewController(model.UnitDelayNetwork(), trajectory.Options{})
+	net := model.UnitDelayNetwork()
+	var oracle []*model.Flow
+	index := func(name string) int {
+		for i, f := range oracle {
+			if f.Name == name {
+				return i
+			}
+		}
+		return -1
+	}
+	post := func(route string, body any) string {
+		var d DecisionResponse
+		switch code := postJSON(t, ts.Client(), ts.URL+route, body, &d); code {
+		case http.StatusOK:
+			return d.Decision
+		case http.StatusNotFound:
+			return "unknown"
+		default:
+			t.Fatalf("%s: HTTP %d", route, code)
+			return ""
+		}
+	}
 
 	for i, op := range oracleScript() {
 		var got, want string
 		switch op.op {
 		case "admit":
-			var d DecisionResponse
-			if code := postJSON(t, ts.Client(), ts.URL+"/v1/admit", AdmitRequest{Flow: op.flow}, &d); code != http.StatusOK {
-				t.Fatalf("op %d: admit HTTP %d", i, code)
-			}
-			got = d.Decision
+			got = post("/v1/admit", AdmitRequest{Flow: op.flow})
 			f := mustBuild(t, op.flow)
-			ok, _, err := oracle.TryAdmit(f)
-			if err != nil {
-				t.Fatalf("op %d: oracle admit: %v", i, err)
-			}
 			want = "rejected"
-			if ok {
+			sc := feasibility.ScoreRoutesCold(context.Background(), net, trajectory.Options{}, oracle, []*model.Flow{f})
+			if sc[0].Outcome == "feasible" {
 				want = "admitted"
+				oracle = append(oracle, f)
 			}
 		case "release":
-			var d DecisionResponse
-			code := postJSON(t, ts.Client(), ts.URL+"/v1/release", ReleaseRequest{Name: op.name}, &d)
-			switch code {
-			case http.StatusOK:
-				got = d.Decision
-			case http.StatusNotFound:
-				got = "unknown"
-			default:
-				t.Fatalf("op %d: release HTTP %d", i, code)
-			}
+			got = post("/v1/release", ReleaseRequest{Name: op.name})
 			want = "unknown"
-			if oracle.Release(op.name) {
+			if j := index(op.name); j >= 0 {
 				want = "released"
+				oracle = append(oracle[:j:j], oracle[j+1:]...)
 			}
 		case "renegotiate":
-			var d DecisionResponse
-			code := postJSON(t, ts.Client(), ts.URL+"/v1/renegotiate", AdmitRequest{Flow: op.flow}, &d)
-			switch code {
-			case http.StatusOK:
-				got = d.Decision
-			case http.StatusNotFound:
-				got = "unknown"
-			default:
-				t.Fatalf("op %d: renegotiate HTTP %d", i, code)
-			}
+			got = post("/v1/renegotiate", AdmitRequest{Flow: op.flow})
 			f := mustBuild(t, op.flow)
-			ok, _, err := oracle.TryRenegotiate(f)
-			switch {
-			case err != nil:
-				want = "unknown"
-			case ok:
-				want = "renegotiated"
-			default:
+			want = "unknown"
+			if j := index(f.Name); j >= 0 {
+				trial := append([]*model.Flow(nil), oracle...)
+				trial[j] = f
 				want = "rejected"
+				if _, ok, err := coldVerdict(t, net, trial); err == nil && ok {
+					want = "renegotiated"
+					oracle = trial
+				}
 			}
 		}
-		if (got == "renegotiated") != (want == "renegotiated") ||
-			(got == "admitted") != (want == "admitted") ||
-			(got == "released") != (want == "released") ||
-			(got == "unknown") != (want == "unknown") {
+		if got != want {
 			t.Fatalf("op %d (%s %s%s): serve decided %q, oracle decided %q",
 				i, op.op, op.name, flowName(op.flow), got, want)
 		}
-	}
-
-	// The final admitted sets must match flow for flow.
-	var fr FlowsResponse
-	if code := getJSON(t, ts.Client(), ts.URL+"/v1/flows", &fr); code != http.StatusOK {
-		t.Fatalf("flows: HTTP %d", code)
-	}
-	serveSet := make(map[string]bool)
-	for _, f := range fr.Flows {
-		serveSet[f.Name] = true
-	}
-	oracleSet := make(map[string]bool)
-	for _, f := range oracle.Admitted() {
-		oracleSet[f.Name] = true
-	}
-	if len(serveSet) != len(oracleSet) {
-		t.Fatalf("serve holds %d flows, oracle %d", len(serveSet), len(oracleSet))
-	}
-	for name := range oracleSet {
-		if !serveSet[name] {
-			t.Errorf("oracle admitted %q, serve did not", name)
-		}
+		requireServedBounds(t, ts.Client(), ts.URL+"/v1/bounds", net, oracle)
 	}
 }
 
