@@ -325,9 +325,9 @@ func TestBenchGuardSimSpeedup(t *testing.T) {
 	ref := testing.Benchmark(func(b *testing.B) {
 		// The reference engine only takes materialized scenarios.
 		sc := sim.RandomScenario(fs, rand.New(rand.NewSource(1)), perFlow, 40, 1, 1)
-		eng := sim.NewEngine(fs, sim.Config{Reference: true})
+		eng := sim.NewEngine(fs, sim.Config{})
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(sc); err != nil {
+			if _, err := eng.RunReference(b.Context(), sc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	trajan -config flows.json [-method all|trajectory|holistic|netcalc]
-//	       [-backend trajectory|holistic|netcalc|combined]
+//	trajan -config flows.json [-backend all|trajectory|holistic|netcalc|combined]
 //	       [-smax prefix|tail|noqueue] [-ef] [-detail] [-explain flow]
 //	       [-sensitivity] [-timeout 30s] [-workers N]
 //	       [-trace events.json] [-metrics-addr :9090] [-metrics-dump]
@@ -18,24 +17,36 @@
 //
 // With no -config the paper's Section-5 example is analysed.
 //
+// -backend selects the analysis (docs/BACKENDS.md). The default, all,
+// tabulates trajectory, holistic and netcalc with the exit verdict
+// following trajectory. Any other value prints that backend's bounds
+// with per-flow provenance (for combined, each bound's margin over the
+// best losing candidate) and the verdict follows it. -explain and
+// -detail need all or trajectory; an explicit -backend excludes -ef. A
+// flow split for Assumption 1 gets jitter-chained trajectory bounds;
+// the other backends bound only its fragments, so they are refused
+// alone and informational under all.
+//
 // -admit replays a churn trace (an event log of flow adds, removes and
 // updates) through the admission core trajand runs
 // (feasibility.Controller): each add is an admission test and each
 // update a renegotiation in place, both judged by a delta re-analysis
-// of the running flow set under -backend and undone when refused, so
-// the replay cost tracks the change size, not the set size. With
-// -route auto the submitted path of every add is only read for its
-// endpoints: up to -route-k shortest candidate paths over -topology are
-// scored as one parallel what-if batch and the flow is admitted on the
-// feasible path with the widest post-admission slack; update paths are
-// validated against -topology. -admit is exclusive with -ef.
+// of the running flow set under -backend (default trajectory) and
+// undone when refused, so the replay cost tracks the change size, not
+// the set size. With -route auto the submitted path of every add is
+// only read for its endpoints: up to -route-k shortest candidate paths
+// over -topology are scored as one parallel what-if batch and the flow
+// is admitted on the feasible path with the widest post-admission
+// slack; update paths are validated against -topology. -admit is
+// exclusive with -ef and with -backend all.
 //
 // Observability (see docs/OBSERVABILITY.md): -trace streams a
 // replayable JSON event log of the analysis — fixed-point sweeps,
 // warm-start outcomes, mutations, admission decisions, and each flow's
-// exact bound decomposition. -trace-report renders such a log as a
-// "why is Ri what it is" breakdown, re-verifying that every
-// decomposition sums to the reported bound. -metrics-addr serves the
+// exact bound decomposition (under -backend all, of trajectory only).
+// -trace-report renders such a log as a "why is Ri what it is"
+// breakdown, re-verifying that every decomposition sums to the reported
+// bound. -metrics-addr serves the
 // aggregated metrics registry over HTTP (/metrics in Prometheus text
 // format, /vars as JSON) for the duration of the run; -metrics-dump
 // prints the registry after the run.
@@ -49,16 +60,6 @@
 //	3  no verdict: the analysis diverged (utilization ≥ 1), overflowed the
 //	   time domain, or was cut off by -timeout
 //	4  internal error (a bug in the analyser, not in the input)
-//
-// With -method all the exit verdict is the trajectory method's; the
-// baselines are informational.
-//
-// -backend selects one analysis backend (docs/BACKENDS.md) and makes
-// the verdict follow it: the bound table then carries per-flow
-// provenance — which backend produced each bound and, for -backend
-// combined (the per-flow minimum over all sound backends), its margin
-// over the best losing candidate. -backend overrides -method and is
-// exclusive with -ef.
 package main
 
 import (
@@ -73,13 +74,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"trajan/internal/ef"
 	"trajan/internal/feasibility"
-	"trajan/internal/holistic"
 	"trajan/internal/model"
-	"trajan/internal/netcalc"
 	"trajan/internal/obs"
 	"trajan/internal/report"
 	"trajan/internal/serve"
@@ -124,8 +125,7 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 	fl := flag.NewFlagSet("trajan", flag.ContinueOnError)
 	var (
 		configPath  = fl.String("config", "", "flow-set JSON (default: the paper's example)")
-		method      = fl.String("method", "all", "trajectory|holistic|netcalc|all")
-		backendName = fl.String("backend", "", "analysis backend: trajectory|holistic|netcalc|combined; the bound table then carries per-flow provenance and the verdict follows the selected backend (overrides -method; see docs/BACKENDS.md)")
+		backendName = fl.String("backend", "all", "analysis backend: all|trajectory|holistic|netcalc|combined; all tabulates the three concrete backends with the verdict following trajectory, any other value prints that backend's bounds with per-flow provenance and makes the verdict follow it (see docs/BACKENDS.md)")
 		smaxMode    = fl.String("smax", "prefix", "Smax estimator: prefix|tail|noqueue")
 		useEF       = fl.Bool("ef", false, "EF-class analysis (Property 3): analyse EF flows, charge AF/BE as non-preemption blocking")
 		detail      = fl.Bool("detail", false, "print the per-flow interference breakdown")
@@ -187,17 +187,11 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 		}()
 	}
 
-	opt := trajectory.Options{Parallelism: *workers}
-	switch *smaxMode {
-	case "prefix":
-		opt.Smax = trajectory.SmaxPrefixFixpoint
-	case "tail":
-		opt.Smax = trajectory.SmaxGlobalTail
-	case "noqueue":
-		opt.Smax = trajectory.SmaxNoQueue
-	default:
-		return false, model.Errorf(model.ErrInvalidConfig, "unknown -smax %q", *smaxMode)
+	smax, err := trajectory.ParseSmaxMode(*smaxMode)
+	if err != nil {
+		return false, err
 	}
+	opt := trajectory.Options{Smax: smax, Parallelism: *workers}
 
 	var tracers []obs.Tracer
 	if *tracePath != "" {
@@ -268,80 +262,64 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 		return false, model.Errorf(model.ErrInvalidConfig, "-route %q (want auto or manual)", *routeFlag)
 	}
 
-	var backend feasibility.Backend
-	if *backendName != "" {
-		if *useEF {
-			return false, model.Errorf(model.ErrInvalidConfig, "-backend and -ef are exclusive; use -backend with pure-FIFO sets and -ef for the Property-3 pipeline")
-		}
-		var berr error
-		if backend, berr = feasibility.ParseBackend(*backendName); berr != nil {
-			return false, berr
-		}
+	backends, err := selectBackends(*backendName)
+	if err != nil {
+		return false, err
+	}
+	backendSet := false
+	fl.Visit(func(f *flag.Flag) { backendSet = backendSet || f.Name == "backend" })
+	if backendSet && *useEF {
+		return false, model.Errorf(model.ErrInvalidConfig, "-backend and -ef are exclusive; use -backend with pure-FIFO sets and -ef for the Property-3 pipeline")
 	}
 
 	if *admitPath != "" {
 		if *useEF {
 			return false, model.Errorf(model.ErrInvalidConfig, "-admit and -ef are exclusive; admission judges pure-FIFO sets, use -ef for the Property-3 pipeline")
 		}
-		return runAdmit(ctx, *admitPath, opt, backend, topo, *routeK, out)
+		if backendSet && len(backends) > 1 {
+			return false, model.Errorf(model.ErrInvalidConfig, "-admit judges under one backend; -backend all is a bound-table selection")
+		}
+		return runAdmit(ctx, *admitPath, opt, backends[0], topo, *routeK, out)
 	}
 
 	fs, originals, err := loadFlowSet(*configPath)
 	if err != nil {
 		return false, model.Classify(model.ErrInvalidConfig, err)
 	}
-	wasSplit := fs.N() != len(originals)
-
-	if backend != "" {
-		if wasSplit {
-			defer fmt.Fprintln(out,
-				"\n* some flows were split to satisfy Assumption 1; bounds are per virtual fragment")
-		}
-		return runBackend(ctx, fs, backend, opt, out)
-	}
-
 	if *useEF {
 		return runEF(ctx, fs, opt, out)
 	}
-
-	tab := report.NewTable(
-		fmt.Sprintf("Worst-case end-to-end response times (%d flows, max utilization %.2f)",
-			fs.N(), fs.MaxUtilization()),
-		"flow", "deadline", "method", "bound", "jitter", "feasible")
-
-	// The exit verdict follows the trajectory method when it runs;
-	// a baseline's verdicts count only when it was requested alone.
-	allFeasible := true
-	addVerdicts := func(name string, bounds, jitters []model.Time, counts bool) error {
-		rep, err := feasibility.Check(fs, bounds, jitters, name)
-		if err != nil {
-			return err
-		}
-		if counts && !rep.AllFeasible {
-			allFeasible = false
-		}
-		for _, v := range rep.Verdicts {
-			jit := "-"
-			if jitters != nil {
-				jit = fmt.Sprintf("%d", v.Jitter)
+	wasSplit := fs.N() != len(originals)
+	verdictBackend := backends[0]
+	if wasSplit && verdictBackend != feasibility.BackendTrajectory {
+		var split []string
+		for _, f := range fs.Flows {
+			if p, ok := f.Parent(); ok && !slices.Contains(split, originals[p].Name) {
+				split = append(split, originals[p].Name)
 			}
-			bound := fmt.Sprintf("%d", v.Bound)
-			if v.Bound >= model.TimeInfinity {
-				bound = "inf"
-			}
-			tab.AddRow(v.Name, v.Deadline, name, bound, jit, v.Feasible)
 		}
-		return nil
+		return false, model.Errorf(model.ErrInvalidConfig,
+			"-backend %s would bound only the Assumption-1 fragments of %s, not the configured flows; use -backend all or trajectory",
+			verdictBackend, strings.Join(split, ", "))
+	}
+	if (*explainFlow != "" || *detail) && (verdictBackend != feasibility.BackendTrajectory || wasSplit) {
+		return false, model.Errorf(model.ErrInvalidConfig, "-explain and -detail need -backend all or trajectory on an unsplit set")
 	}
 
-	var trajRes *trajectory.Result
-	if *method == "all" || *method == "trajectory" {
-		if wasSplit {
+	blocks := make([]boundBlock, 0, len(backends))
+	for _, b := range backends {
+		bopt := opt
+		if b != verdictBackend {
+			// Only the verdict backend traces: the baselines' provenance
+			// would overwrite its bound-term gauges.
+			bopt.Tracer = nil
+		}
+		if b == feasibility.BackendTrajectory && wasSplit {
 			// Some configured flow violated Assumption 1 and was split;
 			// report the jitter-chained bounds of the ORIGINAL flows
 			// (the naive per-fragment bounds are not delivery
 			// guarantees for them).
-			split, err := trajectory.AnalyzeSplit(fs, opt)
+			split, err := trajectory.AnalyzeSplit(fs, bopt)
 			if err != nil {
 				return false, fmt.Errorf("trajectory (split) analysis: %w", err)
 			}
@@ -349,51 +327,25 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			for i, f := range originals {
-				feasible := f.Deadline == 0 || bounds[i] <= f.Deadline
-				if !feasible {
-					allFeasible = false
-				}
-				tab.AddRow(f.Name, f.Deadline, "trajectory*", bounds[i], "-", feasible)
-			}
+			blocks = append(blocks, boundBlock{"trajectory*", originals, &feasibility.BackendResult{Backend: b, Bounds: bounds}})
 			defer fmt.Fprintln(out,
 				"\n* some flows were split to satisfy Assumption 1; trajectory rows are jitter-chained bounds for the configured flows")
-		} else {
-			trajRes, err = trajectory.AnalyzeContext(ctx, fs, opt)
-			if err != nil {
-				return false, fmt.Errorf("trajectory analysis: %w", err)
-			}
-			if err := addVerdicts("trajectory", trajRes.Bounds, trajRes.Jitters, true); err != nil {
-				return false, err
-			}
+			continue
 		}
-	}
-	if *method == "all" || *method == "holistic" {
-		hol, err := holistic.Analyze(fs, holistic.Options{})
+		res, err := feasibility.AnalyzeBackend(ctx, fs, b, bopt)
 		if err != nil {
-			return false, fmt.Errorf("holistic analysis: %w", err)
+			return false, fmt.Errorf("%s backend: %w", b, err)
 		}
-		if err := addVerdicts("holistic", hol.Bounds, hol.Jitters, *method == "holistic"); err != nil {
-			return false, err
-		}
+		blocks = append(blocks, boundBlock{string(b), fs.Flows, res})
 	}
-	if *method == "all" || *method == "netcalc" {
-		nc, err := netcalc.Analyze(fs, netcalc.Options{})
-		if err != nil {
-			return false, fmt.Errorf("network-calculus analysis: %w", err)
-		}
-		if err := addVerdicts("netcalc", nc.Bounds, nil, *method == "netcalc"); err != nil {
-			return false, err
-		}
-	}
-	if err := tab.Render(out); err != nil {
+	if err := renderBounds(out, fs, blocks); err != nil {
 		return false, err
 	}
+	verdict := blocks[0]
+	allFeasible, _ := feasibility.SetVerdict(verdict.flows, verdict.res.Bounds)
+	trajRes := verdict.res.Trajectory // set whenever -explain or -detail passed the check above
 
 	if *explainFlow != "" {
-		if trajRes == nil {
-			return false, model.Errorf(model.ErrInvalidConfig, "-explain needs the trajectory method on an unsplit set")
-		}
 		idx := -1
 		for i, f := range fs.Flows {
 			if f.Name == *explainFlow {
@@ -411,7 +363,7 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 		fmt.Fprint(out, text)
 	}
 
-	if *detail && trajRes != nil {
+	if *detail {
 		fmt.Fprintln(out)
 		for _, d := range trajRes.Details {
 			f := fs.Flows[d.Flow]
@@ -447,39 +399,66 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 	return allFeasible, nil
 }
 
-// runBackend runs one selected analysis backend end to end and renders
-// a bound table that carries per-flow provenance: which backend the
-// bound came from and (for -backend combined) its margin over the best
-// losing candidate. The exit verdict follows the selected backend.
-func runBackend(ctx context.Context, fs *model.FlowSet, b feasibility.Backend, opt trajectory.Options, out io.Writer) (bool, error) {
-	res, err := feasibility.AnalyzeBackend(ctx, fs, b, opt)
+// selectBackends maps -backend onto the backends whose rows the bound
+// table prints, the verdict backend first.
+func selectBackends(name string) ([]feasibility.Backend, error) {
+	if name == "all" {
+		return []feasibility.Backend{feasibility.BackendTrajectory, feasibility.BackendHolistic, feasibility.BackendNetcalc}, nil
+	}
+	b, err := feasibility.ParseBackend(name)
 	if err != nil {
-		return false, fmt.Errorf("%s backend: %w", b, err)
+		return nil, model.Errorf(model.ErrInvalidConfig, "-backend %q: want all, trajectory, holistic, netcalc or combined", name)
 	}
-	rep, err := feasibility.Check(fs, res.Bounds, res.Jitters, string(b))
-	if err != nil {
-		return false, err
+	return []feasibility.Backend{b}, nil
+}
+
+// boundBlock is one backend's rows of the bound table.
+type boundBlock struct {
+	label string // the method column, or the backend of a split chain
+	flows []*model.Flow
+	res   *feasibility.BackendResult // nil Jitters: chained bounds, no jitter
+}
+
+// renderBounds prints the bound table. Under -backend all each row
+// names its method; a single backend's table instead carries per-flow
+// provenance: which backend produced each bound and, for combined, its
+// margin over the best losing candidate.
+func renderBounds(out io.Writer, fs *model.FlowSet, blocks []boundBlock) error {
+	single := len(blocks) == 1
+	title := fmt.Sprintf("Worst-case end-to-end response times (%d flows, max utilization %.2f)",
+		fs.N(), fs.MaxUtilization())
+	cols := []string{"flow", "deadline", "method", "bound", "jitter", "feasible"}
+	if single {
+		title = fmt.Sprintf("Worst-case end-to-end response times, %s backend (%d flows, max utilization %.2f)",
+			blocks[0].res.Backend, fs.N(), fs.MaxUtilization())
+		cols = []string{"flow", "deadline", "bound", "jitter", "backend", "margin", "feasible"}
 	}
-	tab := report.NewTable(
-		fmt.Sprintf("Worst-case end-to-end response times, %s backend (%d flows, max utilization %.2f)",
-			b, fs.N(), fs.MaxUtilization()),
-		"flow", "deadline", "bound", "jitter", "backend", "margin", "feasible")
-	for i, v := range rep.Verdicts {
-		bound := fmt.Sprintf("%d", v.Bound)
-		jit := fmt.Sprintf("%d", v.Jitter)
-		if v.Bound >= model.TimeInfinity {
-			bound, jit = "inf", "-"
+	tab := report.NewTable(title, cols...)
+	for _, bl := range blocks {
+		r := bl.res
+		for i, f := range bl.flows {
+			var bound, jit any = r.Bounds[i], "-"
+			if r.Unbounded(i) {
+				bound = "inf"
+			} else if r.Jitters != nil {
+				jit = r.Jitters[i]
+			}
+			feasible := f.Deadline <= 0 || r.Bounds[i] <= f.Deadline
+			if !single {
+				tab.AddRow(f.Name, f.Deadline, bl.label, bound, jit, feasible)
+				continue
+			}
+			backend, margin := bl.label, any("-")
+			if r.Backend == feasibility.BackendCombined {
+				backend = string(r.Provenance[i].Winner)
+				if !r.Unbounded(i) {
+					margin = r.Provenance[i].Margin
+				}
+			}
+			tab.AddRow(f.Name, f.Deadline, bound, jit, backend, margin, feasible)
 		}
-		margin := "-"
-		if b == feasibility.BackendCombined && !res.Unbounded(i) {
-			margin = fmt.Sprintf("%d", res.Provenance[i].Margin)
-		}
-		tab.AddRow(v.Name, v.Deadline, bound, jit, string(res.Provenance[i].Winner), margin, v.Feasible)
 	}
-	if err := tab.Render(out); err != nil {
-		return false, err
-	}
-	return rep.AllFeasible, nil
+	return tab.Render(out)
 }
 
 // churnTrace is the -admit input: a network and an ordered event log
@@ -517,9 +496,6 @@ func runAdmit(ctx context.Context, path string, opt trajectory.Options, backend 
 		return false, model.Errorf(model.ErrInvalidConfig, "admit: decoding trace: %w", err)
 	}
 	net := model.Network{Lmin: trace.Network.Lmin, Lmax: trace.Network.Lmax}
-	if backend == "" {
-		backend = feasibility.BackendTrajectory
-	}
 	c, err := feasibility.NewController(net, opt, backend, topo, routeK)
 	if err != nil {
 		return false, err

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,7 @@ func runCLI(t *testing.T, args ...string) string {
 }
 
 // TestDefaultAnalysesPaperExample: with no flags the tool analyses the
-// paper example under all three methods.
+// paper example under all three concrete backends.
 func TestDefaultAnalysesPaperExample(t *testing.T) {
 	out := runCLI(t)
 	for _, want := range []string{"tau1", "trajectory", "holistic", "netcalc", "31", "43"} {
@@ -31,9 +32,9 @@ func TestDefaultAnalysesPaperExample(t *testing.T) {
 	}
 }
 
-// TestMethodFilter: -method trajectory omits the baselines.
+// TestMethodFilter: -backend trajectory omits the baselines.
 func TestMethodFilter(t *testing.T) {
-	out := runCLI(t, "-method", "trajectory")
+	out := runCLI(t, "-backend", "trajectory")
 	if strings.Contains(out, "holistic") || strings.Contains(out, "netcalc") {
 		t.Errorf("baselines leaked into filtered output:\n%s", out)
 	}
@@ -41,7 +42,7 @@ func TestMethodFilter(t *testing.T) {
 
 // TestDetailFlag prints the interference breakdown.
 func TestDetailFlag(t *testing.T) {
-	out := runCLI(t, "-detail", "-method", "trajectory")
+	out := runCLI(t, "-detail", "-backend", "trajectory")
 	for _, want := range []string{"Bslow=", "packets=", "direction"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("detail output missing %q:\n%s", want, out)
@@ -70,7 +71,7 @@ func TestEFFlag(t *testing.T) {
 
 // TestSensitivityFlag prints headroom per flow.
 func TestSensitivityFlag(t *testing.T) {
-	out := runCLI(t, "-method", "trajectory", "-sensitivity")
+	out := runCLI(t, "-backend", "trajectory", "-sensitivity")
 	if !strings.Contains(out, "min period") || !strings.Contains(out, "cost headroom") {
 		t.Errorf("sensitivity output:\n%s", out)
 	}
@@ -79,7 +80,7 @@ func TestSensitivityFlag(t *testing.T) {
 // TestSmaxModes: all three estimators run; bogus ones error.
 func TestSmaxModes(t *testing.T) {
 	for _, m := range []string{"prefix", "tail", "noqueue"} {
-		runCLI(t, "-method", "trajectory", "-smax", m)
+		runCLI(t, "-backend", "trajectory", "-smax", m)
 	}
 	var b strings.Builder
 	code, err := run([]string{"-smax", "bogus"}, &b)
@@ -126,7 +127,7 @@ func TestSplitConfigReportsChainedBounds(t *testing.T) {
 	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := runCLI(t, "-config", path, "-method", "trajectory")
+	out := runCLI(t, "-config", path, "-backend", "trajectory")
 	if !strings.Contains(out, "weave") || strings.Contains(out, "weave~") {
 		t.Errorf("original flow names expected, fragments leaked:\n%s", out)
 	}
@@ -137,14 +138,14 @@ func TestSplitConfigReportsChainedBounds(t *testing.T) {
 
 // TestExplainFlag prints the derivation for one flow.
 func TestExplainFlag(t *testing.T) {
-	out := runCLI(t, "-method", "trajectory", "-explain", "tau2")
+	out := runCLI(t, "-backend", "trajectory", "-explain", "tau2")
 	for _, want := range []string{"R(tau2) = 37", "Bslow=16", "W(t*)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
 	var b strings.Builder
-	code, err := run([]string{"-method", "trajectory", "-explain", "nope"}, &b)
+	code, err := run([]string{"-backend", "trajectory", "-explain", "nope"}, &b)
 	if err == nil {
 		t.Error("unknown flow accepted")
 	}
@@ -168,7 +169,7 @@ func TestExitCodes(t *testing.T) {
 
 	t.Run("feasible", func(t *testing.T) {
 		var b strings.Builder
-		code, err := run([]string{"-method", "trajectory"}, &b)
+		code, err := run([]string{"-backend", "trajectory"}, &b)
 		if err != nil || code != 0 {
 			t.Errorf("paper example: code %d err %v, want 0 <nil>", code, err)
 		}
@@ -180,22 +181,22 @@ func TestExitCodes(t *testing.T) {
 		  {"name":"rival","period":40,"deadline":100,"path":[1,2,3],"cost":2}
 		]}`)
 		var b strings.Builder
-		code, err := run([]string{"-config", path, "-method", "trajectory"}, &b)
+		code, err := run([]string{"-config", path, "-backend", "trajectory"}, &b)
 		if err != nil || code != 1 {
 			t.Errorf("deadline miss: code %d err %v, want 1 <nil>", code, err)
 		}
 	})
 
-	t.Run("infeasible verdict follows trajectory under -method all", func(t *testing.T) {
+	t.Run("infeasible verdict follows trajectory under -backend all", func(t *testing.T) {
 		// Holistic pessimism alone must not flip the exit verdict.
 		path := writeCfg(t, `{"network":{"lmin":1,"lmax":1},"flows":[
 		  {"name":"tight","period":40,"deadline":3,"path":[1,2,3],"cost":2},
 		  {"name":"rival","period":40,"deadline":100,"path":[1,2,3],"cost":2}
 		]}`)
 		var b strings.Builder
-		code, err := run([]string{"-config", path}, &b)
+		code, err := run([]string{"-config", path, "-backend", "all"}, &b)
 		if err != nil || code != 1 {
-			t.Errorf("deadline miss (all methods): code %d err %v, want 1 <nil>", code, err)
+			t.Errorf("deadline miss (all backends): code %d err %v, want 1 <nil>", code, err)
 		}
 	})
 
@@ -206,7 +207,7 @@ func TestExitCodes(t *testing.T) {
 		  {"name":"hog2","period":10,"deadline":100,"path":[1,2,3],"cost":10}
 		]}`)
 		var b strings.Builder
-		code, err := run([]string{"-config", path, "-method", "trajectory"}, &b)
+		code, err := run([]string{"-config", path, "-backend", "trajectory"}, &b)
 		if err == nil {
 			t.Fatal("overloaded set accepted")
 		}
@@ -228,7 +229,7 @@ func TestExitCodes(t *testing.T) {
 			{"../../testdata/pathological_rejected.json", 2},
 		} {
 			var b strings.Builder
-			code, err := run([]string{"-config", tc.file, "-method", "trajectory"}, &b)
+			code, err := run([]string{"-config", tc.file, "-backend", "trajectory"}, &b)
 			if err == nil {
 				t.Errorf("%s: no error", tc.file)
 			}
@@ -240,7 +241,7 @@ func TestExitCodes(t *testing.T) {
 
 	t.Run("timeout", func(t *testing.T) {
 		var b strings.Builder
-		code, err := run([]string{"-method", "trajectory", "-timeout", "1ns"}, &b)
+		code, err := run([]string{"-backend", "trajectory", "-timeout", "1ns"}, &b)
 		if err == nil {
 			t.Fatal("expired budget produced a verdict")
 		}
@@ -374,8 +375,8 @@ func TestAdmitRouteUpdateValidation(t *testing.T) {
 
 // TestWorkersFlag: explicit parallelism must not change any verdict.
 func TestWorkersFlag(t *testing.T) {
-	serial := runCLI(t, "-workers", "1", "-method", "trajectory")
-	par := runCLI(t, "-workers", "4", "-method", "trajectory")
+	serial := runCLI(t, "-workers", "1", "-backend", "trajectory")
+	par := runCLI(t, "-workers", "4", "-backend", "trajectory")
 	if serial != par {
 		t.Errorf("-workers changed the output:\nserial:\n%s\nparallel:\n%s", serial, par)
 	}
@@ -390,7 +391,7 @@ func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pb.gz")
 	mem := filepath.Join(dir, "mem.pb.gz")
-	runCLI(t, "-cpuprofile", cpu, "-memprofile", mem, "-method", "trajectory")
+	runCLI(t, "-cpuprofile", cpu, "-memprofile", mem, "-backend", "trajectory")
 	for _, p := range []string{cpu, mem} {
 		st, err := os.Stat(p)
 		if err != nil {
@@ -424,14 +425,138 @@ func TestBackendFlag(t *testing.T) {
 	}
 }
 
-// TestBackendFlagErrors: unknown backends and the -ef combination are
+// TestBackendFlagErrors: unknown backends, the removed -method flag,
+// -backend all under -admit and an explicit -backend with -ef are
 // configuration errors.
 func TestBackendFlagErrors(t *testing.T) {
-	var b strings.Builder
-	if code, err := run([]string{"-backend", "simplex"}, &b); err == nil || code != 2 {
-		t.Errorf("unknown backend: code %d, err %v; want code 2 with error", code, err)
+	churn := filepath.Join("testdata", "churn.json")
+	for _, args := range [][]string{
+		{"-backend", "simplex"},
+		{"-backend", "netcalc", "-ef"},
+		{"-backend", "all", "-ef"},
+		{"-method", "trajectory"},
+		{"-admit", churn, "-backend", "all"},
+	} {
+		var b strings.Builder
+		if code, err := run(args, &b); err == nil || code != 2 {
+			t.Errorf("%v: code %d, err %v; want code 2 with error", args, code, err)
+		}
 	}
-	if code, err := run([]string{"-backend", "netcalc", "-ef"}, &b); err == nil || code != 2 {
-		t.Errorf("-backend with -ef: code %d, err %v; want code 2 with error", code, err)
+}
+
+// TestCLIGolden pins the default output (the paper example under
+// -backend all) byte for byte: the trajectory bounds 31/37/47/47/40,
+// the holistic baseline and the multiclass-FIFO netcalc backend.
+func TestCLIGolden(t *testing.T) {
+	got := runCLI(t)
+	path := filepath.Join("testdata", "paper.golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("default output differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// tableRows returns the fields of the first table's data rows: the
+// lines between the header rule and the next blank line.
+func tableRows(out string) [][]string {
+	var rows [][]string
+	in := false
+	for _, l := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(l, "---"):
+			in = true
+		case in && strings.TrimSpace(l) == "":
+			return rows
+		case in:
+			rows = append(rows, strings.Fields(l))
+		}
+	}
+	return rows
+}
+
+// TestBackendFlagConsistency: -backend all is the concatenation of the
+// concrete backends' own tables — every backend's rows (flow, deadline,
+// bound, jitter, feasible) under all equal its -backend rows — and the
+// verdict follows trajectory under all, the selected backend otherwise.
+func TestBackendFlagConsistency(t *testing.T) {
+	all := map[string][]string{}
+	for _, r := range tableRows(runCLI(t, "-backend", "all")) {
+		all[r[2]] = append(all[r[2]], strings.Join([]string{r[0], r[1], r[3], r[4], r[5]}, " "))
+	}
+	if len(all) != 3 {
+		t.Fatalf("-backend all printed %d backends, want 3: %v", len(all), all)
+	}
+	for _, b := range []string{"trajectory", "holistic", "netcalc"} {
+		var got []string
+		for _, r := range tableRows(runCLI(t, "-backend", b)) {
+			got = append(got, strings.Join([]string{r[0], r[1], r[2], r[3], r[6]}, " "))
+		}
+		if !reflect.DeepEqual(got, all[b]) {
+			t.Errorf("-backend %s rows %q, -backend all rows %q", b, got, all[b])
+		}
+	}
+	for args, want := range map[string]int{"all": 0, "trajectory": 0, "holistic": 1, "netcalc": 1, "combined": 0} {
+		var b strings.Builder
+		if code, err := run([]string{"-backend", args}, &b); err != nil || code != want {
+			t.Errorf("-backend %s: code %d, err %v; want %d", args, code, err, want)
+		}
+	}
+}
+
+// TestSplitConfigVerdicts: on a config that needs an Assumption-1
+// split, weave's chained bound (25) misses its deadline 20. The
+// trajectory verdict, under all or alone, judges that chained bound;
+// the other backends bound only fragments and are refused alone.
+func TestSplitConfigVerdicts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flows.json")
+	if err := os.WriteFile(path, []byte(`{"network":{"lmin":1,"lmax":1},"flows":[
+	  {"name":"base","period":40,"deadline":100,"path":[1,2,3,4,5],"cost":3},
+	  {"name":"weave","period":40,"deadline":20,"path":[2,3,9,4,5],"cost":3}
+	]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	chained := map[string]string{
+		"all":        "weave 20 trajectory* 25 - false",
+		"trajectory": "weave 20 25 - trajectory* - false",
+	}
+	for b, want := range map[string]int{"all": 1, "trajectory": 1, "holistic": 2, "netcalc": 2, "combined": 2} {
+		var out strings.Builder
+		code, err := run([]string{"-config", path, "-backend", b}, &out)
+		if code != want {
+			t.Errorf("-backend %s: code %d, err %v; want %d", b, code, err, want)
+		}
+		if want == 2 && (err == nil || !strings.Contains(err.Error(), "weave")) {
+			t.Errorf("-backend %s: error %v does not name the split flow", b, err)
+		}
+		if want == 1 && strings.Join(tableRows(out.String())[1], " ") != chained[b] {
+			t.Errorf("-backend %s: weave row is not the chained bound %q:\n%s", b, chained[b], out.String())
+		}
+	}
+}
+
+// TestExplainFlagBackends: -explain and -detail read the trajectory
+// result of the same run, so they need -backend all or trajectory; with
+// -backend trajectory all three reports print.
+func TestExplainFlagBackends(t *testing.T) {
+	out := runCLI(t, "-backend", "trajectory", "-explain", "tau2", "-detail", "-sensitivity")
+	for _, want := range []string{"R(tau2) = 37", "tau3: bound=47 Bslow=20", "cost headroom"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, args := range [][]string{
+		{"-backend", "holistic", "-explain", "tau2"},
+		{"-backend", "combined", "-detail"},
+	} {
+		var b strings.Builder
+		if code, err := run(args, &b); err == nil || code != 2 {
+			t.Errorf("%v: code %d, err %v; want code 2 with error", args, code, err)
+		}
+	}
+	if out := runCLI(t, "-backend", "netcalc", "-sensitivity"); !strings.Contains(out, "cost headroom") {
+		t.Errorf("-sensitivity dropped under -backend netcalc:\n%s", out)
 	}
 }

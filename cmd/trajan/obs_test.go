@@ -102,7 +102,7 @@ func TestTraceVoIPDecomposition(t *testing.T) {
 // -trace-report with every decomposition re-verified.
 func TestTraceReportRoundTrip(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "events.json")
-	runCLI(t, "-method", "trajectory", "-workers", "1", "-trace", tracePath)
+	runCLI(t, "-backend", "trajectory", "-workers", "1", "-trace", tracePath)
 	out := runCLI(t, "-trace-report", tracePath)
 	for _, want := range []string{"trace replay:", `flow "tau2": R = 37`, "decomposition verified"} {
 		if !strings.Contains(out, want) {
@@ -133,7 +133,7 @@ func TestTraceReportErrors(t *testing.T) {
 
 // TestMetricsDump appends a Prometheus exposition of the run's counters.
 func TestMetricsDump(t *testing.T) {
-	out := runCLI(t, "-method", "trajectory", "-metrics-dump")
+	out := runCLI(t, "-backend", "trajectory", "-metrics-dump")
 	for _, want := range []string{
 		"trajan_analyses_total 1",
 		"trajan_bound_term{flow=\"tau2\",term=\"r\"} 37",
@@ -148,7 +148,7 @@ func TestMetricsDump(t *testing.T) {
 
 // TestMetricsAddr: an ephemeral listener starts and shuts down cleanly.
 func TestMetricsAddr(t *testing.T) {
-	out := runCLI(t, "-method", "trajectory", "-metrics-addr", "127.0.0.1:0")
+	out := runCLI(t, "-backend", "trajectory", "-metrics-addr", "127.0.0.1:0")
 	if !strings.Contains(out, "tau1") {
 		t.Errorf("analysis output missing with -metrics-addr:\n%s", out)
 	}

@@ -129,17 +129,11 @@ func runDaemon(ctx context.Context, args []string, out io.Writer) (retErr error)
 		return runLoadgen(ctx, *loadgenPath, *target, *clients, *repeat, *tenants, out)
 	}
 
-	opt := trajectory.Options{Parallelism: *workers}
-	switch *smaxMode {
-	case "prefix":
-		opt.Smax = trajectory.SmaxPrefixFixpoint
-	case "tail":
-		opt.Smax = trajectory.SmaxGlobalTail
-	case "noqueue":
-		opt.Smax = trajectory.SmaxNoQueue
-	default:
-		return model.Errorf(model.ErrInvalidConfig, "unknown -smax %q", *smaxMode)
+	smax, err := trajectory.ParseSmaxMode(*smaxMode)
+	if err != nil {
+		return err
 	}
+	opt := trajectory.Options{Smax: smax, Parallelism: *workers}
 	if *workers < 0 {
 		return model.Errorf(model.ErrInvalidConfig, "-workers must be >= 0")
 	}

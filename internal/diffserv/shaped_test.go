@@ -133,8 +133,7 @@ func TestSchedulerDifferential(t *testing.T) {
 		// The reference engine only accepts materialized scenarios;
 		// replay the same stream through one.
 		sc := materialize(t, fs, src())
-		cfg.Reference = true
-		ref, err := sim.NewEngine(fs, cfg).Run(sc)
+		ref, err := sim.NewEngine(fs, cfg).RunReference(t.Context(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}

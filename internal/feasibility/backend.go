@@ -73,6 +73,10 @@ type BackendResult struct {
 	// Provenance[i] explains flow i's bound; always populated (a
 	// single-backend run has itself as the only candidate).
 	Provenance []Provenance
+	// Trajectory is the trajectory engine's full result (per-flow
+	// details, Explain) when the trajectory backend ran alone; nil for
+	// the other backends.
+	Trajectory *trajectory.Result
 }
 
 // Unbounded reports whether flow i's bound saturated the time domain.
@@ -116,7 +120,7 @@ func analyzeOne(ctx context.Context, fs *model.FlowSet, b Backend, opt trajector
 		if err != nil {
 			return nil, err
 		}
-		return &BackendResult{Backend: b, Bounds: res.Bounds, Jitters: res.Jitters}, nil
+		return &BackendResult{Backend: b, Bounds: res.Bounds, Jitters: res.Jitters, Trajectory: res}, nil
 	case BackendHolistic:
 		res, err := holistic.Analyze(fs, holistic.Options{
 			MaxIterations: opt.MaxIterations,

@@ -175,8 +175,8 @@ func (m *Metrics) Emit(e Event) {
 			// carries no term breakdown to overwrite them with).
 			m.Counter(fmt.Sprintf("trajan_backend_wins_total{backend=%q}", d.Backend)).Inc()
 			if !d.Unbounded {
-				m.Gauge(fmt.Sprintf("trajan_bound_term{flow=%q,term=%q}", e.Flow, "combined_r")).Set(int64(d.R))
-				m.Gauge(fmt.Sprintf("trajan_bound_term{flow=%q,term=%q}", e.Flow, "combined_margin")).Set(int64(d.Margin))
+				m.Gauge(boundTermName(e.Flow, "combined_r")).Set(int64(d.R))
+				m.Gauge(boundTermName(e.Flow, "combined_margin")).Set(int64(d.Margin))
 			}
 		} else if d != nil && !d.Unbounded {
 			var work int64
@@ -184,7 +184,7 @@ func (m *Metrics) Emit(e Event) {
 				work += int64(t.Work)
 			}
 			set := func(term string, v int64) {
-				m.Gauge(fmt.Sprintf("trajan_bound_term{flow=%q,term=%q}", e.Flow, term)).Set(v)
+				m.Gauge(boundTermName(e.Flow, term)).Set(v)
 			}
 			set("r", int64(d.R))
 			set("workload", work)
@@ -209,6 +209,16 @@ func (m *Metrics) Emit(e Event) {
 			name += fmt.Sprintf("{tenant=%q}", e.Tenant)
 		}
 		m.Counter(name).Inc()
+		if (e.Op == "release" && out == "released") || (e.Op == "admit" && out == "rejected") {
+			// The flow is not resident (a refused admit never was), so
+			// drop its series: otherwise churn of uniquely named flows
+			// grows the registry, and every scrape, without bound.
+			m.mu.Lock()
+			for _, term := range boundTerms {
+				delete(m.gauges, boundTermName(e.Flow, term))
+			}
+			m.mu.Unlock()
+		}
 	case EvServeRequest:
 		if e.Tenant != "" {
 			m.Counter(fmt.Sprintf("trajan_serve_requests_total{route=%q,outcome=%q,tenant=%q}", e.Op, e.Outcome, e.Tenant)).Inc()
@@ -243,6 +253,18 @@ func (m *Metrics) Emit(e Event) {
 			m.Histogram("trajan_route_winner_rank").Observe(int64(e.Index))
 		}
 	}
+}
+
+// boundTerms are the per-flow trajan_bound_term series Emit maintains:
+// the Lemma-2 decomposition terms and the provenance record's pair.
+var boundTerms = [...]string{
+	"r", "workload", "self", "counted_twice", "links", "delta", "critical_t",
+	"combined_r", "combined_margin",
+}
+
+// boundTermName is the gauge name of one flow's bound term.
+func boundTermName(flow, term string) string {
+	return fmt.Sprintf("trajan_bound_term{flow=%q,term=%q}", flow, term)
 }
 
 // snapshot returns all metric names and render closures in sorted

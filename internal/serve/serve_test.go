@@ -928,3 +928,46 @@ func TestServeBackendVerdicts(t *testing.T) {
 		t.Error("bogus Config.Backend accepted")
 	}
 }
+
+// TestMetricsChurnBounded: releasing a flow, or refusing its admission,
+// deletes its trajan_bound_term series, so a daemon fed uniquely named
+// flows keeps a registry (and a /metrics scrape) proportional to the
+// resident set rather than to its history. The combined backend's
+// verdicts emit per-flow provenance, so every analysed flow registers
+// series.
+func TestMetricsChurnBounded(t *testing.T) {
+	metrics := obs.NewMetrics()
+	_, ts := newTestServer(t, Config{
+		Backend: feasibility.BackendCombined,
+		Metrics: metrics,
+		Options: trajectory.Options{Tracer: metrics},
+	})
+	client := ts.Client()
+	var d DecisionResponse
+	if code := postJSON(t, client, ts.URL+"/v1/admit", AdmitRequest{Flow: callFlow(0)}, &d); code != http.StatusOK || d.Decision != "admitted" {
+		t.Fatalf("resident admit: HTTP %d, %q", code, d.Decision)
+	}
+	for n := 0; n < 200; n++ {
+		fc := callFlow(1)
+		fc.Name = fmt.Sprintf("churn-%03d", n)
+		if code := postJSON(t, client, ts.URL+"/v1/admit", AdmitRequest{Flow: fc}, &d); code != http.StatusOK || d.Decision != "admitted" {
+			t.Fatalf("admit %s: HTTP %d, %q", fc.Name, code, d.Decision)
+		}
+		if code := postJSON(t, client, ts.URL+"/v1/release", ReleaseRequest{Name: fc.Name}, &d); code != http.StatusOK || d.Decision != "released" {
+			t.Fatalf("release %s: HTTP %d, %q", fc.Name, code, d.Decision)
+		}
+		fc.Name, fc.Deadline = fmt.Sprintf("refused-%03d", n), 5
+		if code := postJSON(t, client, ts.URL+"/v1/admit", AdmitRequest{Flow: fc}, &d); code != http.StatusOK || d.Decision != "rejected" {
+			t.Fatalf("admit %s: HTTP %d, %q; want rejected", fc.Name, code, d.Decision)
+		}
+	}
+	var b strings.Builder
+	if err := metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	series := strings.Count(b.String(), "\ntrajan_bound_term{")
+	const resident = 1
+	if series == 0 || series > 9*resident {
+		t.Errorf("%d trajan_bound_term series for %d resident flow(s), want 1..%d", series, resident, 9*resident)
+	}
+}

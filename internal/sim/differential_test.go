@@ -91,8 +91,7 @@ func TestDifferentialEngines(t *testing.T) {
 					if err != nil {
 						t.Fatalf("calendar engine: %v", err)
 					}
-					cfg.Reference = true
-					ref, err := NewEngine(fx.fs, cfg).Run(fx.sc)
+					ref, err := NewEngine(fx.fs, cfg).RunReference(t.Context(), fx.sc)
 					if err != nil {
 						t.Fatalf("reference engine: %v", err)
 					}
@@ -151,12 +150,8 @@ func TestDifferentialStreamedScenario(t *testing.T) {
 // nodes only.
 func TestReferenceRejectsBuffers(t *testing.T) {
 	fs := model.PaperExample()
-	eng := NewEngine(fs, Config{Reference: true, Buffer: 2})
-	if _, err := eng.Run(PeriodicScenario(fs, nil, 1)); err == nil {
+	eng := NewEngine(fs, Config{Buffer: 2})
+	if _, err := eng.RunReference(t.Context(), PeriodicScenario(fs, nil, 1)); err == nil {
 		t.Error("reference engine accepted finite buffers")
-	}
-	eng = NewEngine(fs, Config{Reference: true})
-	if _, err := eng.RunSource(t.Context(), PeriodicScenario(fs, nil, 1).Source()); err == nil {
-		t.Error("reference engine accepted a streaming source")
 	}
 }

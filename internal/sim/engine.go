@@ -68,11 +68,6 @@ type Config struct {
 	// model.ErrCanceled — a defence against pathological scenarios whose
 	// event cascade would otherwise run unboundedly long.
 	MaxEvents int
-	// Reference selects the original binary-heap engine instead of the
-	// calendar-queue engine. It only accepts materialized Scenarios and
-	// lossless nodes (no Buffer); differential tests pin the
-	// calendar-queue engine byte-identical to it.
-	Reference bool
 }
 
 // ServiceRecord is one completed service at a node.
@@ -255,9 +250,6 @@ func (e *Engine) RunContext(ctx context.Context, sc *Scenario) (*Result, error) 
 	if err := sc.Validate(e.fs); err != nil {
 		return nil, err
 	}
-	if e.cfg.Reference {
-		return e.runReference(ctx, sc)
-	}
 	return e.runFast(ctx, sc.Source())
 }
 
@@ -267,10 +259,6 @@ func (e *Engine) RunContext(ctx context.Context, sc *Scenario) (*Result, error) 
 // ScenarioSource (out-of-range per-hop samples abort the run with an
 // error rather than corrupting the calendar).
 func (e *Engine) RunSource(ctx context.Context, src ScenarioSource) (*Result, error) {
-	if e.cfg.Reference {
-		return nil, model.Errorf(model.ErrInvalidConfig,
-			"sim: the reference engine only accepts materialized Scenarios")
-	}
 	if src.Flows() != e.fs.N() {
 		return nil, model.Errorf(model.ErrInvalidConfig,
 			"sim: source has %d flows, set has %d", src.Flows(), e.fs.N())

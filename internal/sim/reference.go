@@ -66,7 +66,15 @@ type nodeState struct {
 
 type linkKey struct{ from, to model.NodeID }
 
-func (e *Engine) runReference(ctx context.Context, sc *Scenario) (*Result, error) {
+// RunReference runs sc through the reference heap engine, for the
+// differential tests and benchmarks that pin the calendar-queue engine
+// to it; production callers use Run or RunSource, so the linker drops
+// it from the binaries. It accepts only materialized Scenarios and
+// lossless nodes (no Buffer).
+func (e *Engine) RunReference(ctx context.Context, sc *Scenario) (*Result, error) {
+	if err := sc.Validate(e.fs); err != nil {
+		return nil, err
+	}
 	if e.cfg.Buffer != 0 || e.cfg.BufferFor != nil {
 		return nil, model.Errorf(model.ErrInvalidConfig,
 			"sim: the reference engine models lossless nodes only (no Buffer)")

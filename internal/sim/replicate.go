@@ -29,10 +29,6 @@ type Replicated struct {
 // source(r), and merging happens serially in replication order.
 // workers ≤ 0 selects GOMAXPROCS.
 func (e *Engine) RunReplications(ctx context.Context, n, workers int, source func(rep int) ScenarioSource) (*Replicated, error) {
-	if e.cfg.Reference {
-		return nil, model.Errorf(model.ErrInvalidConfig,
-			"sim: RunReplications requires the calendar-queue engine (Config.Reference must be off)")
-	}
 	if n <= 0 {
 		return nil, model.Errorf(model.ErrInvalidConfig, "sim: replication count %d not positive", n)
 	}
@@ -60,7 +56,7 @@ func (e *Engine) RunReplications(ctx context.Context, n, workers int, source fun
 					return
 				}
 				src := source(r)
-				res, err := e.runFastChecked(cctx, src)
+				res, err := e.RunSource(cctx, src)
 				if err != nil {
 					errOnce.Do(func() {
 						firstErr = fmt.Errorf("sim: replication %d: %w", r, err)
@@ -77,16 +73,6 @@ func (e *Engine) RunReplications(ctx context.Context, n, workers int, source fun
 		return nil, firstErr
 	}
 	return &Replicated{Reps: reps, Merged: MergeResults(reps)}, nil
-}
-
-// runFastChecked is RunSource minus the Reference gate (checked once by
-// RunReplications).
-func (e *Engine) runFastChecked(ctx context.Context, src ScenarioSource) (*Result, error) {
-	if src.Flows() != e.fs.N() {
-		return nil, model.Errorf(model.ErrInvalidConfig,
-			"sim: source has %d flows, set has %d", src.Flows(), e.fs.N())
-	}
-	return e.runFast(ctx, src)
 }
 
 // MergeResults folds replication results into one aggregate, in slice

@@ -88,9 +88,6 @@ func TestReplicationErrorPropagation(t *testing.T) {
 func TestReplicationConfigErrors(t *testing.T) {
 	fs := singleHopFlowSet(t, 1)
 	mk := func(int) ScenarioSource { return NewSporadicSource(fs, 1, 1, 0, 0) }
-	if _, err := NewEngine(fs, Config{Reference: true}).RunReplications(t.Context(), 2, 1, mk); err == nil {
-		t.Error("reference engine accepted RunReplications")
-	}
 	if _, err := NewEngine(fs, Config{}).RunReplications(t.Context(), 0, 1, mk); err == nil {
 		t.Error("zero replications accepted")
 	}

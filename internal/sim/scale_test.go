@@ -142,12 +142,12 @@ func BenchmarkReferenceThroughput(b *testing.B) {
 		b.Run(tier.name, func(b *testing.B) {
 			perFlow := tier.hops / hopsPerRound(nodes)
 			sc := RandomScenario(fs, rand.New(rand.NewSource(1)), perFlow, 40, 1, 1)
-			eng := NewEngine(fs, Config{Reference: true})
+			eng := NewEngine(fs, Config{})
 			hops := perFlow * hopsPerRound(nodes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(sc); err != nil {
+				if _, err := eng.RunReference(b.Context(), sc); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -81,6 +81,20 @@ func (m SmaxMode) String() string {
 	}
 }
 
+// ParseSmaxMode maps a -smax flag value (prefix|tail|noqueue) onto a
+// mode; anything else is ErrInvalidConfig.
+func ParseSmaxMode(s string) (SmaxMode, error) {
+	switch s {
+	case "prefix":
+		return SmaxPrefixFixpoint, nil
+	case "tail":
+		return SmaxGlobalTail, nil
+	case "noqueue":
+		return SmaxNoQueue, nil
+	}
+	return 0, model.Errorf(model.ErrInvalidConfig, "unknown -smax %q", s)
+}
+
 // Options configures an analysis run. The zero value is the package
 // default: prefix-fixpoint Smax, full scan of the critical instants t,
 // closed workload windows, and generous iteration limits.

@@ -1,6 +1,8 @@
 package trajectory
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"trajan/internal/model"
@@ -181,5 +183,27 @@ func TestSmaxTableCloneEqual(t *testing.T) {
 	}
 	if a[0][1] == b[0][1] {
 		t.Fatal("clone shares storage")
+	}
+}
+
+// TestParseSmaxMode: the three -smax spellings map onto their modes;
+// anything else is a configuration error naming the value.
+func TestParseSmaxMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want SmaxMode
+	}{
+		{"prefix", SmaxPrefixFixpoint},
+		{"tail", SmaxGlobalTail},
+		{"noqueue", SmaxNoQueue},
+	} {
+		got, err := ParseSmaxMode(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseSmaxMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	_, err := ParseSmaxMode("bogus")
+	if !errors.Is(err, model.ErrInvalidConfig) || !strings.Contains(err.Error(), `unknown -smax "bogus"`) {
+		t.Errorf("ParseSmaxMode(bogus) error %v, want ErrInvalidConfig naming the value", err)
 	}
 }
