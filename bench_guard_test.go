@@ -9,9 +9,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"sort"
 	"testing"
+	"time"
 
 	"trajan/internal/feasibility"
 	"trajan/internal/model"
@@ -109,6 +112,66 @@ func TestBenchGuardAnalyzeScaling(t *testing.T) {
 			t.Logf("%s: %.0f ns/op (baseline %.0f)", name, got, base)
 		}
 	}
+}
+
+// TestBenchGuardComponentScaling pins the linear cost of cold analysis
+// over disjoint components: the combined analysis (trajectory,
+// holistic, netcalc) of six disjoint pods against the sum of the same
+// six pods analysed alone, both measured in this process, so host speed
+// cancels. A layer that scans every flow per node, or runs one
+// whole-set trajectory fixpoint instead of one per component, pushes
+// the ratio toward 2; the floor is 1.5 against a measured 1.0.
+func TestBenchGuardComponentScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark guard skipped in -short mode")
+	}
+	all, pods := podSets(t, 6, 1)
+	timed := func(fs *model.FlowSet) time.Duration {
+		start := time.Now()
+		if _, err := coldCombined(fs); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	timed(all) // warm-up
+	ratios := make([]float64, 7)
+	for s := range ratios {
+		var whole, parts time.Duration
+		for r := 0; r < 2; r++ {
+			whole += timed(all)
+			for _, p := range pods {
+				parts += timed(p)
+			}
+		}
+		ratios[s] = float64(whole) / float64(parts)
+	}
+	med, mad := medianMAD(ratios)
+	if med > 1.5 {
+		t.Errorf("six pods cost %.2fx the pods alone (median of %d, MAD %.2f, samples %.2f), want <= 1.5",
+			med, len(ratios), mad, ratios)
+	} else {
+		t.Logf("six pods cost %.2fx the pods alone (MAD %.2f)", med, mad)
+	}
+}
+
+// medianMAD returns the median of xs and their median absolute
+// deviation from it.
+func medianMAD(xs []float64) (med, mad float64) {
+	median := func(v []float64) float64 {
+		s := append([]float64(nil), v...)
+		sort.Float64s(s)
+		n := len(s)
+		if n%2 == 1 {
+			return s[n/2]
+		}
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+	med = median(xs)
+	dev := make([]float64, len(xs))
+	for i, x := range xs {
+		dev[i] = math.Abs(x - med)
+	}
+	return med, median(dev)
 }
 
 // TestBenchGuardAdmissionChurn re-runs the warm admission loop of

@@ -8,6 +8,8 @@ package trajan_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"trajan/internal/experiments"
@@ -256,6 +258,84 @@ func BenchmarkAnalyzerReuse(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkColdPods times the offline verification profile: the cold
+// combined analysis (trajectory, holistic, netcalc) of disjoint
+// leaf-spine pods. Each op analyses a fresh FlowSet, so the lazily built
+// node index is paid inside the loop. pods6 costs about six times pods1
+// when every layer is linear in the pod count.
+func BenchmarkColdPods(b *testing.B) {
+	all, pods := podSets(b, 6, 1)
+	for _, c := range []struct {
+		name string
+		fs   *model.FlowSet
+	}{{"pods1", pods[0]}, {"pods6", all}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := coldCombined(c.fs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// coldCombined runs the combined analysis on a fresh copy of fs, whose
+// node index and relation table are not built yet.
+func coldCombined(fs *model.FlowSet) (*feasibility.BackendResult, error) {
+	idx := make([]int, fs.N())
+	for i := range idx {
+		idx[i] = i
+	}
+	fresh, err := fs.Subset(idx)
+	if err != nil {
+		return nil, err
+	}
+	return feasibility.AnalyzeBackend(context.Background(), fresh, feasibility.BackendCombined, trajectory.Options{})
+}
+
+// podSets draws pods disjoint leaf-spine pods (4 spines, 6 leaves, 4
+// hosts per leaf, 30 east-west flows each, the offline verification
+// shape), pod p's nodes moved into its own range. It returns the union
+// and each pod as its own set, all split for Assumption 1.
+func podSets(tb testing.TB, pods int, seed int64) (*model.FlowSet, []*model.FlowSet) {
+	tb.Helper()
+	topo, err := workload.ClosTopology(4, 6, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var union []*model.Flow
+	var out []*model.FlowSet
+	for p := 0; p < pods; p++ {
+		var flows []*model.Flow
+		for k := 0; k < 30; k++ {
+			sl := rng.Intn(6)
+			dl := (sl + 1 + rng.Intn(5)) % 6
+			path, err := topo.Route(workload.ClosHost(sl, rng.Intn(4)), workload.ClosHost(dl, rng.Intn(4)))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for i := range path {
+				path[i] += model.NodeID(10000 * (p + 1))
+			}
+			flows = append(flows, model.UniformFlow(fmt.Sprintf("p%d.f%d", p, k),
+				model.Time(150+rng.Intn(151)), model.Time(rng.Intn(3)), 0, model.Time(1+rng.Intn(3)), path...))
+		}
+		fs, err := model.NewFlowSet(model.UnitDelayNetwork(), model.EnforceAssumption1(flows))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, fs)
+		union = append(union, flows...)
+	}
+	all, err := model.NewFlowSet(model.UnitDelayNetwork(), model.EnforceAssumption1(union))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return all, out
 }
 
 func tandemSet(tb testing.TB, n, hops int) *model.FlowSet {

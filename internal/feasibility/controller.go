@@ -172,7 +172,16 @@ func (c *Controller) Judge(ctx context.Context) (Decision, error) {
 	if _, err := c.warm(); err != nil {
 		return d, err
 	}
-	return d, c.verdict(ctx, &d)
+	return d, c.judge(ctx, &d)
+}
+
+// judge fills d with the verdict of the committed set.
+func (c *Controller) judge(ctx context.Context, d *Decision) error {
+	res, err := c.verdict(ctx, d)
+	if err == nil {
+		c.commitVerdict(res)
+	}
+	return err
 }
 
 // Admit tests f against the committed set and commits it when every
@@ -230,7 +239,7 @@ func (c *Controller) Release(ctx context.Context, name string) (Decision, error)
 		c.fs = a.FlowSet()
 	}
 	d.Outcome = "released"
-	return d, c.verdict(ctx, &d)
+	return d, c.judge(ctx, &d)
 }
 
 var errNoTopology = model.Errorf(model.ErrInvalidConfig, "feasibility: route=auto needs a topology")
@@ -258,38 +267,53 @@ func (c *Controller) warm() (*trajectory.Analyzer, error) {
 // verdict fills d's verdict from the engine's current set: warm bounds
 // for the trajectory backend, a cold AnalyzeBackend run otherwise. The
 // empty set is trivially feasible.
-func (c *Controller) verdict(ctx context.Context, d *Decision) error {
+//
+// The backend run is untraced, because the set may be a trial that is
+// refused: its provenance records would overwrite the resident flows'
+// gauges. Callers pass the returned result (nil for the trajectory
+// backend) to commitVerdict once the set is committed.
+func (c *Controller) verdict(ctx context.Context, d *Decision) (*BackendResult, error) {
 	if c.a == nil {
 		d.AllFeasible, d.MinSlack = true, model.TimeInfinity
-		return nil
+		return nil, nil
 	}
 	fs := c.a.FlowSet()
-	var bounds []model.Time
+	var res *BackendResult
 	if c.backend == BackendTrajectory {
 		b, err := c.a.BoundsContext(ctx)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		bounds = b
+		d.Bounds = b
 	} else {
-		res, err := AnalyzeBackend(ctx, fs, c.backend, c.opt)
-		if err != nil {
-			return err
+		opt := c.opt
+		opt.Tracer = nil
+		var err error
+		if res, err = AnalyzeBackend(ctx, fs, c.backend, opt); err != nil {
+			return nil, err
 		}
-		bounds = res.Bounds
+		d.Bounds = res.Bounds
 	}
-	d.Bounds = bounds
-	d.AllFeasible, d.MinSlack = SetVerdict(fs.Flows, bounds)
-	return nil
+	d.AllFeasible, d.MinSlack = SetVerdict(fs.Flows, d.Bounds)
+	return res, nil
+}
+
+// commitVerdict traces the provenance of a committed set's backend
+// verdict, as a traced AnalyzeBackend run would have.
+func (c *Controller) commitVerdict(res *BackendResult) {
+	if res != nil {
+		emitProvenance(c.fs, c.opt, res)
+	}
 }
 
 // decide judges the mutated engine and commits the mutation when every
 // deadline holds. Otherwise undo reverts it: a divergence or deadline
 // miss is a refusal, any other analysis error the caller's failure.
 func (c *Controller) decide(ctx context.Context, d Decision, outcome string, undo func() error) (Decision, error) {
-	err := c.verdict(ctx, &d)
+	res, err := c.verdict(ctx, &d)
 	if err == nil && d.AllFeasible {
 		c.fs = c.a.FlowSet()
+		c.commitVerdict(res)
 		d.Outcome = outcome
 		return d, nil
 	}

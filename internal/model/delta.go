@@ -106,6 +106,29 @@ func (fs *FlowSet) WithFlowRemoved(i int) (*FlowSet, error) {
 	return out, nil
 }
 
+// Subset returns a new FlowSet of the flows at the strictly ascending
+// indices idx, in that order. Like removal, taking a subset only deletes
+// ordered pairs, so a valid set stays valid: the derived rows are shared
+// and nothing is re-validated. An empty, unordered or out-of-range idx
+// is rejected.
+func (fs *FlowSet) Subset(idx []int) (*FlowSet, error) {
+	if len(idx) == 0 {
+		return nil, Errorf(ErrInvalidConfig, "flowset: no flows")
+	}
+	out := &FlowSet{Net: fs.Net, Flows: make([]*Flow, len(idx))}
+	out.nodeIdx = make([]map[NodeID]int, len(idx))
+	out.sminPre = make([][]Time, len(idx))
+	prev := -1
+	for k, i := range idx {
+		if i <= prev || i >= len(fs.Flows) {
+			return nil, Errorf(ErrInvalidConfig, "flowset: subset index %d out of order or range [0,%d)", i, len(fs.Flows))
+		}
+		prev = i
+		out.Flows[k], out.nodeIdx[k], out.sminPre[k] = fs.Flows[i], fs.nodeIdx[i], fs.sminPre[i]
+	}
+	return out, nil
+}
+
 // WithFlowUpdated returns a new FlowSet with the flow at index i
 // replaced by a deep copy of f. Validation covers exactly the pairs the
 // replacement can affect.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -41,6 +42,17 @@ func equalFlowSets(t *testing.T, got, want *FlowSet) {
 			if !reflect.DeepEqual(got.Relation(i, j), want.Relation(i, j)) {
 				t.Fatalf("Relation(%d,%d): got %+v, want %+v", i, j, got.Relation(i, j), want.Relation(i, j))
 			}
+		}
+	}
+	if !reflect.DeepEqual(got.Nodes(), want.Nodes()) {
+		t.Fatalf("Nodes: got %v, want %v", got.Nodes(), want.Nodes())
+	}
+	for _, h := range want.Nodes() {
+		if !reflect.DeepEqual(got.FlowsAt(h), want.FlowsAt(h)) {
+			t.Fatalf("FlowsAt(%d): got %v, want %v", h, got.FlowsAt(h), want.FlowsAt(h))
+		}
+		if g, w := got.TotalUtilizationAt(h), want.TotalUtilizationAt(h); g != w {
+			t.Fatalf("TotalUtilizationAt(%d): got %v, want %v", h, g, w)
 		}
 	}
 }
@@ -90,6 +102,33 @@ func TestWithFlowRemovedMatchesCold(t *testing.T) {
 	one := MustNewFlowSet(UnitDelayNetwork(), []*Flow{flowOn("solo", 1, 2)})
 	if _, err := one.WithFlowRemoved(0); err == nil || err.Error() != "flowset: no flows" {
 		t.Errorf("removing the last flow: %v", err)
+	}
+}
+
+func TestSubsetMatchesCold(t *testing.T) {
+	base := PaperExample()
+	for _, idx := range [][]int{{0}, {1, 3}, {0, 2, 4}, {0, 1, 2, 3, 4}} {
+		got, err := base.Subset(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flows []*Flow
+		for _, i := range idx {
+			flows = append(flows, base.Flows[i])
+		}
+		want, err := NewFlowSet(base.Net, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalFlowSets(t, got, want)
+	}
+	for _, idx := range [][]int{nil, {-1}, {5}, {2, 1}, {1, 1}} {
+		if _, err := base.Subset(idx); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("Subset(%v): %v, want ErrInvalidConfig", idx, err)
+		}
+	}
+	if base.N() != 5 || base.FlowsAt(3)[1] != 2 {
+		t.Error("base mutated by Subset")
 	}
 }
 

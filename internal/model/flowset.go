@@ -1,6 +1,9 @@
 package model
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // FlowSet bundles a network with a validated set of flows and
 // precomputes the pairwise path relations that every analysis consumes.
@@ -22,6 +25,20 @@ type FlowSet struct {
 	// sminPre[i][k] is Smin^h_i for h = Flows[i].Path[k]: the prefix sum
 	// of upstream processing plus Lmin per link.
 	sminPre [][]Time
+
+	// The node→flows index (ensureNodes), built lazily like rel so the
+	// copy-on-write sets of the warm admission path never pay for it:
+	// nodes is the sorted node list, nodeSlot maps a node to its
+	// position there, and the flows visiting nodes[s] are
+	// nodeFlows[nodeOff[s]:nodeOff[s+1]] in ascending index order (CSR
+	// layout: one flat slice, no per-node allocations). nodeUtil[s] is
+	// TotalUtilizationAt(nodes[s]).
+	nodes     []NodeID
+	nodeSlot  map[NodeID]int32
+	nodeOff   []int32
+	nodeFlows []int
+	nodeUtil  []float64
+	nodeOnce  sync.Once
 }
 
 // derivedRow computes one flow's node index and Smin prefix row.
@@ -68,6 +85,52 @@ func (fs *FlowSet) ensureRel() {
 				fs.rel[i][j] = Relate(fi, fj)
 			}
 		}
+	})
+}
+
+// ensureNodes builds the node→flows index on first use. Safe for
+// concurrent readers, like ensureRel.
+func (fs *FlowSet) ensureNodes() {
+	fs.nodeOnce.Do(func() {
+		slot := make(map[NodeID]int32)
+		var nodes []NodeID
+		for _, f := range fs.Flows {
+			for _, h := range f.Path {
+				if _, ok := slot[h]; !ok {
+					slot[h] = 0
+					nodes = append(nodes, h)
+				}
+			}
+		}
+		sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
+		off := make([]int32, len(nodes)+1)
+		for s, h := range nodes {
+			slot[h] = int32(s)
+		}
+		for _, f := range fs.Flows {
+			for _, h := range f.Path {
+				off[slot[h]+1]++
+			}
+		}
+		for s := range nodes {
+			off[s+1] += off[s]
+		}
+		// Filling flow by flow keeps each node's run in ascending flow
+		// order, and accumulates each node's utilization in that same
+		// order, so the float sums are the per-call scan's bit for bit.
+		flows := make([]int, off[len(nodes)])
+		util := make([]float64, len(nodes))
+		next := make([]int32, len(nodes))
+		copy(next, off)
+		for i, f := range fs.Flows {
+			for k, h := range f.Path {
+				s := slot[h]
+				flows[next[s]] = i
+				next[s]++
+				util[s] += float64(f.Cost[k]) / float64(f.Period)
+			}
+		}
+		fs.nodes, fs.nodeSlot, fs.nodeOff, fs.nodeFlows, fs.nodeUtil = nodes, slot, off, flows, util
 	})
 }
 
@@ -223,35 +286,23 @@ func (fs *FlowSet) Interferers(i int) []int {
 }
 
 // Nodes returns the sorted set of all node identifiers appearing on any
-// path.
+// path. The slice is shared by every caller and must not be modified.
 func (fs *FlowSet) Nodes() []NodeID {
-	seen := make(map[NodeID]struct{})
-	var out []NodeID
-	for _, f := range fs.Flows {
-		for _, h := range f.Path {
-			if _, ok := seen[h]; !ok {
-				seen[h] = struct{}{}
-				out = append(out, h)
-			}
-		}
-	}
-	for a := 1; a < len(out); a++ {
-		for b := a; b > 0 && out[b] < out[b-1]; b-- {
-			out[b], out[b-1] = out[b-1], out[b]
-		}
-	}
-	return out
+	fs.ensureNodes()
+	return fs.nodes[:len(fs.nodes):len(fs.nodes)]
 }
 
-// FlowsAt returns the indices of flows visiting node h.
+// FlowsAt returns the indices of flows visiting node h, in ascending
+// order (nil when no flow does). The slice is shared by every caller and
+// must not be modified; its capacity is clipped, so an append copies.
 func (fs *FlowSet) FlowsAt(h NodeID) []int {
-	var out []int
-	for i := range fs.Flows {
-		if _, ok := fs.nodeIdx[i][h]; ok {
-			out = append(out, i)
-		}
+	fs.ensureNodes()
+	s, ok := fs.nodeSlot[h]
+	if !ok {
+		return nil
 	}
-	return out
+	lo, hi := fs.nodeOff[s], fs.nodeOff[s+1]
+	return fs.nodeFlows[lo:hi:hi]
 }
 
 // Smin returns Smin^h_i: the minimum time for a packet of flow i to go
@@ -356,21 +407,20 @@ func (fs *FlowSet) MaxSameDirCost(i int, h NodeID) Time {
 // long-run load offered to node h. Values above 1 make the node's busy
 // periods unbounded.
 func (fs *FlowSet) TotalUtilizationAt(h NodeID) float64 {
-	var u float64
-	for _, f := range fs.Flows {
-		if c := f.CostAt(h); c > 0 {
-			u += float64(c) / float64(f.Period)
-		}
+	fs.ensureNodes()
+	if s, ok := fs.nodeSlot[h]; ok {
+		return fs.nodeUtil[s]
 	}
-	return u
+	return 0
 }
 
 // MaxUtilization returns the highest per-node utilization across the
 // network — the stability margin of the flow set.
 func (fs *FlowSet) MaxUtilization() float64 {
+	fs.ensureNodes()
 	var u float64
-	for _, h := range fs.Nodes() {
-		if v := fs.TotalUtilizationAt(h); v > u {
+	for _, v := range fs.nodeUtil {
+		if v > u {
 			u = v
 		}
 	}

@@ -2,8 +2,12 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -69,6 +73,103 @@ func TestFlowSetFlowsAt(t *testing.T) {
 	if len(at9) != 1 || at9[0] != 1 {
 		t.Errorf("FlowsAt(9) = %v", at9)
 	}
+}
+
+// TestNodeIndexMatchesScan checks the node index against per-call scans
+// of every flow (the index's specification), on random line sets: the
+// node list, each node's flows in ascending order, an absent node, and
+// the utilization sums bit for bit.
+func TestNodeIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		var flows []*Flow
+		for k := 0; k < 1+rng.Intn(12); k++ {
+			start := NodeID(rng.Intn(20))
+			path := Path{start}
+			for len(path) < 1+rng.Intn(5) {
+				path = append(path, path[len(path)-1]+NodeID(1+rng.Intn(3)))
+			}
+			f := UniformFlow(fmt.Sprintf("f%d", k), Time(7+rng.Intn(90)), 0, 0, Time(1+rng.Intn(5)), path...)
+			flows = append(flows, f)
+		}
+		fs, err := NewFlowSetLax(UnitDelayNetwork(), flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes []NodeID
+		var maxU float64
+		for h := NodeID(0); h < 40; h++ {
+			var at []int
+			var u float64
+			for i, f := range fs.Flows {
+				if c := f.CostAt(h); c > 0 {
+					at = append(at, i)
+					u += float64(c) / float64(f.Period)
+				}
+			}
+			if got := fs.FlowsAt(h); !reflect.DeepEqual(got, at) {
+				t.Fatalf("trial %d: FlowsAt(%d) = %v, want %v", trial, h, got, at)
+			}
+			if got := fs.TotalUtilizationAt(h); math.Float64bits(got) != math.Float64bits(u) {
+				t.Fatalf("trial %d: TotalUtilizationAt(%d) = %v, want %v", trial, h, got, u)
+			}
+			if at != nil {
+				nodes = append(nodes, h)
+			}
+			if u > maxU {
+				maxU = u
+			}
+		}
+		if got := fs.Nodes(); !reflect.DeepEqual(got, nodes) {
+			t.Fatalf("trial %d: Nodes() = %v, want %v", trial, got, nodes)
+		}
+		if got := fs.MaxUtilization(); math.Float64bits(got) != math.Float64bits(maxU) {
+			t.Fatalf("trial %d: MaxUtilization() = %v, want %v", trial, got, maxU)
+		}
+	}
+}
+
+// TestNodeIndexAllocs: once built, the node index answers without
+// allocating, and an append to a returned slice cannot overwrite the
+// next node's flows.
+func TestNodeIndexAllocs(t *testing.T) {
+	fs := PaperExample()
+	fs.Nodes()
+	if n := testing.AllocsPerRun(100, func() {
+		for _, h := range fs.Nodes() {
+			_ = fs.FlowsAt(h)
+			_ = fs.TotalUtilizationAt(h)
+		}
+		_ = fs.FlowsAt(999)
+	}); n != 0 {
+		t.Errorf("%v allocs per lookup pass, want 0", n)
+	}
+	at2 := fs.FlowsAt(2)
+	_ = append(at2, 99)
+	_ = append(fs.Nodes(), 99)
+	if got := fs.FlowsAt(3); len(got) != 4 || got[0] != 0 {
+		t.Errorf("append through FlowsAt(2) clobbered FlowsAt(3) = %v", got)
+	}
+	if got := fs.Nodes(); len(got) != 11 {
+		t.Errorf("append through Nodes() changed it to %v", got)
+	}
+}
+
+// TestNodeIndexConcurrent: the lazy index build is safe under
+// concurrent first use (run with -race).
+func TestNodeIndexConcurrent(t *testing.T) {
+	fs := PaperExample()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if len(fs.FlowsAt(3)) != 4 || len(fs.Nodes()) != 11 || fs.TotalUtilizationAt(9) == 0 {
+				t.Error("wrong index under concurrent first use")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSmin pins Section-5 values: τ3's earliest arrival at node 7 is

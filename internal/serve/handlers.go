@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"net/http"
 
 	"trajan/internal/feasibility"
@@ -211,8 +211,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError maps the error taxonomy to HTTP statuses: unknown flow →
-// 404, invalid config → 400, canceled (budget or client) → 504,
-// backpressure → 429, shutdown → 503, anything else → 500.
+// 404, invalid config → 400, oversized body → 413, canceled (budget or
+// client) → 504, backpressure → 429, shutdown → 503, anything else →
+// 500.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
@@ -223,6 +224,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrShuttingDown):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrBodyTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, model.ErrCanceled):
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, model.ErrInvalidConfig):
@@ -231,11 +234,16 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// decodeBody decodes a JSON body strictly (unknown fields rejected).
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+// decodeBody decodes a JSON body strictly (unknown fields rejected). A
+// body over maxBodyBytes is ErrBodyTooLarge, not a truncated document.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, tooLarge.Limit)
+		}
 		return model.Errorf(model.ErrInvalidConfig, "serve: decoding request: %w", err)
 	}
 	return nil
@@ -312,7 +320,7 @@ func routeMode(r *http.Request) (auto bool, err error) {
 
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req AdmitRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -340,7 +348,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req ReleaseRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -358,7 +366,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 	var req AdmitRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -386,7 +394,7 @@ func (s *Server) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	var req WhatIfRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}

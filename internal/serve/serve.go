@@ -61,6 +61,10 @@ var ErrShuttingDown = errors.New("serve: shutting down")
 // the bounded request queue is full.
 var ErrBackpressure = errors.New("serve: queue full")
 
+// ErrBodyTooLarge is returned (and mapped to 413) for a request body
+// over the 1 MiB limit.
+var ErrBodyTooLarge = errors.New("serve: request body too large")
+
 // Config parameterizes a Server.
 type Config struct {
 	// Network is the link-delay envelope all admitted flows share.

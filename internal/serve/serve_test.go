@@ -971,3 +971,54 @@ func TestMetricsChurnBounded(t *testing.T) {
 		t.Errorf("%d trajan_bound_term series for %d resident flow(s), want 1..%d", series, resident, 9*resident)
 	}
 }
+
+// TestMetricsRefusedAdmitKeepsGauges: a refused admit leaves the
+// resident flows' provenance gauges at their committed bounds. The
+// combined backend judges the trial set, in which the resident flows'
+// bounds are larger; only committed verdicts may reach the gauges.
+func TestMetricsRefusedAdmitKeepsGauges(t *testing.T) {
+	metrics := obs.NewMetrics()
+	s, ts := newTestServer(t, Config{
+		Backend: feasibility.BackendCombined,
+		Metrics: metrics,
+		Options: trajectory.Options{Tracer: metrics},
+	})
+	client := ts.Client()
+	var d DecisionResponse
+	for k := 0; k < 2; k++ {
+		if code := postJSON(t, client, ts.URL+"/v1/admit", AdmitRequest{Flow: callFlow(k)}, &d); code != http.StatusOK || d.Decision != "admitted" {
+			t.Fatalf("admit call%02d: HTTP %d, %q", k, code, d.Decision)
+		}
+	}
+	committed := s.snap.Load().Bounds[0]
+	gauge := metrics.Gauge(`trajan_bound_term{flow="call00",term="combined_r"}`)
+	if got := gauge.Value(); got != int64(committed) {
+		t.Fatalf("call00 combined_r = %d after commit, want %d", got, committed)
+	}
+	fc := callFlow(2)
+	fc.Name, fc.Deadline = "refused", 5
+	if code := postJSON(t, client, ts.URL+"/v1/admit", AdmitRequest{Flow: fc}, &d); code != http.StatusOK || d.Decision != "rejected" {
+		t.Fatalf("admit refused: HTTP %d, %q; want rejected", code, d.Decision)
+	}
+	if got := gauge.Value(); got != int64(committed) {
+		t.Errorf("call00 combined_r = %d after a refused admit, want the committed %d", got, committed)
+	}
+}
+
+// TestOversizedBody: a body over the 1 MiB limit is refused as too
+// large (413), not truncated and reported as malformed JSON.
+func TestOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"flow": {"name": "` + strings.Repeat("a", maxBodyBytes) + `"}}`
+	for _, route := range []string{"admit", "release", "renegotiate", "whatif"} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/"+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(payload), "too large") {
+			t.Errorf("%s: HTTP %d %s, want 413 naming the limit", route, resp.StatusCode, payload)
+		}
+	}
+}

@@ -75,26 +75,31 @@ type InterferenceTerm struct {
 
 // Analyze computes Property-2 (or Property-3) bounds for every flow of
 // the set under the given options. The flow set must already satisfy
-// Assumption 1 (model.NewFlowSet enforces it). One-shot wrapper over
-// Analyzer; callers that re-query the same flow set (admission control,
-// sensitivity sweeps) should hold a NewAnalyzer instead.
+// Assumption 1 (model.NewFlowSet enforces it). One-shot cold analysis:
+// a set whose flows fall into several interference components (flows
+// of different components share no node) is analysed one component at
+// a time, with a Result bit-identical to a whole-set Analyzer's (see
+// components.go). Callers that re-query the same flow set (admission
+// control, sensitivity sweeps) should hold a NewAnalyzer instead.
 func Analyze(fs *model.FlowSet, opt Options) (*Result, error) {
-	a, err := NewAnalyzer(fs, opt)
-	if err != nil {
-		return nil, err
-	}
-	return a.Analyze()
+	return AnalyzeContext(context.Background(), fs, opt)
 }
 
 // AnalyzeContext is Analyze with cancellation: a canceled context (or
 // deadline) aborts the analysis within one fixed-point sweep and
 // surfaces as model.ErrCanceled.
 func AnalyzeContext(ctx context.Context, fs *model.FlowSet, opt Options) (*Result, error) {
-	a, err := NewAnalyzer(fs, opt)
-	if err != nil {
+	if err := checkOptions(fs, opt); err != nil {
 		return nil, err
 	}
-	return a.AnalyzeContext(ctx)
+	// A seed vector of the wrong length is the whole-set analyzer's
+	// error to report.
+	if opt.SeedBounds == nil || len(opt.SeedBounds) == fs.N() {
+		if comp, nc := components(fs); nc > 1 {
+			return analyzeComponents(ctx, fs, opt, comp, nc)
+		}
+	}
+	return newAnalyzer(fs, opt).AnalyzeContext(ctx)
 }
 
 // AnalyzeFlow computes the bound of a single flow (index i) without

@@ -129,18 +129,31 @@ func (a *Analyzer) FlowSet() *model.FlowSet { return a.fs }
 // Analyze/AnalyzeFlow/Bounds call, in the same order the reference
 // implementation would perform it.
 func NewAnalyzer(fs *model.FlowSet, opt Options) (*Analyzer, error) {
+	if err := checkOptions(fs, opt); err != nil {
+		return nil, err
+	}
+	return newAnalyzer(fs, opt), nil
+}
+
+// checkOptions validates the per-flow options against the flow set.
+func checkOptions(fs *model.FlowSet, opt Options) error {
 	if opt.NonPreemption != nil {
 		if len(opt.NonPreemption) != fs.N() {
-			return nil, model.Errorf(model.ErrInvalidConfig, "trajectory: %d non-preemption vectors for %d flows",
+			return model.Errorf(model.ErrInvalidConfig, "trajectory: %d non-preemption vectors for %d flows",
 				len(opt.NonPreemption), fs.N())
 		}
 		for i, v := range opt.NonPreemption {
 			if v != nil && len(v) != len(fs.Flows[i].Path) {
-				return nil, model.Errorf(model.ErrInvalidConfig, "trajectory: flow %q has %d non-preemption terms for %d nodes",
+				return model.Errorf(model.ErrInvalidConfig, "trajectory: flow %q has %d non-preemption terms for %d nodes",
 					fs.Flows[i].Name, len(v), len(fs.Flows[i].Path))
 			}
 		}
 	}
+	return nil
+}
+
+// newAnalyzer is NewAnalyzer for options checkOptions accepted.
+func newAnalyzer(fs *model.FlowSet, opt Options) *Analyzer {
 	a := &Analyzer{
 		fs:        fs,
 		opt:       opt,
@@ -154,7 +167,7 @@ func NewAnalyzer(fs *model.FlowSet, opt Options) (*Analyzer, error) {
 		n += len(f.Path)
 	}
 	a.nEntries = n
-	return a, nil
+	return a
 }
 
 // ensureTopo returns the dense topology mirror, building it on first
@@ -237,10 +250,17 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context) (res *Result, err error) 
 			res, err = nil, model.Errorf(model.ErrInternal, "trajectory: internal panic in Analyze: %v", p)
 		}
 	}()
-	tr := a.opt.Tracer
-	if tr != nil {
+	if tr := a.opt.Tracer; tr != nil {
 		tr.Emit(obs.Event{Type: obs.EvAnalysisStart, Flows: a.fs.N(), Mode: a.opt.Smax.String()})
 	}
+	return a.analyze(ctx)
+}
+
+// analyze is AnalyzeContext without the panic containment and the
+// EvAnalysisStart event, which analyzeComponents provides once for all
+// its component analyzers.
+func (a *Analyzer) analyze(ctx context.Context) (*Result, error) {
+	tr := a.opt.Tracer
 	if err := a.ensureSmax(ctx); err != nil {
 		return nil, err
 	}
@@ -249,7 +269,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context) (res *Result, err error) 
 	for i := range a.smax {
 		arrival[i] = append([]model.Time(nil), a.smax[i]...)
 	}
-	res = &Result{
+	res := &Result{
 		Bounds:        make([]model.Time, fs.N()),
 		Jitters:       make([]model.Time, fs.N()),
 		Details:       make([]FlowDetail, fs.N()),
