@@ -1,8 +1,9 @@
-// Benchmark regression guard for the observability layer: with tracing
-// disabled (a nil obs.Tracer) the analysis hot paths must not regress
-// against the recorded trajectory in BENCH_trajectory.json. The guard
-// compares allocs/op — deterministic across machines — rather than
-// ns/op, which depends on the host the baseline was recorded on.
+// Benchmark regression guards. Allocation guards compare allocs/op —
+// deterministic at a fixed GOMAXPROCS — against the recorded trajectory
+// in BENCH_trajectory.json; time guards compare two quantities measured
+// in this process, so host speed cancels. The absolute ns/op checks
+// against the recorded baseline run only with TRAJAN_BENCH_ABSOLUTE=1,
+// on the machine that recorded it.
 package trajan_test
 
 import (
@@ -12,12 +13,14 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
 
 	"trajan/internal/feasibility"
 	"trajan/internal/model"
+	"trajan/internal/obs"
 	"trajan/internal/sim"
 	"trajan/internal/trajectory"
 	"trajan/internal/workload"
@@ -84,15 +87,17 @@ func baselineNs(t *testing.T, name string) float64 {
 
 // TestBenchGuardAnalyzeScaling pins the cold-analysis wall clock of the
 // flows32..flows128 tandem tiers within ±30% of the recorded baseline.
-// Unlike the allocs guards this compares ns/op, so the tolerance is
-// deliberately loose: it will not catch a 10% drift on a quiet machine,
-// but it fails outright if a change forfeits the flattened fixpoint
-// core (the fused all-prefix builder, run-merged jump streams, or the
-// Lemma-3 t-scan cutoffs), any of which costs well over 30% on these
-// tiers. Only regressions fail; running faster than baseline is logged.
+// It compares ns/op recorded on one machine, so it runs only with
+// TRAJAN_BENCH_ABSOLUTE=1 on that machine; everywhere else the
+// same-process ratio guard TestBenchGuardEngineSpeedup (engine against
+// the reference, internal/trajectory) stands in for it. Only
+// regressions fail; running faster than baseline is logged.
 func TestBenchGuardAnalyzeScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")
+	}
+	if os.Getenv("TRAJAN_BENCH_ABSOLUTE") != "1" {
+		t.Skip("absolute ns/op guard runs only with TRAJAN_BENCH_ABSOLUTE=1")
 	}
 	for _, n := range []int{32, 64, 128} {
 		fs := tandemSet(t, n, 5)
@@ -177,34 +182,21 @@ func medianMAD(xs []float64) (med, mad float64) {
 // TestBenchGuardAdmissionChurn re-runs the warm admission loop of
 // BenchmarkAdmissionChurn/flows64 with tracing disabled and fails if
 // allocs/op drift more than 5% above the recorded baseline — the
-// zero-overhead-when-disabled contract of the obs layer.
+// zero-overhead-when-disabled contract of the obs layer. It runs at
+// GOMAXPROCS 1, where the baseline was recorded: the colored parallel
+// sweeps allocate per worker, so the count depends on the worker count.
 func TestBenchGuardAdmissionChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	res := testing.Benchmark(func(b *testing.B) {
-		fs := staggeredSet(b, 64, 5)
-		a, err := trajectory.NewAnalyzer(fs, trajectory.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := a.Bounds(); err != nil {
-			b.Fatal(err)
-		}
+		a := warmAnalyzer(b, staggeredSet(b, 64, 5), trajectory.Options{})
 		probe := probeFlow(64, 5)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			idx, err := a.AddFlow(probe)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := a.Bounds(); err != nil {
-				b.Fatal(err)
-			}
-			if err := a.RemoveFlow(idx); err != nil {
-				b.Fatal(err)
-			}
+			churnOnce(b, a, probe)
 		}
 	})
 	base := baselineAllocs(t, "BenchmarkAdmissionChurn/flows64")
@@ -213,6 +205,95 @@ func TestBenchGuardAdmissionChurn(t *testing.T) {
 		t.Errorf("AdmissionChurn/flows64: %d allocs/op, baseline %d (+5%% = %d)", got, base, limit)
 	} else {
 		t.Logf("AdmissionChurn/flows64: %d allocs/op (baseline %d)", got, base)
+	}
+}
+
+// TestBenchGuardTracedChurn guards the configuration the daemon serves:
+// the warm churn64 loop with the metrics registry as its tracer, the
+// one trajand installs, against the same loop untraced. Decisions of
+// the two alternate one by one in this process at GOMAXPROCS 1, and
+// each of 9 samples compares their median times, so host speed and
+// drift cancel. Tracing may cost at most 10% in the median ratio and
+// no allocation per decision: it observes the engine, it does not
+// select a different one. Under the race detector only the allocation
+// check runs.
+func TestBenchGuardTracedChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark guard skipped in -short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fs := staggeredSet(t, 64, 5)
+	probe := probeFlow(64, 5)
+	plain := warmAnalyzer(t, fs, trajectory.Options{})
+	traced := warmAnalyzer(t, fs, trajectory.Options{Tracer: obs.NewMetrics()})
+	timed := func(a *trajectory.Analyzer) float64 {
+		start := time.Now()
+		churnOnce(t, a, probe)
+		return float64(time.Since(start))
+	}
+	pa := testing.AllocsPerRun(50, func() { churnOnce(t, plain, probe) })
+	ta := testing.AllocsPerRun(50, func() { churnOnce(t, traced, probe) })
+	if pa != ta {
+		t.Errorf("traced churn64 makes %.0f allocs per decision, untraced %.0f", ta, pa)
+	}
+	if raceEnabled {
+		t.Skip("time ratio not checked under the race detector, which instruments the registry's atomics")
+	}
+	// Each sample alternates single decisions of the two loops and
+	// compares their medians, so a burst of load from elsewhere on the
+	// host lands on both sides alike and a preempted decision is an
+	// outlier, not a shift.
+	const decisions = 101
+	p, tr := make([]float64, decisions), make([]float64, decisions)
+	ratios := make([]float64, 9)
+	for s := range ratios {
+		for k := 0; k < decisions; k++ {
+			if k%2 == 0 {
+				p[k], tr[k] = timed(plain), timed(traced)
+			} else {
+				tr[k], p[k] = timed(traced), timed(plain)
+			}
+		}
+		pm, _ := medianMAD(p)
+		tm, _ := medianMAD(tr)
+		ratios[s] = tm / pm
+	}
+	med, mad := medianMAD(ratios)
+	if med > 1.10 {
+		t.Errorf("traced churn64 costs %.2fx untraced (median of %d, MAD %.2f, samples %.2f), want <= 1.10",
+			med, len(ratios), mad, ratios)
+	} else {
+		t.Logf("traced churn64 costs %.2fx untraced (MAD %.2f)", med, mad)
+	}
+}
+
+// warmAnalyzer returns an analyzer over fs whose fixed point has
+// converged, the state every admission decision starts from.
+func warmAnalyzer(tb testing.TB, fs *model.FlowSet, opt trajectory.Options) *trajectory.Analyzer {
+	tb.Helper()
+	a, err := trajectory.NewAnalyzer(fs, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := a.Bounds(); err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
+// churnOnce is one warm admission decision of the churn loop: admit the
+// probe (delta re-analysis seeded from the converged table), query
+// every bound, and evict it again (snapshot restore).
+func churnOnce(tb testing.TB, a *trajectory.Analyzer, probe *model.Flow) {
+	idx, err := a.AddFlow(probe)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := a.Bounds(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := a.RemoveFlow(idx); err != nil {
+		tb.Fatal(err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"trajan/internal/holistic"
 	"trajan/internal/model"
 	"trajan/internal/netcalc"
+	"trajan/internal/obs"
 	"trajan/internal/trajectory"
 	"trajan/internal/workload"
 )
@@ -410,27 +411,12 @@ func BenchmarkAdmissionChurn(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		fs := staggeredSet(b, n, 5)
 		b.Run(benchName("flows", n), func(b *testing.B) {
-			a, err := trajectory.NewAnalyzer(fs, trajectory.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := a.Bounds(); err != nil { // converge the base once
-				b.Fatal(err)
-			}
+			a := warmAnalyzer(b, fs, trajectory.Options{})
 			probe := probeFlow(n, 5)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx, err := a.AddFlow(probe)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := a.Bounds(); err != nil {
-					b.Fatal(err)
-				}
-				if err := a.RemoveFlow(idx); err != nil {
-					b.Fatal(err)
-				}
+				churnOnce(b, a, probe)
 			}
 		})
 	}
@@ -523,18 +509,21 @@ func BenchmarkRouteAdmit(b *testing.B) {
 
 // BenchmarkWhatIfBatch times a parallel 8-candidate what-if batch
 // against one converged base (the "which of these calls fit" query).
+// The traced case installs the metrics registry as the tracer, as
+// trajand does.
 func BenchmarkWhatIfBatch(b *testing.B) {
 	const n, hops = 64, 5
 	fs := staggeredSet(b, n, hops)
-	for _, workers := range []int{1, 4} {
-		b.Run(benchName("workers", workers), func(b *testing.B) {
-			a, err := trajectory.NewAnalyzer(fs, trajectory.Options{Parallelism: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := a.Bounds(); err != nil {
-				b.Fatal(err)
-			}
+	for _, c := range []struct {
+		name string
+		opt  trajectory.Options
+	}{
+		{"workers1", trajectory.Options{Parallelism: 1}},
+		{"workers4", trajectory.Options{Parallelism: 4}},
+		{"traced", trajectory.Options{Parallelism: 4, Tracer: obs.NewMetrics()}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			a := warmAnalyzer(b, fs, c.opt)
 			cands := make([]trajectory.Candidate, 8)
 			for k := range cands {
 				path := make([]model.NodeID, hops)

@@ -143,7 +143,16 @@ func (m *Metrics) Emit(e Event) {
 	case EvAnalysisStart:
 		m.Counter("trajan_analyses_total").Inc()
 	case EvSmaxSeed:
-		m.Counter("trajan_smax_seed_" + e.Op + "_total").Inc()
+		// Constant names for the engine's ops keep every engine event
+		// allocation-free; the concatenation serves replayed traces.
+		switch e.Op {
+		case "warm":
+			m.Counter("trajan_smax_seed_warm_total").Inc()
+		case "cold":
+			m.Counter("trajan_smax_seed_cold_total").Inc()
+		default:
+			m.Counter("trajan_smax_seed_" + e.Op + "_total").Inc()
+		}
 	case EvSmaxSweep:
 		m.Counter("trajan_smax_sweeps_total").Inc()
 		m.Histogram("trajan_smax_sweep_evals").Observe(int64(e.Evaluated))
@@ -160,7 +169,16 @@ func (m *Metrics) Emit(e Event) {
 	case EvBslow:
 		m.Histogram("trajan_bslow_iters").Observe(int64(e.Iters))
 	case EvDelta:
-		m.Counter("trajan_delta_" + e.Op + "_total").Inc()
+		switch e.Op {
+		case "add":
+			m.Counter("trajan_delta_add_total").Inc()
+		case "remove":
+			m.Counter("trajan_delta_remove_total").Inc()
+		case "update":
+			m.Counter("trajan_delta_update_total").Inc()
+		default:
+			m.Counter("trajan_delta_" + e.Op + "_total").Inc()
+		}
 		if e.Outcome == "warm" {
 			m.Histogram("trajan_delta_dirty_flows").Observe(int64(e.Dirty))
 		}

@@ -273,6 +273,36 @@ func TestMetricsEmitMapping(t *testing.T) {
 	}
 }
 
+// TestMetricsEmitEngineEventsAllocFree: once the registry has seen
+// them, the events the analysis engine emits on every mutation and
+// sweep fold into metrics without allocating — a daemon that installs
+// the registry as its tracer pays no garbage per decision for them.
+func TestMetricsEmitEngineEventsAllocFree(t *testing.T) {
+	events := []Event{
+		{Type: EvSmaxSeed, Op: "warm", Dirty: 2},
+		{Type: EvSmaxSeed, Op: "cold", Dirty: 5},
+		{Type: EvSmaxSweep, Sweep: 1, Evaluated: 6, Changed: 4},
+		{Type: EvSmaxDone, Mode: "prefix-fixpoint", Op: "warm", Sweep: 2, Outcome: "converged"},
+		{Type: EvSmaxDone, Mode: "prefix-fixpoint", Op: "warm", Sweep: 3, Outcome: "fallback"},
+		{Type: EvBslow, Flow: "tau1", Iters: 3, Value: 16},
+		{Type: EvDelta, Op: "add", Flow: "tau4", Outcome: "warm", Dirty: 2},
+		{Type: EvDelta, Op: "remove", Flow: "tau4", Outcome: "undo"},
+		{Type: EvDelta, Op: "update", Flow: "tau4", Outcome: "cold"},
+		{Type: EvWhatIfBatch, Candidates: 2, Workers: 2},
+		{Type: EvWhatIfCand, Index: 1, Op: "add", Outcome: "ok"},
+	}
+	m := NewMetrics()
+	var tr Tracer = m
+	for _, e := range events {
+		tr.Emit(e)
+	}
+	for _, e := range events {
+		if n := testing.AllocsPerRun(100, func() { tr.Emit(e) }); n != 0 {
+			t.Errorf("%s (op %q): %.0f allocs per Emit, want 0", e.Type, e.Op, n)
+		}
+	}
+}
+
 // TestWritePrometheusGolden pins the text exposition byte for byte
 // (sorted names, deduped TYPE lines, cumulative buckets). Regenerate
 // with -update after intentional schema changes.

@@ -1005,6 +1005,54 @@ func TestMetricsRefusedAdmitKeepsGauges(t *testing.T) {
 	}
 }
 
+// TestMetricsWhatIfLeavesGauges: a what-if probe judges a hypothetical
+// set, so under the trajectory backend it must neither register series
+// for the probed names (a client could otherwise grow /metrics without
+// bound) nor overwrite the resident flows' gauges with the trial set's
+// bounds.
+func TestMetricsWhatIfLeavesGauges(t *testing.T) {
+	metrics := obs.NewMetrics()
+	s, ts := newTestServer(t, Config{
+		Backend: feasibility.BackendTrajectory,
+		Metrics: metrics,
+		Options: trajectory.Options{Tracer: metrics},
+	})
+	client := ts.Client()
+	var d DecisionResponse
+	if code := postJSON(t, client, ts.URL+"/v1/admit", AdmitRequest{Flow: callFlow(0)}, &d); code != http.StatusOK || d.Decision != "admitted" {
+		t.Fatalf("resident admit: HTTP %d, %q", code, d.Decision)
+	}
+	committed := s.snap.Load().Bounds[0]
+	for n := 0; n < 200; n++ {
+		fc := callFlow(1)
+		fc.Name = fmt.Sprintf("probe-%03d", n)
+		var wr WhatIfResponse
+		if code := postJSON(t, client, ts.URL+"/v1/whatif", WhatIfRequest{Candidates: []WhatIfCandidate{{Op: "add", Flow: fc}}}, &wr); code != http.StatusOK || len(wr.Outcomes) != 1 {
+			t.Fatalf("whatif %s: HTTP %d, %d outcomes", fc.Name, code, len(wr.Outcomes))
+		}
+	}
+	var b strings.Builder
+	if err := metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if series := strings.Count(b.String(), "\ntrajan_bound_term{"); series > 9 {
+		t.Errorf("%d trajan_bound_term series for one resident flow, want at most 9", series)
+	}
+	if strings.Contains(b.String(), `flow="probe-`) {
+		t.Error("a what-if probe registered series for its hypothetical flow")
+	}
+	// The served trajectory path emits no bound records of its own, so
+	// the resident flow may have no series; one it has is the committed
+	// bound.
+	resident := fmt.Sprintf("\ntrajan_bound_term{flow=%q,term=%q} ", "call00", "r")
+	if k := strings.Index(b.String(), resident); k >= 0 {
+		rest := b.String()[k+len(resident):]
+		if got := rest[:strings.IndexByte(rest, '\n')]; got != fmt.Sprint(committed) {
+			t.Errorf("call00 r = %s after what-if probes, want the committed %d", got, committed)
+		}
+	}
+}
+
 // TestOversizedBody: a body over the 1 MiB limit is refused as too
 // large (413), not truncated and reported as malformed JSON.
 func TestOversizedBody(t *testing.T) {

@@ -105,7 +105,7 @@ func newBoundCtx(fs *model.FlowSet, opt Options, view pathView, smax smaxTable) 
 // It is the length, beyond t, of the generation window over which
 // packets of τj can reach the analysed packet's busy-period chain.
 // The saturating expression tree (aConst first, then the Smax terms) is
-// the engine's exactly: engine.buildView folds aConst at build time and
+// the engine's exactly: engine.buildViews folds aConst at build time and
 // reconstitutes A per sweep, so the two paths must set the sticky flag
 // from identical operand sequences to stay bit-identical.
 func (c *boundCtx) offsetA(rel model.PathRelation, j int) (model.Time, error) {

@@ -141,16 +141,16 @@ func closureFrom(fs *model.FlowSet, seed []bool) []bool {
 
 // remapView rewrites a kept view for a mutated flow list: flow indexes
 // above `removed` shift down by one (removed < 0 means no shift, only
-// the entry ids changed), the precomputed global entry ids are
-// translated to the new bases, and the read set is rebuilt against the
-// new ids. Only views that do NOT interfere with the changed flow are
-// ever remapped, so the cached constants (A offsets, M terms, slow
-// node, Bslow) remain exact — which is why the clone below shares the
-// constant arrays (aConst, csj, iperiods, sameDir) and copies only the
-// index-bearing ones. Remapping runs while the Analyzer still holds the
-// PRE-mutation entry bases (a.entryBase); the new bases arrive as the
-// entryBase argument. On a copy-on-write fork the view is cloned first
-// — the original stays aliased by the base Analyzer.
+// the entry ids changed), and the precomputed global entry ids and the
+// read set are translated to the new bases. Only views that do NOT
+// interfere with the changed flow are ever remapped, so the cached
+// constants (A offsets, M terms, slow node, Bslow) remain exact —
+// which is why the clone below shares the constant arrays (aConst,
+// csj, iperiods, sameDir) and copies only the index-bearing ones.
+// Remapping runs while the Analyzer still holds the PRE-mutation entry
+// bases (a.entryBase); the new bases arrive as the entryBase argument.
+// On a copy-on-write fork the view is cloned first — the original
+// stays aliased by the base Analyzer.
 func (a *Analyzer) remapView(vc *viewCache, removed int, entryBase []int) *viewCache {
 	if vc == nil {
 		return nil
@@ -176,6 +176,12 @@ func (a *Analyzer) remapView(vc *viewCache, removed int, entryBase []int) *viewC
 	}
 	newBaseI := int32(entryBase[vc.flow])
 	oldBaseI := int32(oldBase[oldFlow])
+	// The read set lists, per interferer x in order, iEnt[x] unless an
+	// earlier interferer read it, then jEnt[x] (which lies in its own
+	// flow's entry range, so never repeats and never equals an iEnt) —
+	// so a cursor walking it alongside x meets the old iEnt[x] exactly
+	// at its first occurrence, and translates it in place.
+	r := 0
 	for x := range vc.jflow {
 		oj := int(vc.jflow[x])
 		nj := oj
@@ -183,21 +189,16 @@ func (a *Analyzer) remapView(vc *viewCache, removed int, entryBase []int) *viewC
 			nj = oj - 1
 			vc.jflow[x] = int32(nj)
 		}
-		vc.iEnt[x] = newBaseI + (vc.iEnt[x] - oldBaseI)
+		iEnt := newBaseI + (vc.iEnt[x] - oldBaseI)
+		if vc.readIDs[r] == vc.iEnt[x] {
+			vc.readIDs[r] = iEnt
+			r++
+		}
+		vc.iEnt[x] = iEnt
 		vc.jEnt[x] = int32(entryBase[nj]) + (vc.jEnt[x] - int32(oldBase[oj]))
+		vc.readIDs[r] = vc.jEnt[x]
+		r++
 	}
-	// Rebuild the read set from the translated ids. The entry-id map is
-	// injective in both numberings, so the dedup pattern — and hence the
-	// id count and first-occurrence order — is preserved and the rebuild
-	// fits the existing backing exactly.
-	sc := &a.build
-	sc.markEpoch++
-	ids := vc.readIDs[:0]
-	for x := range vc.jflow {
-		ids = sc.appendRead(ids, vc.iEnt[x])
-		ids = sc.appendRead(ids, vc.jEnt[x])
-	}
-	vc.readIDs = ids
 	return vc
 }
 

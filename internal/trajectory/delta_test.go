@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +102,22 @@ func requireWarmMatchesCold(t *testing.T, tag string, warm *Analyzer, opt Option
 	wn.SmaxSweeps, cn.SmaxSweeps = 0, 0
 	if !reflect.DeepEqual(&wn, &cn) {
 		t.Fatalf("%s: warm Result diverges from cold rebuild\nwarm: %+v\ncold: %+v", tag, wres, cres)
+	}
+	// Kept views are remapped, not rebuilt; their read sets drive dirty
+	// propagation, so each must equal a fresh build's.
+	for i := range cold.full {
+		views := [][2]*viewCache{{warm.full[i], cold.full[i]}}
+		for k := range cold.prefix[i] {
+			if warm.prefix[i] != nil {
+				views = append(views, [2]*viewCache{warm.prefix[i][k], cold.prefix[i][k]})
+			}
+		}
+		for _, v := range views {
+			if v[0] != nil && v[1] != nil && !slices.Equal(v[0].readIDs, v[1].readIDs) {
+				t.Fatalf("%s: flow %d view %d reads %v, a fresh build reads %v",
+					tag, i, v[1].plen, v[0].readIDs, v[1].readIDs)
+			}
+		}
 	}
 	// Single-flow entry point too: it runs the fullCache + safeEval
 	// path against the (possibly warm-started) table.

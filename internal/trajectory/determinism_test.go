@@ -149,23 +149,21 @@ func TestWarmDeltaDeterminism(t *testing.T) {
 	}
 }
 
-// TestUntracedMatchesTraced pins the fused all-prefix builder against
-// the lazy traced path: buildAll is gated on Tracer == nil, so an
-// untraced Analyze takes the fused sweep while a traced one builds
-// views lazily — and both must produce deeply equal Results (bounds,
-// details, sweep counts) and identical error strings.
+// TestUntracedMatchesTraced pins that a tracer changes no Result field:
+// a traced and an untraced Analyze must produce deeply equal Results
+// (bounds, details, sweep counts) and identical error strings.
 func TestUntracedMatchesTraced(t *testing.T) {
 	for si, fs := range determinismSets(t) {
 		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail} {
-			fused, fusedErr := Analyze(fs, Options{Smax: mode})
+			plain, plainErr := Analyze(fs, Options{Smax: mode})
 			var buf bytes.Buffer
-			lazy, lazyErr := Analyze(fs, Options{Smax: mode, Tracer: obs.NewJSONTracer(&buf)})
-			if (fusedErr == nil) != (lazyErr == nil) ||
-				(fusedErr != nil && fusedErr.Error() != lazyErr.Error()) {
-				t.Fatalf("set %d mode %v: fused err %v ≠ lazy err %v", si, mode, fusedErr, lazyErr)
+			traced, tracedErr := Analyze(fs, Options{Smax: mode, Tracer: obs.NewJSONTracer(&buf)})
+			if (plainErr == nil) != (tracedErr == nil) ||
+				(plainErr != nil && plainErr.Error() != tracedErr.Error()) {
+				t.Fatalf("set %d mode %v: untraced err %v ≠ traced err %v", si, mode, plainErr, tracedErr)
 			}
-			if !reflect.DeepEqual(fused, lazy) {
-				t.Errorf("set %d mode %v: fused Result ≠ lazy Result", si, mode)
+			if !reflect.DeepEqual(plain, traced) {
+				t.Errorf("set %d mode %v: untraced Result ≠ traced Result", si, mode)
 			}
 		}
 	}

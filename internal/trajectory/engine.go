@@ -58,8 +58,10 @@ type Analyzer struct {
 
 	// full[i] is the cached context of flow i's full-path view;
 	// prefix[i][k] of the view over Path[:k] (1 ≤ k < len(Path)).
-	// Both are built lazily, in the evaluation order of the reference
-	// path, so divergence errors surface for the same flow.
+	// buildViews fills all of a flow's missing views at the first
+	// request for any of them; a view whose busy period diverges stays
+	// nil, so its error surfaces at the slot that asks for it, in the
+	// reference path's evaluation order.
 	full   []*viewCache
 	prefix [][]*viewCache
 
@@ -77,13 +79,9 @@ type Analyzer struct {
 	colors  []int32
 	nColors int32
 
-	// arena backs every view's SoA slices; build/fix are the reusable
-	// construction and fixed-point scratches (slab.go, below); pair
-	// caches one flow's prefix relations across all prefix lengths;
-	// multi is the fused all-prefix builder's working state (buildAll).
+	// arena backs every view's SoA slices; multi is the view builder's
+	// working state (buildViews) and fix the fixed-point scratch.
 	arena slabArena
-	build buildScratch
-	pair  pairScratch
 	multi multiScratch
 	fix   fixScratch
 
@@ -178,19 +176,6 @@ func (a *Analyzer) ensureTopo() *denseTopo {
 		a.topo = buildTopo(a.fs)
 	}
 	return a.topo
-}
-
-// ensurePair returns the pair-relation cache for flow i, rebuilding it
-// when it describes another flow or a stale topology. Views of one flow
-// are built back to back (the fixpoint slot list and the full-view
-// loops iterate per flow), so the one-flow granularity hits on every
-// prefix length after the first.
-func (a *Analyzer) ensurePair(i int) *pairScratch {
-	tp := a.ensureTopo()
-	if a.pair.tp != tp || a.pair.flow != i {
-		a.pair.build(a.fs, tp, i)
-	}
-	return &a.pair
 }
 
 // ensureColors returns the greedy coloring of the interference graph:
@@ -504,38 +489,19 @@ func (a *Analyzer) safeEval(vc *viewCache, flat []model.Time, sc *evalScratch) (
 // fullCache returns (building on first use) the cached context of flow
 // i's full-path view.
 func (a *Analyzer) fullCache(i int) (*viewCache, error) {
-	if a.full[i] == nil {
-		if a.opt.Tracer == nil {
-			a.buildAll(i)
-		}
+	if vc := a.full[i]; vc != nil {
+		return vc, nil
 	}
-	if a.full[i] == nil {
-		vc, err := a.buildView(i, len(a.fs.Flows[i].Path))
-		if err != nil {
-			return nil, err
-		}
-		a.full[i] = vc
-	}
-	return a.full[i], nil
+	return a.buildViews(i, len(a.fs.Flows[i].Path))
 }
 
 // prefixCache returns (building on first use) the cached context of the
 // view over flow i's path prefix of length k.
 func (a *Analyzer) prefixCache(i, k int) (*viewCache, error) {
-	if a.prefix[i] == nil {
-		a.prefix[i] = make([]*viewCache, len(a.fs.Flows[i].Path))
+	if row := a.prefix[i]; row != nil && row[k] != nil {
+		return row[k], nil
 	}
-	if a.prefix[i][k] == nil && a.opt.Tracer == nil {
-		a.buildAll(i)
-	}
-	if a.prefix[i][k] == nil {
-		vc, err := a.buildView(i, k)
-		if err != nil {
-			return nil, err
-		}
-		a.prefix[i][k] = vc
-	}
-	return a.prefix[i][k], nil
+	return a.buildViews(i, k)
 }
 
 // viewCache is the precomputed, Smax-independent context of one path
@@ -592,110 +558,20 @@ type viewCache struct {
 	sat bool
 }
 
-// buildView precomputes the cached context for flow i's view of length
-// plen, mirroring newBoundCtx term by term. The interferer loop runs on
-// the dense topology (no map lookups) and the M-term/slow-node scans
-// are maintained incrementally in the build scratch: the reference
-// recomputes M from scratch per interferer (O(plen·ni) each), while the
-// scratch keeps per-node same-direction minima/maxima and a lazy prefix
-// fold whose AddSat operand sequence is identical to the reference's at
-// every query point — so values, sticky flags and error surfaces stay
-// bit-identical at O(plen) per same-direction interferer.
-func (a *Analyzer) buildView(i, plen int) (*viewCache, error) {
-	fs := a.fs
-	f := fs.Flows[i]
-	path := f.Path[:plen]
-	cost := f.Cost[:plen]
-	vc := a.arena.newView()
-	vc.flow = i
-	vc.plen = plen
-	vc.period = f.Period
-	vc.jitter = f.Jitter
-	vc.clast = cost[plen-1]
-	vc.delta = a.opt.deltaForView(i, plen, &vc.sat)
-
-	sc := &a.build
-	sc.reset(a.nEntries, plen, cost)
-	lmin := fs.Net.Lmin
-	baseI := int32(a.entryBase[i])
-	ps := a.ensurePair(i)
-	stride := ps.stride
-	fullLen := stride - 1
-	// Pass 1: count the interferers, so the SoA arrays carve at exact
-	// size and the fill below writes directly (no staging copy).
-	ni := 0
-	for j := range fs.Flows {
-		if ps.p0[j] >= 0 && ps.jordPre[j*stride+plen] >= 0 {
-			ni++
-		}
-	}
-	ar := &a.arena
-	vc.jflow = arenaSlice(&ar.ints, ni)
-	vc.iEnt = arenaSlice(&ar.ints, ni)
-	vc.jEnt = arenaSlice(&ar.ints, ni)
-	vc.aConst = arenaSlice(&ar.times, ni)
-	vc.csj = arenaSlice(&ar.times, ni)
-	vc.iperiods = arenaSlice(&ar.times, ni)
-	vc.sameDir = arenaSlice(&ar.bools, ni)
-	x := 0
-	for j := range fs.Flows {
-		if ps.p0[j] < 0 {
-			continue
-		}
-		col := j*stride + plen
-		jord := ps.jordPre[col]
-		if jord < 0 {
-			continue
-		}
-		csj := ps.csjPre[col]
-		per := ps.perJ[j]
-		sd := ps.sdPre[col]
-		// M ranges over the same-direction interferers collected BEFORE
-		// j, so the query precedes the absorb below.
-		m := sc.mTermAt(lmin, int(ps.p0[j]), &vc.sat)
-		// A = (Jj − Smin_j(first_{j,i})) − M: the inner SubSat is the
-		// precomputed jmsPre column; OR-ing its rail flag into vc.sat is
-		// order-independent (sticky flag), so the value AND flag match
-		// computing both SubSats against vc.sat directly.
-		if ps.jmsSat[col] {
-			vc.sat = true
-		}
-		iEnt := baseI + ps.fjiIPre[col]
-		jEnt := int32(a.entryBase[j]) + ps.fijJ[j]
-		vc.jflow[x] = int32(j)
-		vc.iEnt[x] = iEnt
-		vc.jEnt[x] = jEnt
-		vc.aConst[x] = model.SubSat(ps.jmsPre[col], m, &vc.sat)
-		vc.csj[x] = csj
-		vc.iperiods[x] = per
-		vc.sameDir[x] = sd
-		x++
-		sc.addGroup(per, csj)
-		sc.addRead(iEnt)
-		sc.addRead(jEnt)
-		if sd {
-			sc.absorbSameDir(ps.costOn[j*fullLen:j*fullLen+fullLen], plen)
-		}
-	}
-	vc.readIDs = arenaSlice(&ar.ints, len(sc.reads))
-	copy(vc.readIDs, sc.reads)
-
-	if err := a.finishView(vc, path, cost, sc); err != nil {
-		return nil, err
-	}
-	return vc, nil
-}
-
-// finishView runs the interferer-independent tail of a view build:
-// the busy period, the slow-node selection, the fixed W term and the
-// quick-guard majorant constants — against whichever build state
-// accumulated the view's groups and extrema (the per-Analyzer scratch
-// for buildView, a per-plen state for buildAll).
+// finishView runs the interferer-independent tail of a view build
+// against the view's build state: the busy period (through
+// bslowFixpointGrouped over the state's (period, charge) groups —
+// value- and flag-equivalent to the reference's per-interferer
+// bslowFixpoint, so divergence and overflow verdicts match it exactly),
+// the slow-node selection, the fixed W term and the quick-guard
+// majorant constants.
 func (a *Analyzer) finishView(vc *viewCache, path model.Path, cost []model.Time, sc *buildScratch) error {
 	fs := a.fs
-	if err := vc.computeBslow(fs, a.opt, sc); err != nil {
+	b, err := bslowFixpointGrouped(fs.Flows[vc.flow].Name, a.opt, vc.period, vc.maxCost(fs), sc.gPer, sc.gChg, sc.gMul)
+	if err != nil {
 		return err
 	}
+	vc.bslow = b
 	a.finishSlow(vc, path, cost, sc)
 	vc.fixed = model.AddSat(
 		model.AddSat(
@@ -716,20 +592,6 @@ func (a *Analyzer) finishView(vc *viewCache, path model.Path, cost []model.Time,
 	return nil
 }
 
-// computeBslow solves the busy-period equation through
-// bslowFixpointGrouped (harden.go) over the build scratch's (period,
-// charge) groups — value- and flag-equivalent to the reference's
-// per-interferer bslowFixpoint, so divergence and overflow verdicts
-// match the reference path's exactly.
-func (vc *viewCache) computeBslow(fs *model.FlowSet, opt Options, sc *buildScratch) error {
-	b, err := bslowFixpointGrouped(fs.Flows[vc.flow].Name, opt, vc.period, vc.maxCost(fs), sc.gPer, sc.gChg, sc.gMul)
-	if err != nil {
-		return err
-	}
-	vc.bslow = b
-	return nil
-}
-
 // maxCost returns the view's maximal per-node cost (C^{slow_i}_i).
 func (vc *viewCache) maxCost(fs *model.FlowSet) model.Time {
 	cost := fs.Flows[vc.flow].Cost[:vc.plen]
@@ -742,46 +604,30 @@ func (vc *viewCache) maxCost(fs *model.FlowSet) model.Time {
 	return bc
 }
 
-// buildAll builds every missing view of flow i — all prefix lengths
-// and the full path — in ONE interferer sweep, filling the SoA arrays
-// directly. It exists purely for speed: buildView via the pair cache
-// recomputes (or stages and re-reads) the per-pair anchors once per
-// prefix length, while the fused sweep derives each pair's anchors
-// once and advances every view's build state in the same ascending-j
-// order a standalone build would use — so each produced view is
-// field-for-field identical to buildView's (the per-view sequences of
-// mTermAt/absorb/addGroup/addRead calls coincide).
+// buildViews builds every missing view of flow i — all prefix lengths
+// and the full path — in ONE interferer sweep, and returns the view of
+// length want (want == len(Path) is the full view) or that view's own
+// busy-period error. Each view is a term-by-term mirror of newBoundCtx:
+// the per-pair anchors (first-crossing positions, running charge
+// maxima, jitter-minus-Smin offsets) are derived once per pair, and
+// every view's build state advances in ascending-j order, so each
+// view's sequence of mTermAt/absorb/addGroup/read calls — hence its
+// values, sticky flags and error — is that of building it alone. The
+// M-term and slow-node scans are incremental (buildScratch): O(plen)
+// per same-direction interferer where the reference rescans in
+// O(plen·ni).
 //
-// Only called when no tracer is installed: a traced run must emit each
-// view's EvBslow event at the reference's lazy build point, not in an
-// all-at-once batch. A view whose busy period fails to converge is
-// left nil and NOT reported here — the lazy path rebuilds it at the
-// slot that would have built it first, rediscovering the identical
-// error in the reference's order (buildView is deterministic).
-//
-// Paths longer than 64 hops fall back to the lazy path (the read-set
-// dedup keeps one bit per prefix length).
-func (a *Analyzer) buildAll(i int) {
+// Building a flow's views together moves its bslow.fixpoint events to
+// the first request for any of them, in ascending view length. A view
+// whose busy period fails stays nil: the next request for it rebuilds
+// it and returns the identical error, at the slot the reference
+// evaluation order reaches first.
+func (a *Analyzer) buildViews(i, want int) (*viewCache, error) {
 	fs := a.fs
 	f := fs.Flows[i]
 	L := len(f.Path)
-	if L > 64 {
-		return
-	}
 	if a.prefix[i] == nil {
 		a.prefix[i] = make([]*viewCache, L)
-	}
-	var need uint64 // bit p-1: the plen-p view is missing
-	for p := 1; p < L; p++ {
-		if a.prefix[i][p] == nil {
-			need |= 1 << uint(p-1)
-		}
-	}
-	if a.full[i] == nil {
-		need |= 1 << uint(L-1)
-	}
-	if need == 0 {
-		return
 	}
 	tp := a.ensureTopo()
 	ms := &a.multi
@@ -793,9 +639,7 @@ func (a *Analyzer) buildAll(i int) {
 	// view's interferer count is a prefix sum.
 	ms.minKi = growN(ms.minKi, n)
 	ms.hist = growN(ms.hist, L)
-	for m := 0; m < L; m++ {
-		ms.hist[m] = 0
-	}
+	clear(ms.hist)
 	for j := 0; j < n; j++ {
 		if j == i {
 			ms.minKi[j] = -1
@@ -813,18 +657,20 @@ func (a *Analyzer) buildAll(i int) {
 		}
 	}
 
-	// Carve the needed views at exact size and open their build states.
+	// Carve the missing views at exact size and open their build
+	// states; top is the longest missing view.
 	ms.vcs = growN(ms.vcs, L)
 	ms.xs = growN(ms.xs, L)
 	ms.st = growN(ms.st, L)
 	ar := &a.arena
-	cum := 0
+	top, cum := 0, 0
 	for p := 1; p <= L; p++ {
 		cum += int(ms.hist[p-1])
-		if need&(1<<uint(p-1)) == 0 {
+		if (p == L && a.full[i] != nil) || (p < L && a.prefix[i][p] != nil) {
 			ms.vcs[p-1] = nil
 			continue
 		}
+		top = p
 		vc := ar.newView()
 		vc.flow = i
 		vc.plen = p
@@ -842,18 +688,15 @@ func (a *Analyzer) buildAll(i int) {
 		vc.sameDir = arenaSlice(&ar.bools, ni)
 		ms.vcs[p-1] = vc
 		ms.xs[p-1] = 0
-		ms.st[p-1].resetLite(p, f.Cost[:p])
+		ms.st[p-1].reset(p, f.Cost[:p])
 	}
-	if len(ms.mEpoch) < a.nEntries {
-		ms.mEpoch = make([]int32, a.nEntries)
-		ms.mBits = make([]uint64, a.nEntries)
-		ms.epoch = 0
-	}
-	ms.epoch++
+	ms.words = (L + 63) / 64
+	ms.seen = growN(ms.seen, L*ms.words)
+	clear(ms.seen)
 
 	// Pass 2: one bucket computation per pair, then an ascending-plen
 	// combine that maintains the prefix anchors incrementally and fills
-	// each needed view's next SoA slot.
+	// each missing view's next SoA slot.
 	lmin := fs.Net.Lmin
 	baseI := int32(a.entryBase[i])
 	ms.idxAt = growN(ms.idxAt, L)
@@ -861,7 +704,7 @@ func (a *Analyzer) buildAll(i int) {
 	ms.crow = growN(ms.crow, L)
 	for j := 0; j < n; j++ {
 		mk := ms.minKi[j]
-		if mk < 0 || need>>uint(mk) == 0 {
+		if mk < 0 || int(mk) >= top {
 			continue
 		}
 		fj := fs.Flows[j]
@@ -881,10 +724,11 @@ func (a *Analyzer) buildAll(i int) {
 			if c := costJ[k]; c > maxAt[ki] {
 				maxAt[ki] = c
 			}
-			crow[ki] = costJ[k] // last occurrence wins, like costOnView
+			crow[ki] = costJ[k] // last occurrence wins: C_j at Pi[ki]
 		}
-		// first_{i,j}: first node of Pi present on Pj (plen-independent
-		// once the prefix intersects — see pairScratch.build).
+		// first_{i,j}: the first node of Pi (in i order) on Pj. It is
+		// the same for every view the pair meets in: whenever a shared
+		// node lies inside the prefix, the first one does too.
 		posJ := tp.pos[j]
 		var p0, fij int32 = -1, -1
 		for m, d := range dpi {
@@ -896,10 +740,15 @@ func (a *Analyzer) buildAll(i int) {
 		dP0 := dpi[p0]
 		jEntJ := int32(a.entryBase[j]) + fij
 		per := fj.Period
+		// Prefix combine: bucket p−1 activates at plen=p. jord is the
+		// minimum j-order among active buckets (first_{j,i} on Pj), fji
+		// its position on Pi, cs the running maximum charge
+		// C^{slow_{j,i}}_j and jms = Jj − Smin_j(first_{j,i}), with its
+		// rail flag.
 		jord, fji := int32(-1), int32(-1)
 		var cs, jms model.Time
 		sd, jmsF := false, false
-		for p := int(mk) + 1; p <= L; p++ {
+		for p := int(mk) + 1; p <= top; p++ {
 			if k := idxAt[p-1]; k >= 0 {
 				if jord < 0 || k < jord {
 					jord, fji = k, int32(p-1)
@@ -911,13 +760,15 @@ func (a *Analyzer) buildAll(i int) {
 					cs = maxAt[p-1]
 				}
 			}
-			if need&(1<<uint(p-1)) == 0 {
+			vc := ms.vcs[p-1]
+			if vc == nil {
 				continue
 			}
-			vc := ms.vcs[p-1]
 			st := &ms.st[p-1]
-			// Identical per-view call order to buildView: M query before
-			// the same-direction absorb, reads in (iEnt, jEnt) order.
+			// M ranges over the same-direction interferers collected
+			// BEFORE j, so the query precedes the absorb below. OR-ing
+			// jms's rail flag into the sticky vc.sat equals computing
+			// that SubSat against vc.sat directly.
 			m := st.mTermAt(lmin, int(p0), &vc.sat)
 			if jmsF {
 				vc.sat = true
@@ -933,33 +784,42 @@ func (a *Analyzer) buildAll(i int) {
 			vc.sameDir[x] = sd
 			ms.xs[p-1] = x + 1
 			st.addGroup(per, cs)
-			ms.addRead(p, st, iEnt)
-			ms.addRead(p, st, jEntJ)
+			ms.addReads(st, p, fji, iEnt, jEntJ)
 			if sd {
 				st.absorbSameDir(crow, p)
 			}
 		}
 	}
 
-	for p := 1; p <= L; p++ {
-		if need&(1<<uint(p-1)) == 0 {
+	var err error
+	for p := 1; p <= top; p++ {
+		vc := ms.vcs[p-1]
+		if vc == nil {
 			continue
 		}
-		vc := ms.vcs[p-1]
+		ms.vcs[p-1] = nil
 		st := &ms.st[p-1]
 		vc.readIDs = arenaSlice(&ar.ints, len(st.reads))
 		copy(vc.readIDs, st.reads)
-		if err := a.finishView(vc, f.Path[:p], f.Cost[:p], st); err != nil {
-			ms.vcs[p-1] = nil
-			continue // left nil; the lazy path rediscovers the error
+		if ferr := a.finishView(vc, f.Path[:p], f.Cost[:p], st); ferr != nil {
+			if p == want {
+				err = ferr
+			}
+			continue
 		}
 		if p == L {
 			a.full[i] = vc
 		} else {
 			a.prefix[i][p] = vc
 		}
-		ms.vcs[p-1] = nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	if want == L {
+		return a.full[i], nil
+	}
+	return a.prefix[i][want], nil
 }
 
 // finishSlow mirrors boundCtx.chooseSlow over the build scratch's

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trajan/internal/model"
+	"trajan/internal/obs"
 	"trajan/internal/workload"
 )
 
@@ -130,13 +131,90 @@ func TestEngineAnalyzeFlowMatchesReference(t *testing.T) {
 	}
 }
 
+// longTandem builds four flows over a line of hops nodes: two
+// same-direction full-length flows, one reversed, and one jittered
+// flow over the second half — paths past the 64-hop word of the view
+// builder's read-set dedup.
+func longTandem(t *testing.T, hops int) *model.FlowSet {
+	t.Helper()
+	line := func(from, to int) []model.NodeID {
+		var p []model.NodeID
+		for h := from; ; {
+			p = append(p, model.NodeID(h))
+			if h == to {
+				return p
+			}
+			if from < to {
+				h++
+			} else {
+				h--
+			}
+		}
+	}
+	fs, err := model.NewFlowSet(model.UnitDelayNetwork(), []*model.Flow{
+		model.UniformFlow("full-a", 40, 0, 0, 2, line(1, hops)...),
+		model.UniformFlow("full-b", 50, 0, 0, 3, line(1, hops)...),
+		model.UniformFlow("reverse", 60, 0, 0, 1, line(hops, 1)...),
+		model.UniformFlow("half", 45, 4, 0, 2, line(hops/2, hops)...),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestEngineMatchesReferenceLongPaths extends the differential past 64
+// hops, where the view builder's per-view read dedup spans several
+// words, under every Smax estimator. The global tail starts from the
+// prefix fixpoint's bounds: its default holistic seed diverges on
+// paths this long.
+func TestEngineMatchesReferenceLongPaths(t *testing.T) {
+	for _, hops := range []int{70, 130} {
+		fs := longTandem(t, hops)
+		var seed []model.Time
+		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail, SmaxNoQueue} {
+			opt := Options{Smax: mode}
+			if mode == SmaxGlobalTail {
+				opt.SeedBounds = seed
+			}
+			want, wantErr := referenceAnalyze(fs, opt)
+			got, gotErr := Analyze(fs, opt)
+			if wantErr != nil || gotErr != nil {
+				t.Fatalf("%d hops mode %v: reference err %v, engine err %v", hops, mode, wantErr, gotErr)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%d hops mode %v: engine Result diverges from the reference\nreference bounds %v\nengine bounds    %v",
+					hops, mode, want.Bounds, got.Bounds)
+			}
+			if mode == SmaxPrefixFixpoint {
+				seed = got.Bounds
+			}
+		}
+	}
+}
+
 // TestEngineErrorParity: failure modes must surface identically —
 // overload divergence, unknown mode, malformed seeds and malformed
 // non-preemption vectors.
+//
+// In the later-view sets the overload sits at node 3, which only the
+// longer views of "a" reach: the first request builds all of a's
+// views and the failing ones stay unbuilt. In "later" the error must
+// come back when the evaluation order reaches a's first failing prefix
+// view; in "fullOnly" only a's full view fails, so the prefix fixed
+// point must report b's error, not a's.
 func TestEngineErrorParity(t *testing.T) {
 	over := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{
 		model.UniformFlow("f1", 5, 0, 0, 3, 1, 2),
 		model.UniformFlow("f2", 5, 0, 0, 3, 1, 2),
+	})
+	later := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{
+		model.UniformFlow("a", 10, 0, 0, 2, 1, 2, 3, 4),
+		model.UniformFlow("b", 10, 0, 0, 9, 3, 5),
+	})
+	fullOnly := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{
+		model.UniformFlow("a", 10, 0, 0, 2, 1, 2, 3),
+		model.UniformFlow("b", 10, 0, 0, 9, 3, 5),
 	})
 	ok := model.PaperExample()
 	cases := []struct {
@@ -147,6 +225,12 @@ func TestEngineErrorParity(t *testing.T) {
 		{"overload prefix", over, Options{Smax: SmaxPrefixFixpoint}},
 		{"overload global", over, Options{Smax: SmaxGlobalTail}},
 		{"overload noqueue", over, Options{Smax: SmaxNoQueue}},
+		{"later view prefix", later, Options{Smax: SmaxPrefixFixpoint}},
+		{"later view global", later, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{100, 100}}},
+		{"later view noqueue", later, Options{Smax: SmaxNoQueue}},
+		{"later view traced", later, Options{Tracer: &obs.Collector{}}},
+		{"full view only prefix", fullOnly, Options{Smax: SmaxPrefixFixpoint}},
+		{"full view only noqueue", fullOnly, Options{Smax: SmaxNoQueue}},
 		{"unknown mode", ok, Options{Smax: SmaxMode(99)}},
 		{"bad seed length", ok, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{1}}},
 		{"bad nonpreemption shape", ok, Options{NonPreemption: make([][]model.Time, 1)}},

@@ -146,7 +146,12 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 // the entry bases and every built view object; the cache arrays
 // themselves are copied so the child's lazy fills and remaps never
 // write into base-owned (and sibling-shared) memory. Children run
-// serially inside themselves — parallelism lives across candidates.
+// serially inside themselves — parallelism lives across candidates —
+// and untraced: a hypothetical set is not the committed one, so its
+// Smax runs, mutations and flow bounds must not reach the base's
+// tracer (a metrics registry would record the candidate's bounds as
+// the resident flows'). The batch reports itself through the
+// whatif.batch and whatif.candidate events the base emits.
 func (a *Analyzer) fork() *Analyzer {
 	f := &Analyzer{
 		fs:        a.fs,
@@ -171,6 +176,7 @@ func (a *Analyzer) fork() *Analyzer {
 		pendingDirty: a.pendingDirty,
 	}
 	f.opt.Parallelism = 1
+	f.opt.Tracer = nil
 	f.full = append([]*viewCache(nil), a.full...)
 	f.prefix = make([][]*viewCache, len(a.prefix))
 	for i, row := range a.prefix {
