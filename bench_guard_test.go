@@ -448,40 +448,93 @@ func TestBenchGuardSimAllocs(t *testing.T) {
 // TestBenchGuardSimSpeedup encodes the PR's acceptance criterion
 // directly: the calendar-queue engine must stay well ahead of the
 // reference heap engine on the same workload. Both engines run the
-// 1e5-tier workload in this process, so host speed cancels; the floor
-// is 5x against a measured 11.9x, loose enough for a noisy shared
-// runner but far below what losing the wheel, the dense tables, or the
-// pools would leave.
+// 1e5-tier workload in this process, so host speed cancels; a sample
+// is the ratio of two reference runs to two calendar runs, interleaved,
+// and the guard takes the median of seven. The floor is 5x against a
+// measured 11.9x, loose enough for a noisy shared runner but far below
+// what losing the wheel, the dense tables, or the pools would leave.
 func TestBenchGuardSimSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")
 	}
 	fs := simGuardSet(t)
 	const perFlow = 100_000 / 560
-	fast := testing.Benchmark(func(b *testing.B) {
-		eng := sim.NewEngine(fs, sim.Config{})
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunSource(b.Context(), sim.NewSporadicSource(fs, 1, perFlow, 40, 1)); err != nil {
-				b.Fatal(err)
-			}
+	eng := sim.NewEngine(fs, sim.Config{})
+	// The reference engine only takes materialized scenarios.
+	sc := sim.RandomScenario(fs, rand.New(rand.NewSource(1)), perFlow, 40, 1, 1)
+	fast := func() time.Duration {
+		start := time.Now()
+		if _, err := eng.RunSource(t.Context(), sim.NewSporadicSource(fs, 1, perFlow, 40, 1)); err != nil {
+			t.Fatal(err)
 		}
-	})
-	ref := testing.Benchmark(func(b *testing.B) {
-		// The reference engine only takes materialized scenarios.
-		sc := sim.RandomScenario(fs, rand.New(rand.NewSource(1)), perFlow, 40, 1, 1)
-		eng := sim.NewEngine(fs, sim.Config{})
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunReference(b.Context(), sc); err != nil {
-				b.Fatal(err)
-			}
+		return time.Since(start)
+	}
+	ref := func() time.Duration {
+		start := time.Now()
+		if _, err := eng.RunReference(t.Context(), sc); err != nil {
+			t.Fatal(err)
 		}
-	})
-	speedup := float64(ref.NsPerOp()) / float64(fast.NsPerOp())
-	if speedup < 5 {
-		t.Errorf("calendar engine only %.1fx faster than the reference (want >= 5x): fast %d ns/op, ref %d ns/op",
-			speedup, fast.NsPerOp(), ref.NsPerOp())
+		return time.Since(start)
+	}
+	fast() // warm-up
+	ref()
+	ratios := make([]float64, 7)
+	for s := range ratios {
+		var f, r time.Duration
+		for k := 0; k < 2; k++ {
+			f += fast()
+			r += ref()
+		}
+		ratios[s] = float64(r) / float64(f)
+	}
+	med, mad := medianMAD(ratios)
+	if med < 5 {
+		t.Errorf("calendar engine only %.1fx faster than the reference (median of %d, MAD %.2f, samples %.1f), want >= 5x",
+			med, len(ratios), mad, ratios)
 	} else {
-		t.Logf("calendar engine %.1fx faster than the reference (fast %d ns/op, ref %d ns/op)",
-			speedup, fast.NsPerOp(), ref.NsPerOp())
+		t.Logf("calendar engine %.1fx faster than the reference (MAD %.2f)", med, mad)
+	}
+}
+
+// TestBenchGuardSimComponentScaling bounds the cost of simulating
+// disjoint components as shards: the six-pod set of
+// TestBenchGuardComponentScaling, simulated whole, against the same
+// six pods simulated alone, at GOMAXPROCS 1 so the shards run in turn
+// and the machine's core count cancels. A sample sums two runs of each
+// and the guard takes the median of seven. Per-shard set-up or shared
+// state that grew with the shard count pushes the ratio up; the
+// ceiling is 1.5.
+func TestBenchGuardSimComponentScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark guard skipped in -short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	all, pods := podSets(t, 6, 1)
+	timed := func(fs *model.FlowSet) time.Duration {
+		eng := sim.NewEngine(fs, sim.Config{})
+		start := time.Now()
+		if _, err := eng.RunSource(t.Context(), sim.NewSporadicSource(fs, 1, 100, 10, 1)); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	timed(all) // warm-up
+	ratios := make([]float64, 7)
+	for s := range ratios {
+		var whole, parts time.Duration
+		for r := 0; r < 2; r++ {
+			whole += timed(all)
+			for _, p := range pods {
+				parts += timed(p)
+			}
+		}
+		ratios[s] = float64(whole) / float64(parts)
+	}
+	med, mad := medianMAD(ratios)
+	if med > 1.5 {
+		t.Errorf("simulating six pods costs %.2fx the pods alone (median of %d, MAD %.2f, samples %.2f), want <= 1.5",
+			med, len(ratios), mad, ratios)
+	} else {
+		t.Logf("simulating six pods costs %.2fx the pods alone (MAD %.2f)", med, mad)
 	}
 }

@@ -1,11 +1,15 @@
 package diffserv
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"trajan/internal/model"
 	"trajan/internal/sim"
+	"trajan/internal/workload"
 )
 
 func drain(src sim.ScenarioSource, flow int) []sim.PacketSpec {
@@ -161,4 +165,93 @@ func materialize(tb testing.TB, fs *model.FlowSet, src sim.ScenarioSource) *sim.
 		}
 	}
 	return sc
+}
+
+// podFlowSet builds pods disjoint Clos pods of mixed-class flows, their
+// flows interleaved round-robin, so the simulator runs one shard per
+// pod.
+func podFlowSet(tb testing.TB, pods int) *model.FlowSet {
+	tb.Helper()
+	topo, err := workload.ClosTopology(2, 4, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(pods)))
+	var flows []*model.Flow
+	for k := 0; k < 8; k++ {
+		for p := 0; p < pods; p++ {
+			sl := rng.Intn(4)
+			path, err := topo.Route(workload.ClosHost(sl, rng.Intn(2)), workload.ClosHost((sl+1+rng.Intn(3))%4, rng.Intn(2)))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for i := range path {
+				path[i] += model.NodeID(10000 * (p + 1))
+			}
+			f := model.UniformFlow(fmt.Sprintf("p%d.f%d", p, k), model.Time(40+rng.Intn(41)), 3, 0, model.Time(1+rng.Intn(4)), path...)
+			f.Class = model.Class(rng.Intn(3))
+			flows = append(flows, f)
+		}
+	}
+	fs := model.MustNewFlowSet(model.Network{Lmin: 1, Lmax: 3}, model.EnforceAssumption1(flows))
+	if _, nc := fs.Components(); nc != pods {
+		tb.Fatalf("%d pods make %d components", pods, nc)
+	}
+	return fs
+}
+
+// TestShardedConditionedSources: with DiffServ router schedulers, a
+// run over one shard per pod matches one event loop over the whole set
+// (RecordServices keeps a run in one shard) for shaped and policed
+// bursty traffic, and the reference engine for sporadic traffic, at
+// GOMAXPROCS 1 and 8.
+func TestShardedConditionedSources(t *testing.T) {
+	sources := []struct {
+		name string
+		src  func(fs *model.FlowSet) sim.ScenarioSource
+	}{
+		{"sporadic", func(fs *model.FlowSet) sim.ScenarioSource { return sim.NewSporadicSource(fs, 2, 40, 6, 1) }},
+		{"shaped", func(fs *model.FlowSet) sim.ScenarioSource {
+			return ShapedSource(fs, sim.NewBurstySource(fs, 3, 40, 5),
+				func(int) *TokenBucket { return &TokenBucket{Rate: 1, RatePeriod: 30, Burst: 2} })
+		}},
+		{"policed", func(fs *model.FlowSet) sim.ScenarioSource {
+			return PolicedSource(fs, sim.NewBurstySource(fs, 4, 40, 5),
+				func(int) *TRTCM { return &TRTCM{CIR: 1, CIRPeriod: 30, CBS: 2, PIR: 2, PIRPeriod: 30, PBS: 4} })
+		}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, pods := range []int{3, 6} {
+			fs := podFlowSet(t, pods)
+			for _, s := range sources {
+				cfg := sim.Config{NewScheduler: Factory(DefaultWeights()), RetainPackets: true}
+				got, err := sim.NewEngine(fs, cfg).RunSource(t.Context(), s.src(fs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole := cfg
+				whole.RecordServices = true
+				want, err := sim.NewEngine(fs, whole).RunSource(t.Context(), s.src(fs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Services = nil
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("procs %d, %d pods, %s: sharded run differs from one event loop", procs, pods, s.name)
+				}
+				if s.name != "sporadic" {
+					continue
+				}
+				ref, err := sim.NewEngine(fs, cfg).RunReference(t.Context(), materialize(t, fs, s.src(fs)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ref, got) {
+					t.Errorf("procs %d, %d pods: sharded run differs from the reference engine", procs, pods)
+				}
+			}
+		}
+	}
 }

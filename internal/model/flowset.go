@@ -39,6 +39,12 @@ type FlowSet struct {
 	nodeFlows []int
 	nodeUtil  []float64
 	nodeOnce  sync.Once
+
+	// comp labels each flow with its interference component
+	// (Components), built lazily from the node index.
+	comp     []int32
+	ncomp    int
+	compOnce sync.Once
 }
 
 // derivedRow computes one flow's node index and Smin prefix row.
@@ -303,6 +309,59 @@ func (fs *FlowSet) FlowsAt(h NodeID) []int {
 	}
 	lo, hi := fs.nodeOff[s], fs.nodeOff[s+1]
 	return fs.nodeFlows[lo:hi:hi]
+}
+
+// Components labels each flow with its interference component: the
+// classes of the transitive "shares a node" relation. Flows of
+// different components never meet at a node, so every analysis and
+// the simulator may treat each component as an independent flow set.
+// Components are numbered in order of their smallest flow index; n is
+// their count. The labelling is built on first use, is safe for
+// concurrent callers, and comp is shared by all of them: it must not
+// be modified.
+func (fs *FlowSet) Components() (comp []int32, n int) {
+	fs.compOnce.Do(func() { fs.comp, fs.ncomp = fs.labelComponents() })
+	return fs.comp[:len(fs.comp):len(fs.comp)], fs.ncomp
+}
+
+// labelComponents runs union-find over the node index.
+func (fs *FlowSet) labelComponents() (comp []int32, n int) {
+	parent := make([]int32, fs.N())
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	fs.ensureNodes()
+	for s := range fs.nodes {
+		at := fs.nodeFlows[fs.nodeOff[s]:fs.nodeOff[s+1]]
+		r := find(int32(at[0]))
+		for _, j := range at[1:] {
+			// The smaller root wins, so a root is its class's smallest
+			// flow index.
+			switch rj := find(int32(j)); {
+			case rj < r:
+				parent[r], r = rj, rj
+			case rj > r:
+				parent[rj] = r
+			}
+		}
+	}
+	comp = make([]int32, len(parent))
+	for i := range parent {
+		if r := find(int32(i)); r == int32(i) {
+			comp[i] = int32(n)
+			n++
+		} else {
+			comp[i] = comp[r]
+		}
+	}
+	return comp, n
 }
 
 // Smin returns Smin^h_i: the minimum time for a packet of flow i to go

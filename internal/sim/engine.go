@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"sort"
 
 	"trajan/internal/model"
 )
@@ -41,12 +42,16 @@ type Scheduler interface {
 // Config parameterizes a simulation run.
 type Config struct {
 	// NewScheduler builds the scheduler of each node; nil selects the
-	// paper's plain FIFO discipline everywhere. RunReplications calls
-	// the factory from several goroutines, so it must be safe for
-	// concurrent use (stateless factories are).
+	// paper's plain FIFO discipline everywhere. RunReplications, and a
+	// run over several interference components, call the factory from
+	// several goroutines, so it must be safe for concurrent use
+	// (stateless factories are).
 	NewScheduler func(node model.NodeID) Scheduler
 	// RecordServices keeps the per-node service log needed to
 	// reconstruct busy periods (Figure 2); costs memory on long runs.
+	// The log is in global event order, so an engine that records it
+	// simulates the whole set as one shard, on one goroutine, even when
+	// the set splits into several interference components.
 	RecordServices bool
 	// RetainPackets keeps every delivered packet with its full
 	// itinerary in Result.Packets (sorted by flow, then sequence).
@@ -64,9 +69,10 @@ type Config struct {
 	// unlimited).
 	BufferFor func(node model.NodeID) int
 	// MaxEvents caps the number of simulation events processed in one
-	// run (0 = unlimited). Exceeding the budget aborts the run with
-	// model.ErrCanceled — a defence against pathological scenarios whose
-	// event cascade would otherwise run unboundedly long.
+	// run (0 = unlimited), counted across all of the run's shards.
+	// Exceeding the budget aborts the run with model.ErrCanceled — a
+	// defence against pathological scenarios whose event cascade would
+	// otherwise run unboundedly long.
 	MaxEvents int
 }
 
@@ -168,41 +174,56 @@ type Engine struct {
 	fs  *model.FlowSet
 	cfg Config
 
-	// Dense topology, built once: node identifiers mapped to compact
-	// indices, per-flow paths and directed links pre-resolved so the
-	// hot loop never touches a map.
-	nodeIDs []model.NodeID
-	nodeIdx map[model.NodeID]int32
-	pathIdx [][]int32 // flow -> hop -> dense node index
-	linkIdx [][]int32 // flow -> hop -> dense directed-link index
-	nlinks  int
-	limits  []int // per dense node: buffer capacity (0 = unlimited)
+	// Dense topology, built once: one shard per interference component
+	// of the flow set (or one for the whole set, see NewEngine), each
+	// with compact node and directed-link indices local to it, so the
+	// hot loop never touches a map and shards share no mutable state.
+	shards  []shard
+	pathIdx [][]int32 // flow -> hop -> node index local to the flow's shard
+	linkIdx [][]int32 // flow -> hop -> directed-link index local to the flow's shard
+	// nnodes and nlinks count nodes and links over all shards: the
+	// sizes of a run's flat per-node and per-link tables.
+	nnodes, nlinks int
 	// horizon bounds how far ahead of the current tick any dynamically
 	// scheduled event can land: max over per-hop costs and Lmax. It
 	// sizes the calendar queue.
 	horizon model.Time
 }
 
-// NewEngine builds a simulation engine for the flow set.
+// shard is one independently simulated part of the flow set. A run
+// keeps each per-flow, per-node and per-link table in one flat slice;
+// the shard's part starts at flowLo, nodeLo and linkLo.
+type shard struct {
+	flows   []int32        // global flow indices, ascending
+	nodeIDs []model.NodeID // local node index -> identifier
+	limits  []int          // per local node: buffer capacity (0 = unlimited)
+	nlinks  int
+	hops    int // packet-hops per round, the work estimate shards are claimed by
+
+	flowLo, nodeLo, linkLo int
+}
+
+// NewEngine builds a simulation engine for the flow set. Flows that
+// share no node, directly or through other flows, never meet, so the
+// engine splits the set into its interference components
+// (model.FlowSet.Components) and simulates each as its own shard; a
+// run over several shards spreads them across GOMAXPROCS workers. The
+// result is bit-identical to simulating the whole set in one event
+// loop: a component's event order is the global order restricted to
+// it (see fast.go).
 func NewEngine(fs *model.FlowSet, cfg Config) *Engine {
 	if cfg.NewScheduler == nil {
 		cfg.NewScheduler = func(model.NodeID) Scheduler { return NewFIFOScheduler() }
 	}
 	e := &Engine{fs: fs, cfg: cfg}
-	e.nodeIDs = fs.Nodes()
-	e.nodeIdx = make(map[model.NodeID]int32, len(e.nodeIDs))
-	for i, id := range e.nodeIDs {
-		e.nodeIdx[id] = int32(i)
+	comp, nc := fs.Components()
+	if cfg.RecordServices {
+		// The service log is in global event order.
+		nc = 1
 	}
-	e.limits = make([]int, len(e.nodeIDs))
-	for i, id := range e.nodeIDs {
-		if cfg.BufferFor != nil {
-			e.limits[i] = cfg.BufferFor(id)
-		} else {
-			e.limits[i] = cfg.Buffer
-		}
-	}
-	links := make(map[[2]int32]int32)
+	e.shards = make([]shard, nc)
+	local := make(map[model.NodeID]int32, len(fs.Nodes()))
+	links := make(map[[2]model.NodeID]int32)
 	e.pathIdx = make([][]int32, fs.N())
 	e.linkIdx = make([][]int32, fs.N())
 	e.horizon = fs.Net.Lmax
@@ -210,16 +231,34 @@ func NewEngine(fs *model.FlowSet, cfg Config) *Engine {
 		e.horizon = 1
 	}
 	for i, f := range fs.Flows {
+		sd := &e.shards[0]
+		if nc > 1 {
+			sd = &e.shards[comp[i]]
+		}
+		sd.flows = append(sd.flows, int32(i))
+		sd.hops += len(f.Path)
 		path := make([]int32, len(f.Path))
 		for s, h := range f.Path {
-			path[s] = e.nodeIdx[h]
+			ni, ok := local[h]
+			if !ok {
+				ni = int32(len(sd.nodeIDs))
+				local[h] = ni
+				sd.nodeIDs = append(sd.nodeIDs, h)
+				limit := cfg.Buffer
+				if cfg.BufferFor != nil {
+					limit = cfg.BufferFor(h)
+				}
+				sd.limits = append(sd.limits, limit)
+			}
+			path[s] = ni
 		}
 		lidx := make([]int32, 0, len(f.Path)-1)
 		for s := 0; s+1 < len(f.Path); s++ {
-			key := [2]int32{path[s], path[s+1]}
+			key := [2]model.NodeID{f.Path[s], f.Path[s+1]}
 			li, ok := links[key]
 			if !ok {
-				li = int32(len(links))
+				li = int32(sd.nlinks)
+				sd.nlinks++
 				links[key] = li
 			}
 			lidx = append(lidx, li)
@@ -232,7 +271,18 @@ func NewEngine(fs *model.FlowSet, cfg Config) *Engine {
 			}
 		}
 	}
-	e.nlinks = len(links)
+	e.nnodes = len(local)
+	// Workers claim the largest shards first.
+	sort.SliceStable(e.shards, func(a, b int) bool { return e.shards[a].hops > e.shards[b].hops })
+	var flowLo, nodeLo, linkLo int
+	for s := range e.shards {
+		sd := &e.shards[s]
+		sd.flowLo, sd.nodeLo, sd.linkLo = flowLo, nodeLo, linkLo
+		flowLo += len(sd.flows)
+		nodeLo += len(sd.nodeIDs)
+		linkLo += sd.nlinks
+	}
+	e.nlinks = linkLo
 	return e
 }
 
@@ -257,7 +307,10 @@ func (e *Engine) RunContext(ctx context.Context, sc *Scenario) (*Result, error) 
 // packet source. Unlike Run, the engine cannot validate a stream
 // upfront; sources must respect the contract documented on
 // ScenarioSource (out-of-range per-hop samples abort the run with an
-// error rather than corrupting the calendar).
+// error rather than corrupting the calendar). Each interference
+// component runs as its own shard, on min(GOMAXPROCS, shards) workers
+// (see NewEngine), so the source's Next may be called concurrently for
+// flows of different components.
 func (e *Engine) RunSource(ctx context.Context, src ScenarioSource) (*Result, error) {
 	if src.Flows() != e.fs.N() {
 		return nil, model.Errorf(model.ErrInvalidConfig,

@@ -62,6 +62,7 @@ type nodeState struct {
 	work    model.Time
 	maxPkts int
 	maxWork model.Time
+	stamp   uint64 // tick of the node's last touch
 }
 
 type linkKey struct{ from, to model.NodeID }
@@ -143,15 +144,13 @@ func (e *Engine) RunReference(ctx context.Context, sc *Scenario) (*Result, error
 	// at one tick take effect before any service decision at that tick,
 	// so a node chooses among every packet present — in particular the
 	// scheduler's tie-break between simultaneous arrivals is honoured.
-	// The per-tick dedupe is a generation-stamped dense slice: touching
+	// The per-tick dedupe is a generation stamp on each node: touching
 	// a node compares one stamp instead of scanning the touched list.
 	touched := make([]model.NodeID, 0, len(nodes))
-	touchStamp := make([]uint64, len(e.nodeIDs))
 	var tick uint64
-	touch := func(n model.NodeID) {
-		i := e.nodeIdx[n]
-		if touchStamp[i] != tick {
-			touchStamp[i] = tick
+	touch := func(n model.NodeID, ns *nodeState) {
+		if ns.stamp != tick {
+			ns.stamp = tick
 			touched = append(touched, n)
 		}
 	}
@@ -175,7 +174,7 @@ func (e *Engine) RunReference(ctx context.Context, sc *Scenario) (*Result, error
 			if !ok {
 				return nil, model.Errorf(model.ErrInternal, "sim: event for unknown node %d", ev.node)
 			}
-			touch(ev.node)
+			touch(ev.node, ns)
 			switch ev.kind {
 			case evArrival:
 				ev.q.P.Hops[ev.q.HopIndex].Arrived = ev.q.Arrived

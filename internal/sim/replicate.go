@@ -28,6 +28,11 @@ type Replicated struct {
 // for any worker count: replication r's result depends only on
 // source(r), and merging happens serially in replication order.
 // workers ≤ 0 selects GOMAXPROCS.
+//
+// Errors are deterministic too: the batch reports the lowest-indexed
+// replication that fails. A failure at r stops the claiming of
+// replications above r and cancels those running, while the ones below
+// r run to completion, since one of them may fail as well.
 func (e *Engine) RunReplications(ctx context.Context, n, workers int, source func(rep int) ScenarioSource) (*Replicated, error) {
 	if n <= 0 {
 		return nil, model.Errorf(model.ErrInvalidConfig, "sim: replication count %d not positive", n)
@@ -38,33 +43,56 @@ func (e *Engine) RunReplications(ctx context.Context, n, workers int, source fun
 	if workers > n {
 		workers = n
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	reps := make([]*Result, n)
-	var next int64 = -1
-	var firstErr error
-	var errOnce sync.Once
-	var wg sync.WaitGroup
+	cancels := make([]context.CancelFunc, n)
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		failed   = n // lowest failing replication so far
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	// claim hands out the next replication below the lowest failure,
+	// with a context its own failure can cancel.
+	claim := func() (int, context.Context) {
+		r := int(next.Add(1)) - 1
+		mu.Lock()
+		defer mu.Unlock()
+		if r >= failed {
+			return -1, nil
+		}
+		rctx, cancel := context.WithCancel(ctx)
+		cancels[r] = cancel
+		return r, rctx
+	}
+	finish := func(r int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		cancels[r]()
+		cancels[r] = nil
+		if err == nil || r >= failed {
+			return
+		}
+		failed, firstErr = r, fmt.Errorf("sim: replication %d: %w", r, err)
+		for k := r + 1; k < n; k++ {
+			if cancels[k] != nil {
+				cancels[k]()
+			}
+		}
+	}
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				r := int(atomic.AddInt64(&next, 1))
-				if r >= n || cctx.Err() != nil {
+				r, rctx := claim()
+				if r < 0 {
 					return
 				}
-				src := source(r)
-				res, err := e.RunSource(cctx, src)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("sim: replication %d: %w", r, err)
-						cancel()
-					})
-					return
-				}
+				res, err := e.RunSource(rctx, source(r))
 				reps[r] = res
+				finish(r, err)
 			}
 		}()
 	}

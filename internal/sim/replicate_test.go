@@ -84,6 +84,34 @@ func TestReplicationErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestReplicationLowestErrorWins: when several replications fail, the
+// batch names the lowest-indexed one, however the workers interleave.
+// Replication 6 fails at once (wrong flow count); replication 1 runs a
+// long stream before it breaks the source contract, so it fails last
+// in wall-clock time and must not be canceled by replication 6.
+func TestReplicationLowestErrorWins(t *testing.T) {
+	fs := bigParkingLot(t, 12)
+	eng := NewEngine(fs, Config{})
+	for round := 0; round < 3; round++ {
+		_, err := eng.RunReplications(t.Context(), 8, 8, func(rep int) ScenarioSource {
+			switch rep {
+			case 1:
+				return periodicSource(fs, 200, func(f, k int, s *PacketSpec) {
+					if f == 0 && k == 199 {
+						s.Released = -1
+					}
+				})
+			case 6:
+				return &fakeSource{nflows: 1, specs: make([][]PacketSpec, 1), pos: make([]int, 1)}
+			}
+			return NewSporadicSource(fs, int64(rep), 50, 5, 1)
+		})
+		if err == nil || !strings.Contains(err.Error(), "replication 1:") {
+			t.Fatalf("round %d: got error %v, want one naming replication 1", round, err)
+		}
+	}
+}
+
 // TestReplicationConfigErrors: invalid batch parameters are rejected.
 func TestReplicationConfigErrors(t *testing.T) {
 	fs := singleHopFlowSet(t, 1)

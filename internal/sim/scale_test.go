@@ -180,3 +180,29 @@ func BenchmarkReplications(b *testing.B) {
 	b.ReportMetric(float64(hops*b.N)/b.Elapsed().Seconds(), "hops/s")
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 }
+
+// BenchmarkEngineComponents is the simulator side of the
+// component-count sweep: pods disjoint Clos pods of 30 flows, 100
+// sporadic packets per flow, so the work grows linearly with the pod
+// count. A run simulates one shard per pod on min(GOMAXPROCS, pods)
+// workers; ns/op divided by the pod count falls as workers join.
+func BenchmarkEngineComponents(b *testing.B) {
+	for _, pods := range []int{1, 2, 3, 6} {
+		b.Run(fmt.Sprintf("pods%d", pods), func(b *testing.B) {
+			fs := podSet(b, 1, pods, 30)
+			eng := NewEngine(fs, Config{})
+			hops := 0
+			for _, f := range fs.Flows {
+				hops += 100 * len(f.Path)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.RunSource(b.Context(), NewSporadicSource(fs, 1, 100, 10, 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(hops*b.N)/b.Elapsed().Seconds(), "hops/s")
+		})
+	}
+}

@@ -40,6 +40,11 @@ type PacketSpec struct {
 //   - Per-flow streams must not depend on the interleaving of Next
 //     calls across flows (give each flow its own RNG stream), so that
 //     results are reproducible.
+//   - TieBreak and Next calls for flows of different interference
+//     components (model.FlowSet.Components) may run concurrently: the
+//     engine simulates components on separate workers. A source that
+//     keeps per-flow state only, as every source in this repository
+//     does, needs no locking.
 type ScenarioSource interface {
 	// Flows is the number of flows (must match the engine's flow set).
 	Flows() int
@@ -80,7 +85,7 @@ func (sc *Scenario) Source() ScenarioSource {
 	return s
 }
 
-func (s *scenarioSource) Flows() int         { return len(s.sc.Gen) }
+func (s *scenarioSource) Flows() int            { return len(s.sc.Gen) }
 func (s *scenarioSource) TieBreak(flow int) int { return s.sc.tiebreak(flow) }
 
 func (s *scenarioSource) Next(flow int, spec *PacketSpec) bool {
@@ -110,6 +115,8 @@ func (s *scenarioSource) Next(flow int, spec *PacketSpec) bool {
 // it needs beyond the call).
 type streamSource struct {
 	fs    *model.FlowSet
+	seed  int64
+	limit int // packets per flow
 	flows []streamFlow
 	mode  int
 	// sporadic parameters
@@ -125,9 +132,8 @@ const (
 )
 
 type streamFlow struct {
-	rng     *rand.Rand
+	rng     *rand.Rand // nil until the flow's first Next
 	emitted int
-	limit   int
 	nextGen model.Time
 	lastRel model.Time
 	proc    []model.Time
@@ -144,16 +150,19 @@ func flowSeed(seed int64, flow int) int64 {
 }
 
 func newStreamSource(fs *model.FlowSet, seed int64, npackets, mode int) *streamSource {
-	s := &streamSource{fs: fs, mode: mode, flows: make([]streamFlow, fs.N())}
-	for i, f := range fs.Flows {
-		sf := &s.flows[i]
-		sf.rng = rand.New(rand.NewSource(flowSeed(seed, i)))
-		sf.limit = npackets
-		sf.nextGen = rndTime(sf.rng, 0, f.Period)
-		sf.proc = make([]model.Time, len(f.Path))
-		sf.link = make([]model.Time, len(f.Path)-1)
-	}
-	return s
+	return &streamSource{fs: fs, seed: seed, limit: npackets, mode: mode, flows: make([]streamFlow, fs.N())}
+}
+
+// start seeds flow's stream. Seeding a math/rand source is costly, so
+// it waits for the flow's first Next, which the engine makes on the
+// worker simulating the flow's component.
+func (s *streamSource) start(flow int) {
+	f := s.fs.Flows[flow]
+	sf := &s.flows[flow]
+	sf.rng = rand.New(rand.NewSource(flowSeed(s.seed, flow)))
+	sf.nextGen = rndTime(sf.rng, 0, f.Period)
+	sf.proc = make([]model.Time, len(f.Path))
+	sf.link = make([]model.Time, len(f.Path)-1)
 }
 
 func rndTime(rng *rand.Rand, lo, hi model.Time) model.Time {
@@ -203,8 +212,11 @@ func (s *streamSource) TieBreak(flow int) int { return flow }
 
 func (s *streamSource) Next(flow int, spec *PacketSpec) bool {
 	sf := &s.flows[flow]
-	if sf.emitted >= sf.limit {
+	if sf.emitted >= s.limit {
 		return false
+	}
+	if sf.rng == nil {
+		s.start(flow)
 	}
 	f := s.fs.Flows[flow]
 	gen := sf.nextGen

@@ -95,7 +95,7 @@ func AnalyzeContext(ctx context.Context, fs *model.FlowSet, opt Options) (*Resul
 	// A seed vector of the wrong length is the whole-set analyzer's
 	// error to report.
 	if opt.SeedBounds == nil || len(opt.SeedBounds) == fs.N() {
-		if comp, nc := components(fs); nc > 1 {
+		if comp, nc := fs.Components(); nc > 1 {
 			return analyzeComponents(ctx, fs, opt, comp, nc)
 		}
 	}

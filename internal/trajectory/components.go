@@ -19,51 +19,11 @@ import (
 // mirror are sized by one component instead of the whole set, which
 // keeps both the work and the live heap linear in the component count.
 
-// components labels each flow with its interference component by
-// union-find over the flow set's node index. Components are numbered in
-// order of their smallest flow index; n is their count.
-func components(fs *model.FlowSet) (comp []int32, n int) {
-	parent := make([]int32, fs.N())
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, h := range fs.Nodes() {
-		at := fs.FlowsAt(h)
-		r := find(int32(at[0]))
-		for _, j := range at[1:] {
-			// The smaller root wins, so a root is its class's smallest
-			// flow index.
-			switch rj := find(int32(j)); {
-			case rj < r:
-				parent[r], r = rj, rj
-			case rj > r:
-				parent[rj] = r
-			}
-		}
-	}
-	comp = make([]int32, len(parent))
-	for i := range parent {
-		if r := find(int32(i)); r == int32(i) {
-			comp[i] = int32(n)
-			n++
-		} else {
-			comp[i] = comp[r]
-		}
-	}
-	return comp, n
-}
-
 // analyzeComponents is the cold AnalyzeContext of a set with nc ≥ 2
-// components (comp as labelled by components). Each component runs as
-// its own flow set with its slice of the per-flow options, and its
-// result is scattered back under global flow indices. The sweep count
+// components (comp as labelled by model.FlowSet.Components). Each
+// component runs as its own flow set with its slice of the per-flow
+// options, and its result is scattered back under global flow
+// indices. The sweep count
 // is the maximum over components and the convergence flag their
 // conjunction — what the whole-set fixed point reports. The first
 // component error fails the analysis.

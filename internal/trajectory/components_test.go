@@ -101,36 +101,6 @@ func componentOptionMatrix(t *testing.T, fs *model.FlowSet) []Options {
 	return opts
 }
 
-// TestComponentsLabelling: flows sharing a node share a label, labels
-// are numbered by smallest flow index, and one pod is one component.
-func TestComponentsLabelling(t *testing.T) {
-	if _, nc := components(model.PaperExample()); nc != 1 {
-		t.Errorf("paper example: %d components, want 1", nc)
-	}
-	fs := podFlows(t, 1, 4)
-	comp, nc := components(fs)
-	if nc != 4 {
-		t.Fatalf("4 pods: %d components, want 4", nc)
-	}
-	for _, h := range fs.Nodes() {
-		at := fs.FlowsAt(h)
-		for _, j := range at {
-			if comp[j] != comp[at[0]] {
-				t.Fatalf("node %d: flows %d and %d labelled %d and %d", h, at[0], j, comp[at[0]], comp[j])
-			}
-		}
-	}
-	next := int32(0)
-	for i, c := range comp {
-		if c > next {
-			t.Fatalf("flow %d opens component %d before %d", i, c, next)
-		}
-		if c == next {
-			next++
-		}
-	}
-}
-
 // TestComponentAnalysisMatchesWholeSet is the sharding differential:
 // the cold AnalyzeContext of a multi-pod set, which runs one analyzer
 // per component, returns exactly the Result of one whole-set Analyzer
@@ -139,7 +109,7 @@ func TestComponentAnalysisMatchesWholeSet(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
 		fs := podFlows(t, seed, 3+int(seed))
-		if _, nc := components(fs); nc < 2 {
+		if _, nc := fs.Components(); nc < 2 {
 			t.Fatalf("seed %d: %d components, want several", seed, nc)
 		}
 		for oi, opt := range componentOptionMatrix(t, fs) {
@@ -186,7 +156,7 @@ func TestComponentAnalysisUnstable(t *testing.T) {
 // whole-set run's flow-bound records (component by component).
 func TestComponentAnalysisTrace(t *testing.T) {
 	fs := podFlows(t, 2, 3)
-	_, nc := components(fs)
+	_, nc := fs.Components()
 	var whole, sharded obs.Collector
 	a, err := NewAnalyzer(fs, Options{Tracer: &whole})
 	if err != nil {
