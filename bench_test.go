@@ -275,7 +275,7 @@ func BenchmarkColdPods(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := coldCombined(c.fs); err != nil {
+				if _, err := coldCombined(c.fs, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -283,9 +283,10 @@ func BenchmarkColdPods(b *testing.B) {
 	}
 }
 
-// coldCombined runs the combined analysis on a fresh copy of fs, whose
-// node index and relation table are not built yet.
-func coldCombined(fs *model.FlowSet) (*feasibility.BackendResult, error) {
+// coldCombined runs the combined analysis at the given Parallelism on a
+// fresh copy of fs, whose node index and relation table are not built
+// yet.
+func coldCombined(fs *model.FlowSet, workers int) (*feasibility.BackendResult, error) {
 	idx := make([]int, fs.N())
 	for i := range idx {
 		idx[i] = i
@@ -294,7 +295,7 @@ func coldCombined(fs *model.FlowSet) (*feasibility.BackendResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return feasibility.AnalyzeBackend(context.Background(), fresh, feasibility.BackendCombined, trajectory.Options{})
+	return feasibility.AnalyzeBackend(context.Background(), fresh, feasibility.BackendCombined, trajectory.Options{Parallelism: workers})
 }
 
 // podSets draws pods disjoint leaf-spine pods (4 spines, 6 leaves, 4

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"trajan/internal/holistic"
 	"trajan/internal/model"
@@ -144,27 +146,52 @@ func analyzeOne(ctx context.Context, fs *model.FlowSet, b Backend, opt trajector
 }
 
 // analyzeCombined runs every concrete backend and keeps the per-flow
-// minimum with full provenance.
+// minimum with full provenance. The backends are independent, so up to
+// opt.Workers() of them run at once; their outcomes are then merged in
+// Backends() order, so bounds, provenance and the error returned do not
+// depend on the setting. A panic inside a backend comes back as that
+// backend's ErrInternal at any setting.
 func analyzeCombined(ctx context.Context, fs *model.FlowSet, opt trajectory.Options) (*BackendResult, error) {
 	n := fs.N()
 	concrete := []Backend{BackendTrajectory, BackendHolistic, BackendNetcalc}
+	// The sub-analyses run with the combined run's tracer silenced:
+	// their own events (the trajectory engine's Lemma-2 decompositions
+	// in particular) would interleave with — and on the metrics side be
+	// overwritten by — the per-flow provenance records this function
+	// emits. Callers who want the inner narrative run the single
+	// backend directly.
+	inner := opt
+	inner.Tracer = nil
+	results := make([]*BackendResult, len(concrete))
+	errs := make([]error, len(concrete))
+	// Claims go in Backends() order, so the caller starts on the
+	// trajectory analysis, the longest of the three; at Parallelism 1 it
+	// runs all three in turn.
+	var next atomic.Int32
+	claim := func() {
+		for k := int(next.Add(1) - 1); k < len(concrete); k = int(next.Add(1) - 1) {
+			results[k], errs[k] = analyzeContained(ctx, fs, concrete[k], inner)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(opt.Workers(), len(concrete)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+
 	type run struct {
 		b   Backend
 		res *BackendResult
 	}
 	var runs []run
 	var firstErr error
-	for _, b := range concrete {
-		// The sub-analyses run with the combined run's tracer silenced:
-		// their own events (the trajectory engine's Lemma-2
-		// decompositions in particular) would interleave with — and on
-		// the metrics side be overwritten by — the per-flow provenance
-		// records this function emits. Callers who want the inner
-		// narrative run the single backend directly.
-		inner := opt
-		inner.Tracer = nil
-		res, err := analyzeOne(ctx, fs, b, inner)
-		if err != nil {
+	for k, b := range concrete {
+		if err := errs[k]; err != nil {
 			if errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow) {
 				// This backend cannot certify any finite bound: it
 				// participates as an all-Unbounded candidate.
@@ -183,7 +210,7 @@ func analyzeCombined(ctx context.Context, fs *model.FlowSet, opt trajectory.Opti
 			}
 			continue
 		}
-		runs = append(runs, run{b, res})
+		runs = append(runs, run{b, results[k]})
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -223,6 +250,26 @@ func analyzeCombined(ctx context.Context, fs *model.FlowSet, opt trajectory.Opti
 	}
 	emitProvenance(fs, opt, out)
 	return out, nil
+}
+
+// testBackendHook, when non-nil, runs before every backend of a
+// combined analysis. Tests inject panics and cancellations through it;
+// it is nil in production.
+var testBackendHook func(context.Context, Backend)
+
+// analyzeContained is analyzeOne with panic containment, so a broken
+// backend fails the combined analysis with ErrInternal instead of
+// crashing the goroutine it runs on.
+func analyzeContained(ctx context.Context, fs *model.FlowSet, b Backend, opt trajectory.Options) (res *BackendResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, model.Errorf(model.ErrInternal, "feasibility: internal panic: %v", p)
+		}
+	}()
+	if testBackendHook != nil {
+		testBackendHook(ctx, b)
+	}
+	return analyzeOne(ctx, fs, b, opt)
 }
 
 // singleProvenance wraps a single backend's bounds as their own

@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Assumption 1 (paper Section 2.2): for every pair of flows τi, τj whose
 // paths intersect, τj must cross Pi in a single contiguous, direction-
@@ -12,15 +15,18 @@ import "fmt"
 // CheckAssumption1 reports, for each ordered pair of flows, whether τj's
 // crossing of Pi satisfies Assumption 1. It returns a nil slice when the
 // flow set already satisfies the assumption, otherwise one violation per
-// offending ordered pair.
+// offending ordered pair, in (i, j) order. Only pairs that share a node
+// can violate it, so each τi is checked against the flows its nodes
+// index (flowsByNode) instead of against all n−1 others.
 func CheckAssumption1(flows []*Flow) []Assumption1Violation {
 	var out []Assumption1Violation
+	byNode := flowsByNode(flows)
+	var cand []int
+	mark := make([]int, len(flows))
 	for i, fi := range flows {
-		for j, fj := range flows {
-			if i == j {
-				continue
-			}
-			if ok, why := crossesContiguously(fi.Path, fj); !ok {
+		cand = sharers(byNode, fi.Path, i, mark, cand)
+		for _, j := range cand {
+			if ok, why := crossesContiguously(fi.Path, flows[j]); !ok {
 				out = append(out, Assumption1Violation{
 					PathFlow: i, CrossFlow: j, Reason: why,
 				})
@@ -28,6 +34,37 @@ func CheckAssumption1(flows []*Flow) []Assumption1Violation {
 		}
 	}
 	return out
+}
+
+// flowsByNode maps every node to the indexes of the flows visiting it,
+// in ascending order.
+func flowsByNode(flows []*Flow) map[NodeID][]int {
+	m := make(map[NodeID][]int)
+	for j, f := range flows {
+		for _, h := range f.Path {
+			if l := m[h]; len(l) == 0 || l[len(l)-1] != j {
+				m[h] = append(l, j)
+			}
+		}
+	}
+	return m
+}
+
+// sharers returns, in ascending order and reusing buf, the indexes of
+// the flows other than i that visit a node of path. mark is scratch of
+// one entry per flow; sharers leaves i+1 in the entries it returns.
+func sharers(byNode map[NodeID][]int, path Path, i int, mark, buf []int) []int {
+	buf = buf[:0]
+	for _, h := range path {
+		for _, j := range byNode[h] {
+			if j != i && mark[j] != i+1 {
+				mark[j] = i + 1
+				buf = append(buf, j)
+			}
+		}
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // Assumption1Violation identifies one ordered pair (path flow τi,
@@ -114,13 +151,18 @@ func EnforceAssumption1(flows []*Flow) []*Flow {
 			work[i].parent = -1
 		}
 	}
+	// Each round rebuilds the node index and cuts at the first offending
+	// (i, j) pair in scan order; pairs sharing no node never offend, so
+	// visiting only the indexed sharers finds the same pair as a scan of
+	// all pairs.
 	for changed := true; changed; {
 		changed = false
+		byNode := flowsByNode(work)
+		mark := make([]int, len(work))
+		var cand []int
 		for i := 0; i < len(work) && !changed; i++ {
-			for j := 0; j < len(work) && !changed; j++ {
-				if i == j {
-					continue
-				}
+			cand = sharers(byNode, work[i].Path, i, mark, cand)
+			for _, j := range cand {
 				cut := firstDeparture(work[i].Path, work[j])
 				if cut < 0 {
 					continue
@@ -131,6 +173,7 @@ func EnforceAssumption1(flows []*Flow) []*Flow {
 				rest = append(rest, work[j+1:]...)
 				work = rest
 				changed = true
+				break
 			}
 		}
 	}

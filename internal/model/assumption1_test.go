@@ -1,6 +1,9 @@
 package model
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -133,5 +136,144 @@ func TestEnforceAssumption1CutPreservesParameters(t *testing.T) {
 					f.Name, h, f.Cost[k], fj.CostAt(h))
 			}
 		}
+	}
+}
+
+// checkAllPairs and enforceAllPairs are the all-pairs scans the
+// node-indexed CheckAssumption1 and EnforceAssumption1 replaced, kept
+// as the oracle of TestAssumption1MatchesAllPairs.
+func checkAllPairs(flows []*Flow) []Assumption1Violation {
+	var out []Assumption1Violation
+	for i, fi := range flows {
+		for j, fj := range flows {
+			if i == j {
+				continue
+			}
+			if ok, why := crossesContiguously(fi.Path, fj); !ok {
+				out = append(out, Assumption1Violation{PathFlow: i, CrossFlow: j, Reason: why})
+			}
+		}
+	}
+	return out
+}
+
+func enforceAllPairs(flows []*Flow) []*Flow {
+	work := make([]*Flow, len(flows))
+	for i, f := range flows {
+		work[i] = f.Clone()
+		if work[i].parent < 0 && !f.IsVirtual() {
+			work[i].parent = -1
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < len(work) && !changed; i++ {
+			for j := 0; j < len(work) && !changed; j++ {
+				if i == j {
+					continue
+				}
+				cut := firstDeparture(work[i].Path, work[j])
+				if cut < 0 {
+					continue
+				}
+				head, tail := splitFlowAt(work[j], cut, originalIndex(flows, work[j], j))
+				rest := append([]*Flow{}, work[:j]...)
+				rest = append(rest, head, tail)
+				rest = append(rest, work[j+1:]...)
+				work = rest
+				changed = true
+			}
+		}
+	}
+	return work
+}
+
+// randomLineFlows draws simple paths on a line 0..nodes-1 that mostly
+// step to a neighbour but sometimes jump, reverse or detour through an
+// off-line node (90+), so many sets need splits.
+func randomLineFlows(rng *rand.Rand, n, nodes int) []*Flow {
+	var flows []*Flow
+	for k := 0; k < n; k++ {
+		seen := map[NodeID]bool{}
+		h := NodeID(rng.Intn(nodes))
+		path := Path{h}
+		seen[h] = true
+		dir := NodeID(1 - 2*rng.Intn(2))
+		for len(path) < 2+rng.Intn(6) {
+			var next NodeID
+			switch r := rng.Intn(10); {
+			case r < 6:
+				next = path[len(path)-1] + dir
+			case r < 8:
+				next = NodeID(rng.Intn(nodes))
+			default:
+				next = NodeID(90 + rng.Intn(4))
+			}
+			if next < 0 || seen[next] {
+				break
+			}
+			seen[next] = true
+			path = append(path, next)
+		}
+		flows = append(flows, UniformFlow(fmt.Sprintf("l%d", k), 100, 0, 0, 1, path...))
+	}
+	return flows
+}
+
+// randomClosFlows draws host-to-host paths through a two-tier Clos
+// fabric (leaves 100+, spines 0..spines-1, hosts 1000+100·leaf+h); a
+// path may bounce through a second spine and leaf, which re-enters
+// other flows' paths.
+func randomClosFlows(rng *rand.Rand, n, spines, leaves int) []*Flow {
+	var flows []*Flow
+	for k := 0; k < n; k++ {
+		l1 := rng.Intn(leaves)
+		path := Path{NodeID(1000 + 100*l1 + rng.Intn(3)), NodeID(100 + l1)}
+		used := map[NodeID]bool{path[0]: true, path[1]: true}
+		for hop := 0; hop < 1+rng.Intn(3); hop++ {
+			s, l := NodeID(rng.Intn(spines)), NodeID(100+rng.Intn(leaves))
+			if used[s] || used[l] {
+				break
+			}
+			used[s], used[l] = true, true
+			path = append(path, s, l)
+		}
+		last := int(path[len(path)-1]) - 100
+		path = append(path, NodeID(1000+100*last+10+rng.Intn(3)))
+		flows = append(flows, UniformFlow(fmt.Sprintf("c%d", k), 100, 0, 0, 1, path...))
+	}
+	return flows
+}
+
+// TestAssumption1MatchesAllPairs: on random line and Clos sets (many of
+// which need splits) the node-indexed check returns the same violations
+// in the same order as the all-pairs scan, and the split produces the
+// same flows in the same order.
+func TestAssumption1MatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	splits := 0
+	for trial := 0; trial < 200; trial++ {
+		var flows []*Flow
+		if trial%2 == 0 {
+			flows = randomLineFlows(rng, 2+rng.Intn(14), 4+rng.Intn(8))
+		} else {
+			flows = randomClosFlows(rng, 2+rng.Intn(20), 2+rng.Intn(3), 2+rng.Intn(5))
+		}
+		if got, want := CheckAssumption1(flows), checkAllPairs(flows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: CheckAssumption1 = %v, all-pairs scan = %v", trial, got, want)
+		}
+		got, want := EnforceAssumption1(flows), enforceAllPairs(flows)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: EnforceAssumption1 differs from the all-pairs split (%d vs %d flows)", trial, len(got), len(want))
+		}
+		if len(got) > len(flows) {
+			splits++
+		}
+		if v := CheckAssumption1(got); len(v) != 0 {
+			t.Fatalf("trial %d: split set still violates Assumption 1: %v", trial, v)
+		}
+	}
+	if splits < 40 {
+		t.Fatalf("only %d of 200 sets needed splits: the generators no longer exercise the split", splits)
 	}
 }

@@ -2,6 +2,7 @@ package trajectory
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -13,8 +14,8 @@ import (
 )
 
 // determinismSets is the corpus the byte-identity properties run over:
-// the paper example plus fuzzed line topologies with jitter, reverse
-// flows and mixed path lengths.
+// the paper example, fuzzed line topologies with jitter, reverse flows
+// and mixed path lengths, and two disjoint Clos pods.
 func determinismSets(t *testing.T) []*model.FlowSet {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
@@ -29,7 +30,40 @@ func determinismSets(t *testing.T) []*model.FlowSet {
 		}
 		sets = append(sets, fs)
 	}
-	return sets
+	return append(sets, closPods(t, rng, 2, 10))
+}
+
+// closPods draws pods disjoint leaf-spine pods (2 spines, 4 leaves, 2
+// hosts per leaf) of perPod random host-to-host flows, each pod on its
+// own node range: several interference components of several flows
+// each, so the parallel view prebuild runs inside every component.
+func closPods(t *testing.T, rng *rand.Rand, pods, perPod int) *model.FlowSet {
+	t.Helper()
+	topo, err := workload.ClosTopology(2, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flows []*model.Flow
+	for p := 0; p < pods; p++ {
+		for k := 0; k < perPod; k++ {
+			sl := rng.Intn(4)
+			dl := (sl + 1 + rng.Intn(3)) % 4
+			path, err := topo.Route(workload.ClosHost(sl, rng.Intn(2)), workload.ClosHost(dl, rng.Intn(2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range path {
+				path[i] += model.NodeID(10000 * (p + 1))
+			}
+			flows = append(flows, model.UniformFlow(fmt.Sprintf("p%d.f%d", p, k),
+				model.Time(60+rng.Intn(61)), model.Time(rng.Intn(3)), 0, model.Time(1+rng.Intn(3)), path...))
+		}
+	}
+	fs, err := model.NewFlowSet(model.UnitDelayNetwork(), model.EnforceAssumption1(flows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
 // schedulerGrid runs fn under every GOMAXPROCS × Options.Parallelism
@@ -167,4 +201,51 @@ func TestUntracedMatchesTraced(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPrebuildDropsUnrequestedViews: when the serial loop stops at a
+// flow's busy-period error, the views a parallel prebuild built for
+// the flows after it are dropped, so a later run builds them and
+// traces their busy periods exactly as a serial Analyzer does. The
+// lifecycle (failed cold prefix fixed point, removal of the overloading
+// flow, re-analysis) must log the same bytes at every worker count.
+func TestPrebuildDropsUnrequestedViews(t *testing.T) {
+	fs := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{
+		model.UniformFlow("x", 60, 0, 0, 1, 0, 1),
+		model.UniformFlow("m", 10, 0, 0, 2, 1, 2, 3, 4),
+		model.UniformFlow("y", 60, 0, 0, 1, 5, 6, 7),
+		model.UniformFlow("o", 10, 0, 0, 9, 3, 5),
+		model.UniformFlow("z", 60, 0, 0, 1, 6, 7, 8),
+	})
+	var refLog []byte
+	var refRes *Result
+	first := true
+	schedulerGrid(t, func(t *testing.T, procs, workers int) {
+		var buf bytes.Buffer
+		a, err := NewAnalyzer(fs, Options{Parallelism: workers, Tracer: obs.NewJSONTracer(&buf)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Analyze(); err == nil {
+			t.Fatal("overloaded node 3 accepted")
+		}
+		if err := a.RemoveFlow(3); err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first {
+			refLog, refRes, first = buf.Bytes(), res, false
+			return
+		}
+		if !bytes.Equal(buf.Bytes(), refLog) {
+			t.Errorf("procs %d workers %d: lifecycle log diverges (%d vs %d bytes)",
+				procs, workers, buf.Len(), len(refLog))
+		}
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("procs %d workers %d: Result diverges", procs, workers)
+		}
+	})
 }

@@ -65,6 +65,10 @@ type Analyzer struct {
 	full   []*viewCache
 	prefix [][]*viewCache
 
+	// pre is prebuildViews' per-flow state while the serial request loop of
+	// a fixed point runs (nil otherwise).
+	pre []prebuilt
+
 	// entryBase[i] is the global id base of flow i's Smax entries:
 	// entry (i,k) has id entryBase[i]+k. Ids index both the flat Smax
 	// backing and the dirty-propagation reverse maps.
@@ -79,8 +83,9 @@ type Analyzer struct {
 	colors  []int32
 	nColors int32
 
-	// arena backs every view's SoA slices; multi is the view builder's
-	// working state (buildViews) and fix the fixed-point scratch.
+	// arena backs the SoA slices of the views built serially; multi is
+	// the serial view builder's working state (buildViews) and fix the
+	// fixed-point scratch.
 	arena slabArena
 	multi multiScratch
 	fix   fixScratch
@@ -489,19 +494,25 @@ func (a *Analyzer) safeEval(vc *viewCache, flat []model.Time, sc *evalScratch) (
 // fullCache returns (building on first use) the cached context of flow
 // i's full-path view.
 func (a *Analyzer) fullCache(i int) (*viewCache, error) {
+	if a.pre != nil {
+		a.claimPrebuilt(i)
+	}
 	if vc := a.full[i]; vc != nil {
 		return vc, nil
 	}
-	return a.buildViews(i, len(a.fs.Flows[i].Path))
+	return a.buildViews(i, len(a.fs.Flows[i].Path), &a.multi, &a.arena, a.opt.Tracer)
 }
 
 // prefixCache returns (building on first use) the cached context of the
 // view over flow i's path prefix of length k.
 func (a *Analyzer) prefixCache(i, k int) (*viewCache, error) {
+	if a.pre != nil {
+		a.claimPrebuilt(i)
+	}
 	if row := a.prefix[i]; row != nil && row[k] != nil {
 		return row[k], nil
 	}
-	return a.buildViews(i, k)
+	return a.buildViews(i, k, &a.multi, &a.arena, a.opt.Tracer)
 }
 
 // viewCache is the precomputed, Smax-independent context of one path
@@ -565,9 +576,9 @@ type viewCache struct {
 // bslowFixpoint, so divergence and overflow verdicts match it exactly),
 // the slow-node selection, the fixed W term and the quick-guard
 // majorant constants.
-func (a *Analyzer) finishView(vc *viewCache, path model.Path, cost []model.Time, sc *buildScratch) error {
+func (a *Analyzer) finishView(vc *viewCache, opt Options, path model.Path, cost []model.Time, sc *buildScratch) error {
 	fs := a.fs
-	b, err := bslowFixpointGrouped(fs.Flows[vc.flow].Name, a.opt, vc.period, vc.maxCost(fs), sc.gPer, sc.gChg, sc.gMul)
+	b, err := bslowFixpointGrouped(fs.Flows[vc.flow].Name, opt, vc.period, vc.maxCost(fs), sc.gPer, sc.gChg, sc.gMul)
 	if err != nil {
 		return err
 	}
@@ -622,7 +633,14 @@ func (vc *viewCache) maxCost(fs *model.FlowSet) model.Time {
 // whose busy period fails stays nil: the next request for it rebuilds
 // it and returns the identical error, at the slot the reference
 // evaluation order reaches first.
-func (a *Analyzer) buildViews(i, want int) (*viewCache, error) {
+//
+// The build state is the caller's: ms and ar are the working state and
+// the arena the views are carved from, and tr receives the busy-period
+// events. The serial path passes the Analyzer's own; prebuildViews
+// passes one set per worker, and builds of different flows touch
+// disjoint Analyzer state (flow i's full and prefix slots only), so
+// they may run concurrently once the topology mirror exists.
+func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr obs.Tracer) (*viewCache, error) {
 	fs := a.fs
 	f := fs.Flows[i]
 	L := len(f.Path)
@@ -630,7 +648,8 @@ func (a *Analyzer) buildViews(i, want int) (*viewCache, error) {
 		a.prefix[i] = make([]*viewCache, L)
 	}
 	tp := a.ensureTopo()
-	ms := &a.multi
+	opt := a.opt
+	opt.Tracer = tr
 	n := fs.N()
 	posI := tp.pos[i]
 	dpi := tp.dpath[i]
@@ -662,7 +681,6 @@ func (a *Analyzer) buildViews(i, want int) (*viewCache, error) {
 	ms.vcs = growN(ms.vcs, L)
 	ms.xs = growN(ms.xs, L)
 	ms.st = growN(ms.st, L)
-	ar := &a.arena
 	top, cum := 0, 0
 	for p := 1; p <= L; p++ {
 		cum += int(ms.hist[p-1])
@@ -801,7 +819,7 @@ func (a *Analyzer) buildViews(i, want int) (*viewCache, error) {
 		st := &ms.st[p-1]
 		vc.readIDs = arenaSlice(&ar.ints, len(st.reads))
 		copy(vc.readIDs, st.reads)
-		if ferr := a.finishView(vc, f.Path[:p], f.Cost[:p], st); ferr != nil {
+		if ferr := a.finishView(vc, opt, f.Path[:p], f.Cost[:p], st); ferr != nil {
 			if p == want {
 				err = ferr
 			}
@@ -1095,6 +1113,12 @@ type fixScratch struct {
 	revBack      []int32
 	rev          [][]int32
 
+	// prebuildViews: the flows to build, the per-flow state a.pre
+	// aliases, and the backing of the per-flow event buffers.
+	todo   []int32
+	pre    []prebuilt
+	events []obs.Event
+
 	// global-tail only:
 	tails    []model.Time
 	prevFlat []model.Time
@@ -1181,6 +1205,9 @@ func (a *Analyzer) enginePrefixFixpoint(ctx context.Context, seed smaxTable, dir
 	fx.slotI = fx.slotI[:0]
 	fx.slotK = fx.slotK[:0]
 	fx.views = fx.views[:0]
+	// One-hop flows have no prefix slot: their views stay lazy.
+	a.prebuildViews(2)
+	defer a.endPrebuild()
 	for i, f := range fs.Flows {
 		for k := 1; k < len(f.Path); k++ {
 			vc, err := a.prefixCache(i, k)
@@ -1308,6 +1335,8 @@ func (a *Analyzer) engineGlobalTail(ctx context.Context) (smaxTable, []model.Tim
 	}
 
 	fx.views = fx.views[:0]
+	a.prebuildViews(1)
+	defer a.endPrebuild()
 	for i := range fs.Flows {
 		vc, err := a.fullCache(i)
 		if err != nil {

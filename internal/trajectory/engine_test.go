@@ -216,6 +216,16 @@ func TestEngineErrorParity(t *testing.T) {
 		model.UniformFlow("a", 10, 0, 0, 2, 1, 2, 3),
 		model.UniformFlow("b", 10, 0, 0, 9, 3, 5),
 	})
+	// In "middle" flow m fails at its third prefix view while flows
+	// after it build cleanly: a parallel prebuild has built their views
+	// ahead of the serial loop, which still stops at m's error.
+	middle := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{
+		model.UniformFlow("x", 60, 0, 0, 1, 0, 1),
+		model.UniformFlow("m", 10, 0, 0, 2, 1, 2, 3, 4),
+		model.UniformFlow("y", 60, 0, 0, 1, 5, 6, 7),
+		model.UniformFlow("o", 10, 0, 0, 9, 3, 5),
+		model.UniformFlow("z", 60, 0, 0, 1, 6, 7, 8),
+	})
 	ok := model.PaperExample()
 	cases := []struct {
 		name string
@@ -231,6 +241,12 @@ func TestEngineErrorParity(t *testing.T) {
 		{"later view traced", later, Options{Tracer: &obs.Collector{}}},
 		{"full view only prefix", fullOnly, Options{Smax: SmaxPrefixFixpoint}},
 		{"full view only noqueue", fullOnly, Options{Smax: SmaxNoQueue}},
+		{"prebuilt later view prefix workers 4", later, Options{Smax: SmaxPrefixFixpoint, Parallelism: 4}},
+		{"prebuilt later view global workers 4", later, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{100, 100}, Parallelism: 4}},
+		{"prebuilt later view traced workers 4", later, Options{Tracer: &obs.Collector{}, Parallelism: 4}},
+		{"prebuilt full view only workers 4", fullOnly, Options{Smax: SmaxPrefixFixpoint, Parallelism: 4}},
+		{"prebuilt middle prefix workers 4", middle, Options{Smax: SmaxPrefixFixpoint, Parallelism: 4}},
+		{"prebuilt middle global workers 4", middle, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{100, 100, 100, 100, 100}, Parallelism: 4}},
 		{"unknown mode", ok, Options{Smax: SmaxMode(99)}},
 		{"bad seed length", ok, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{1}}},
 		{"bad nonpreemption shape", ok, Options{NonPreemption: make([][]model.Time, 1)}},

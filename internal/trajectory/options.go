@@ -139,9 +139,13 @@ type Options struct {
 
 	// Parallelism bounds the worker count for the fixed-point sweeps
 	// (each sweep's per-view bounds are independent given the previous
-	// table, so they fan out safely). 0 selects GOMAXPROCS; 1 forces
-	// serial execution. Results are identical at any setting — the
-	// sweeps are pure functions of the previous iterate.
+	// table, so they fan out safely), for the view builds ahead of a
+	// fixed point's first sweep (one flow per job), and, in
+	// feasibility's combined backend, for how many of the three
+	// backends run at once. 0 selects GOMAXPROCS; 1 forces serial
+	// execution. Results, errors and trace events are identical at any
+	// setting — the sweeps are pure functions of the previous iterate,
+	// and views and backends are merged in serial order.
 	Parallelism int
 
 	// Tracer receives structured observability events: Smax fixed-point
@@ -156,7 +160,9 @@ type Options struct {
 	Tracer obs.Tracer
 }
 
-func (o Options) workers() int {
+// Workers returns the worker count Parallelism selects: Parallelism
+// itself, or GOMAXPROCS when it is 0.
+func (o Options) Workers() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism
 	}

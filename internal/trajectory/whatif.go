@@ -70,7 +70,7 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 		a.ensureTopo()
 	}
 
-	workers := a.opt.workers()
+	workers := a.opt.Workers()
 	if workers > len(cands) {
 		workers = len(cands)
 	}
