@@ -38,7 +38,8 @@
 // over -topology are scored as one parallel what-if batch and the flow
 // is admitted on the feasible path with the widest post-admission
 // slack; update paths are validated against -topology. -admit is
-// exclusive with -ef and with -backend all.
+// exclusive with -ef and with -backend all, and refuses -smax noqueue
+// (unsound; kept for sensitivity studies without -admit).
 //
 // Observability (see docs/OBSERVABILITY.md): -trace streams a
 // replayable JSON event log of the analysis — fixed-point sweeps,

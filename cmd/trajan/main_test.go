@@ -77,18 +77,21 @@ func TestSensitivityFlag(t *testing.T) {
 	}
 }
 
-// TestSmaxModes: all three estimators run; bogus ones error.
+// TestSmaxModes: all three estimators run; bogus ones error, and the
+// unsound no-queue estimator is refused for admission.
 func TestSmaxModes(t *testing.T) {
 	for _, m := range []string{"prefix", "tail", "noqueue"} {
 		runCLI(t, "-backend", "trajectory", "-smax", m)
 	}
-	var b strings.Builder
-	code, err := run([]string{"-smax", "bogus"}, &b)
-	if err == nil {
-		t.Error("bogus smax mode accepted")
-	}
-	if code != 2 {
-		t.Errorf("bogus smax mode: exit code %d, want 2", code)
+	for _, args := range [][]string{
+		{"-smax", "bogus"},
+		{"-admit", "testdata/churn.json", "-smax", "noqueue"},
+	} {
+		var b strings.Builder
+		code, err := run(args, &b)
+		if err == nil || code != 2 {
+			t.Errorf("%v: code %d, err %v; want code 2 with error", args, code, err)
+		}
 	}
 }
 

@@ -162,8 +162,10 @@ func (r *Result) BoundOf(i int) (model.Time, bool) {
 // Analyze runs Property 3 over the EF flows of a mixed-class flow set:
 // FIFO interference is counted among EF flows only (they share the EF
 // queue and outrank everything else), while AF/BE flows contribute the
-// non-preemption penalty δi. The holistic baseline is computed with the
-// same penalty so the comparison isolates the approaches.
+// non-preemption penalty δi, set per node as each EF flow's Blocking in
+// the analysed subset (replacing any Blocking the caller gave). The
+// holistic baseline reads the same penalty, so the comparison isolates
+// the approaches.
 func Analyze(fs *model.FlowSet, opt trajectory.Options) (*Result, error) {
 	return AnalyzeContext(context.Background(), fs, opt)
 }
@@ -183,11 +185,10 @@ func AnalyzeContext(ctx context.Context, fs *model.FlowSet, opt trajectory.Optio
 	if len(efIdx) == 0 {
 		return nil, model.Errorf(model.ErrInvalidConfig, "ef: flow set has no EF flows")
 	}
-	perNode := make([][]model.Time, len(efIdx))
 	deltas := make([]model.Time, len(efIdx))
 	for k, i := range efIdx {
-		perNode[k] = NonPreemptionPerNode(fs, i)
-		for _, v := range perNode[k] {
+		efFlows[k].Blocking = NonPreemptionPerNode(fs, i)
+		for _, v := range efFlows[k].Blocking {
 			deltas[k] += v
 		}
 	}
@@ -195,12 +196,11 @@ func AnalyzeContext(ctx context.Context, fs *model.FlowSet, opt trajectory.Optio
 	if err != nil {
 		return nil, model.Classify(model.ErrInvalidConfig, fmt.Errorf("ef: building EF subset: %w", err))
 	}
-	opt.NonPreemption = perNode
 	traj, err := trajectory.AnalyzeContext(ctx, sub, opt)
 	if err != nil {
 		return nil, err
 	}
-	hol, err := holistic.Analyze(sub, holistic.Options{NonPreemption: deltas})
+	hol, err := holistic.Analyze(sub, holistic.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -124,19 +124,13 @@ func analyzeOne(ctx context.Context, fs *model.FlowSet, b Backend, opt trajector
 		}
 		return &BackendResult{Backend: b, Bounds: res.Bounds, Jitters: res.Jitters, Trajectory: res}, nil
 	case BackendHolistic:
-		res, err := holistic.Analyze(fs, holistic.Options{
-			MaxIterations: opt.MaxIterations,
-			NonPreemption: flattenDelta(fs, opt),
-		})
+		res, err := holistic.Analyze(fs, holistic.Options{MaxIterations: opt.MaxIterations})
 		if err != nil {
 			return nil, err
 		}
 		return &BackendResult{Backend: b, Bounds: res.Bounds, Jitters: res.Jitters}, nil
 	case BackendNetcalc:
-		res, err := netcalc.AnalyzeFIFO(fs, netcalc.FIFOOptions{
-			MaxIterations: opt.MaxIterations,
-			NonPreemption: flattenDelta(fs, opt),
-		})
+		res, err := netcalc.AnalyzeFIFO(fs, netcalc.FIFOOptions{MaxIterations: opt.MaxIterations})
 		if err != nil {
 			return nil, err
 		}
@@ -313,24 +307,6 @@ func jittersFor(fs *model.FlowSet, bounds []model.Time) []model.Time {
 	for i, f := range fs.Flows {
 		var sat bool
 		out[i] = model.SubSat(bounds[i], f.MinTraversal(fs.Net.Lmin), &sat)
-	}
-	return out
-}
-
-// flattenDelta sums trajectory's per-node non-preemption decomposition
-// into the per-flow δi vector the holistic and netcalc backends take.
-func flattenDelta(fs *model.FlowSet, opt trajectory.Options) []model.Time {
-	if opt.NonPreemption == nil {
-		return nil
-	}
-	out := make([]model.Time, fs.N())
-	var sat bool
-	for i := range out {
-		if i < len(opt.NonPreemption) {
-			for _, d := range opt.NonPreemption[i] {
-				out[i] = model.AddSat(out[i], d, &sat)
-			}
-		}
 	}
 	return out
 }

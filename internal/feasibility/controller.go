@@ -92,8 +92,8 @@ func (d *Decision) Emit(tr obs.Tracer, tenant string) {
 // verdict under the selected backend. A refused mutation is undone
 // warm; when the undo itself fails, the engine is rebuilt cold from
 // the committed set on the next call. The analysed set is taken as
-// given: flows needing an Assumption-1 split or a lower-class
-// background are AdmitEF's domain.
+// given: a flow's Blocking is used as supplied, and flows needing an
+// Assumption-1 split or a lower-class background are AdmitEF's domain.
 //
 // A Controller is not safe for concurrent use.
 type Controller struct {
@@ -116,14 +116,15 @@ type Controller struct {
 // other backend analyses the whole set cold per decision, while the
 // warm engine still drives route scoring). A non-nil topo validates
 // manual paths edge by edge and enables route=auto, which scores up to
-// routeK candidate paths (0 selects DefaultRouteK).
+// routeK candidate paths (0 selects DefaultRouteK). The unsound
+// SmaxNoQueue estimator is refused as ErrInvalidConfig.
 func NewController(net model.Network, opt trajectory.Options, backend Backend, topo *model.Topology, routeK int) (*Controller, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.NonPreemption != nil {
+	if opt.Smax == trajectory.SmaxNoQueue {
 		return nil, model.Errorf(model.ErrInvalidConfig,
-			"feasibility: per-flow NonPreemption vectors cannot be remapped across mutations")
+			"feasibility: the no-queue Smax estimator is not sound; admission needs -smax prefix or tail")
 	}
 	if backend == "" {
 		backend = BackendTrajectory

@@ -211,10 +211,24 @@ func newController(t *testing.T, net model.Network, opt trajectory.Options, back
 	return c, &coldOracle{t: t, net: net, opt: opt, backend: backend, topo: topo}
 }
 
+// randomBlocking gives f a random per-node non-preemption Blocking
+// row, or none (one draw in two), and returns it.
+func randomBlocking(rng *rand.Rand, f *model.Flow) *model.Flow {
+	if rng.Intn(2) == 0 {
+		f.Blocking = make([]model.Time, len(f.Path))
+		for k := range f.Blocking {
+			f.Blocking[k] = model.Time(rng.Intn(4))
+		}
+	}
+	return f
+}
+
 // TestControllerDifferential drives seeded random admit, release,
 // renegotiate and route=auto sequences through the warm core on a Clos
 // fabric and checks after every step that its decision, bounds and
-// committed set equal the cold oracle's. Run under -race in CI.
+// committed set equal the cold oracle's. Manual admits and
+// renegotiations may carry Blocking (an EF set's Lemma-4 δ). Run under
+// -race in CI.
 func TestControllerDifferential(t *testing.T) {
 	topo, err := workload.ClosTopology(3, 4, 2)
 	if err != nil {
@@ -256,7 +270,7 @@ func TestControllerDifferential(t *testing.T) {
 				}
 				switch {
 				case op < 3:
-					f := mk(fmt.Sprintf("f%02d", k))
+					f := randomBlocking(rng, mk(fmt.Sprintf("f%02d", k)))
 					want, wantErr = o.admit(f)
 					got, gotErr = c.Admit(ctx, f, false)
 				case op < 5:
@@ -269,7 +283,7 @@ func TestControllerDifferential(t *testing.T) {
 					if route {
 						want, wantErr = o.route("renegotiate", f)
 					} else {
-						want, wantErr = o.renegotiate(f)
+						want, wantErr = o.renegotiate(randomBlocking(rng, f))
 					}
 					got, gotErr = c.Renegotiate(ctx, f, route)
 				default:
@@ -285,6 +299,20 @@ func TestControllerDifferential(t *testing.T) {
 				decided["renegotiate renegotiated"] == 0 || decided["release released"] == 0) {
 				t.Fatalf("seed %d: degenerate sequence %v", seed, decided)
 			}
+		}
+	}
+}
+
+// TestControllerRefusesNoQueue: the no-queue Smax estimator is not
+// sound, so the admission core refuses to decide on it.
+func TestControllerRefusesNoQueue(t *testing.T) {
+	_, err := NewController(model.UnitDelayNetwork(), trajectory.Options{Smax: trajectory.SmaxNoQueue}, "", nil, 0)
+	if !errors.Is(err, model.ErrInvalidConfig) {
+		t.Fatalf("NewController(SmaxNoQueue) = %v, want ErrInvalidConfig", err)
+	}
+	for _, mode := range []trajectory.SmaxMode{trajectory.SmaxPrefixFixpoint, trajectory.SmaxGlobalTail} {
+		if _, err := NewController(model.UnitDelayNetwork(), trajectory.Options{Smax: mode}, "", nil, 0); err != nil {
+			t.Errorf("NewController(%v): %v", mode, err)
 		}
 	}
 }

@@ -48,13 +48,17 @@ type RouteCandidate struct {
 // its endpoints (f.Path.First() → f.Path.Last()). The submitted path's
 // interior is ignored — only the endpoints and the contract matter —
 // and because candidate paths have unknown length, the flow must carry
-// a uniform per-node cost.
+// a uniform per-node cost and no Blocking (which is tied to its path).
 func RouteCandidates(topo *model.Topology, f *model.Flow, k int) ([]*model.Flow, error) {
 	if topo == nil {
 		return nil, model.Errorf(model.ErrInvalidConfig, "feasibility: auto-route needs a topology")
 	}
 	if len(f.Cost) == 0 {
 		return nil, model.Errorf(model.ErrInvalidConfig, "feasibility: flow %q has no cost", f.Name)
+	}
+	if f.Blocking != nil {
+		return nil, model.Errorf(model.ErrInvalidConfig,
+			"feasibility: auto-route cannot re-route flow %q, its Blocking is tied to the submitted path", f.Name)
 	}
 	cost := f.Cost[0]
 	for _, c := range f.Cost {

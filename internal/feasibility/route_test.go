@@ -48,6 +48,12 @@ func TestRouteCandidatesErrors(t *testing.T) {
 			_, err := RouteCandidates(topo, nf, 2)
 			return err
 		}},
+		{"blocking", func() error {
+			nf := f.Clone()
+			nf.Blocking = make([]model.Time, len(nf.Path))
+			_, err := RouteCandidates(topo, nf, 2)
+			return err
+		}},
 		{"unknown endpoint", func() error {
 			nf := model.UniformFlow("y", 50, 0, 30, 2, 9999, workload.ClosHost(1, 0))
 			_, err := RouteCandidates(topo, nf, 2)

@@ -36,13 +36,8 @@ func AnalyzeSensitivity(fs *model.FlowSet, opt trajectory.Options) ([]Sensitivit
 	// One warm analyzer serves every probe: each candidate is an
 	// UpdateFlow against the previous converged state (a delta
 	// re-analysis touching only the probed flow's interference
-	// closure), reverted before the next probe. Per-flow NonPreemption
-	// vectors pin option rows to flow indices, so mutation is refused
-	// there and the cold per-candidate rebuild is kept.
-	var probe *trajectory.Analyzer
-	if opt.NonPreemption == nil {
-		probe, _ = trajectory.NewAnalyzer(fs, opt)
-	}
+	// closure), reverted before the next probe.
+	probe, _ := trajectory.NewAnalyzer(fs, opt)
 	out := make([]Sensitivity, fs.N())
 	for i := range fs.Flows {
 		s := Sensitivity{Flow: i}

@@ -27,10 +27,6 @@ type Options struct {
 	// so the default is a deliberately modest 1<<20 ticks; raise it for
 	// systems whose genuine busy periods are longer.
 	Horizon model.Time
-	// NonPreemption is the per-flow non-preemption penalty δi added to
-	// the end-to-end bound when the flows form the EF class of a
-	// DiffServ router (Section 6); nil means zeros.
-	NonPreemption []model.Time
 	// CriticalInstantOnly evaluates each node's sojourn only at the
 	// start of the aggregate busy period (x = 0), the classical
 	// simultaneous-release critical instant, instead of scanning the
@@ -88,10 +84,6 @@ type Result struct {
 // then recomputed from the per-node responses and the whole system is
 // swept until a fixed point is reached from below.
 func Analyze(fs *model.FlowSet, opt Options) (*Result, error) {
-	if opt.NonPreemption != nil && len(opt.NonPreemption) != fs.N() {
-		return nil, model.Errorf(model.ErrInvalidConfig, "holistic: %d non-preemption terms for %d flows",
-			len(opt.NonPreemption), fs.N())
-	}
 	n := fs.N()
 	horizon := opt.horizon()
 
@@ -173,9 +165,8 @@ func Analyze(fs *model.FlowSet, opt Options) (*Result, error) {
 		for k := range f.Path {
 			r = model.AddSat(r, resp[i][k], &bsat)
 		}
-		if opt.NonPreemption != nil {
-			r = model.AddSat(r, opt.NonPreemption[i], &bsat)
-		}
+		// Lemma 4's non-preemption penalty δi of an EF flow (Section 6).
+		r = model.AddSat(r, f.BlockingOver(len(f.Path), &bsat), &bsat)
 		if bsat {
 			r = model.TimeInfinity
 		}

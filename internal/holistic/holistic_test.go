@@ -101,19 +101,23 @@ func TestOverloadDetected(t *testing.T) {
 	}
 }
 
-// TestNonPreemptionAdds: δ shifts the end-to-end bound by exactly δi.
+// TestNonPreemptionAdds: a flow's Blocking shifts its end-to-end bound
+// by exactly δi, wherever on the path it is charged.
 func TestNonPreemptionAdds(t *testing.T) {
 	fs := model.PaperExample()
 	base := mustAnalyze(t, fs, Options{})
 	delta := []model.Time{3, 1, 4, 1, 5}
-	shifted := mustAnalyze(t, fs, Options{NonPreemption: delta})
+	flows := make([]*model.Flow, fs.N())
+	for i, f := range fs.Flows {
+		flows[i] = f.Clone()
+		flows[i].Blocking = make([]model.Time, len(f.Path))
+		flows[i].Blocking[i%len(f.Path)] = delta[i]
+	}
+	shifted := mustAnalyze(t, model.MustNewFlowSet(fs.Net, flows), Options{})
 	for i := range fs.Flows {
 		if shifted.Bounds[i] != base.Bounds[i]+delta[i] {
 			t.Errorf("flow %d: %d + %d ≠ %d", i, base.Bounds[i], delta[i], shifted.Bounds[i])
 		}
-	}
-	if _, err := Analyze(fs, Options{NonPreemption: delta[:1]}); err == nil {
-		t.Error("wrong-length δ accepted")
 	}
 }
 

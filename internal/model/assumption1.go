@@ -260,5 +260,8 @@ func splitFlowAt(f *Flow, k, parent int) (*Flow, *Flow) {
 	tail.Cost = append([]Time(nil), f.Cost[k:]...)
 	tail.parent = parent
 	tail.fragStart = f.fragStart + k
+	if f.Blocking != nil { // each Clone holds its own copy
+		head.Blocking, tail.Blocking = head.Blocking[:k], tail.Blocking[k:]
+	}
 	return head, tail
 }

@@ -120,7 +120,8 @@ func TestEnforceAssumption1CutPreservesParameters(t *testing.T) {
 	fj := &Flow{
 		Name: "j", Period: 20, Jitter: 3, Deadline: 99,
 		Path: Path{2, 3, 9, 4, 5}, Cost: []Time{1, 2, 3, 4, 5},
-		Class: ClassAF, parent: -1,
+		Blocking: []Time{6, 7, 8, 9, 10},
+		Class:    ClassAF, parent: -1,
 	}
 	out := EnforceAssumption1([]*Flow{fi, fj})
 	for _, f := range out {
@@ -130,10 +131,17 @@ func TestEnforceAssumption1CutPreservesParameters(t *testing.T) {
 		if f.Period != 20 || f.Jitter != 3 || f.Deadline != 99 || f.Class != ClassAF {
 			t.Errorf("fragment %q lost parameters: %+v", f.Name, f)
 		}
+		if len(f.Blocking) != len(f.Path) {
+			t.Fatalf("fragment %q: %d blocking terms for %d nodes", f.Name, len(f.Blocking), len(f.Path))
+		}
 		for k, h := range f.Path {
 			if f.Cost[k] != fj.CostAt(h) {
 				t.Errorf("fragment %q cost at node %d = %d, want %d",
 					f.Name, h, f.Cost[k], fj.CostAt(h))
+			}
+			if want := fj.Blocking[fj.Path.Index(h)]; f.Blocking[k] != want {
+				t.Errorf("fragment %q blocking at node %d = %d, want %d",
+					f.Name, h, f.Blocking[k], want)
 			}
 		}
 	}

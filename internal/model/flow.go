@@ -132,6 +132,14 @@ type Flow struct {
 	// packet of the flow on the k-th visited node. By the paper's
 	// convention C^h_i = 0 for nodes not on the path.
 	Cost []Time
+	// Blocking[k] is the non-preemption blocking charged at Path[k]:
+	// Lemma 4's δi of an EF flow, decomposed per visited node (package
+	// ef computes it; Property 3 adds it to the FIFO bound of Property
+	// 2). The decomposition matters because the Smax^h estimators bound
+	// path prefixes, which incur only their own nodes' blocking. Nil
+	// means none — the pure FIFO analysis. The JSON schema (FlowConfig)
+	// does not carry it.
+	Blocking []Time
 	// Class is the flow's service class; the FIFO analysis applies to
 	// flows of the analysed (EF) class, other classes matter only
 	// through the non-preemption penalty of Section 6.
@@ -164,6 +172,16 @@ func (f *Flow) SlowNode() (NodeID, Time) {
 		}
 	}
 	return best, bc
+}
+
+// BlockingOver returns the non-preemption blocking over the first n
+// nodes of the path, saturating (and setting *sat) like AddSat.
+func (f *Flow) BlockingOver(n int, sat *bool) Time {
+	var s Time
+	for _, b := range f.Blocking[:min(n, len(f.Blocking))] {
+		s = AddSat(s, b, sat)
+	}
+	return s
 }
 
 // SlowCandidates returns every node of the path whose cost equals the
@@ -236,6 +254,14 @@ func (f *Flow) Validate() error {
 			return Errorf(ErrInvalidConfig, "flow %q: non-positive cost %d at node %d", f.Name, c, f.Path[k])
 		}
 	}
+	if f.Blocking != nil && len(f.Blocking) != len(f.Path) {
+		return Errorf(ErrInvalidConfig, "flow %q: %d blocking terms for %d path nodes", f.Name, len(f.Blocking), len(f.Path))
+	}
+	for k, b := range f.Blocking {
+		if b < 0 || IsUnbounded(b) {
+			return Errorf(ErrInvalidConfig, "flow %q: blocking %d at node %d outside [0, time domain)", f.Name, b, f.Path[k])
+		}
+	}
 	// The analysis domain is (−TimeInfinity, TimeInfinity); parameters on
 	// or past the rail would alias the "unbounded" sentinel. Rejecting
 	// them here is what lets the hot paths run exact int64 arithmetic
@@ -263,6 +289,9 @@ func (f *Flow) Clone() *Flow {
 	g := *f
 	g.Path = f.Path.Clone()
 	g.Cost = append([]Time(nil), f.Cost...)
+	if f.Blocking != nil {
+		g.Blocking = append([]Time(nil), f.Blocking...)
+	}
 	return &g
 }
 

@@ -75,6 +75,11 @@ func TestFlowValidate(t *testing.T) {
 		{"negative jitter", func(f *Flow) { f.Jitter = -1 }, "jitter"},
 		{"negative deadline", func(f *Flow) { f.Deadline = -5 }, "deadline"},
 		{"zero cost", func(f *Flow) { f.Cost[1] = 0 }, "cost"},
+		{"empty blocking", func(f *Flow) { f.Blocking = []Time{} }, "blocking terms"},
+		{"short blocking", func(f *Flow) { f.Blocking = []Time{1, 1} }, "blocking terms"},
+		{"long blocking", func(f *Flow) { f.Blocking = make([]Time, len(f.Path)+1) }, "blocking terms"},
+		{"negative blocking", func(f *Flow) { f.Blocking = make([]Time, len(f.Path)); f.Blocking[1] = -1 }, "blocking -1"},
+		{"unbounded blocking", func(f *Flow) { f.Blocking = make([]Time, len(f.Path)); f.Blocking[0] = TimeInfinity }, "blocking"},
 	}
 	for _, c := range cases {
 		f := good.Clone()
@@ -143,11 +148,34 @@ func TestUniformFlow(t *testing.T) {
 
 func TestFlowCloneIndependence(t *testing.T) {
 	f := UniformFlow("f", 10, 0, 0, 1, 1, 2)
+	f.Blocking = []Time{2, 3}
 	g := f.Clone()
 	g.Cost[0] = 9
 	g.Path[0] = 9
-	if f.Cost[0] != 1 || f.Path[0] != 1 {
+	g.Blocking[0] = 9
+	if f.Cost[0] != 1 || f.Path[0] != 1 || f.Blocking[0] != 2 {
 		t.Error("Clone shares slices")
+	}
+	if UniformFlow("h", 10, 0, 0, 1, 1, 2).Clone().Blocking != nil {
+		t.Error("Clone invented Blocking for a flow without it")
+	}
+}
+
+func TestBlockingOver(t *testing.T) {
+	f := UniformFlow("f", 10, 0, 0, 1, 1, 2, 3)
+	var sat bool
+	if got := f.BlockingOver(3, &sat); got != 0 || sat {
+		t.Errorf("nil Blocking: %d (sat %v), want 0", got, sat)
+	}
+	f.Blocking = []Time{2, 0, 5}
+	for n, want := range []Time{0, 2, 2, 7, 7} {
+		if got := f.BlockingOver(n, &sat); got != want || sat {
+			t.Errorf("BlockingOver(%d) = %d (sat %v), want %d", n, got, sat, want)
+		}
+	}
+	f.Blocking = []Time{TimeInfinity - 1, TimeInfinity - 1, 0}
+	if got := f.BlockingOver(3, &sat); got != TimeInfinity || !sat {
+		t.Errorf("saturating sum = %d (sat %v), want the rail", got, sat)
 	}
 }
 

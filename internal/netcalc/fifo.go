@@ -47,10 +47,6 @@ type FIFOOptions struct {
 	// Arrivals optionally overrides per-flow ingress arrival curves;
 	// nil entries (or a nil slice) derive the sporadic token bucket.
 	Arrivals []*ArrivalSpec
-	// NonPreemption is the per-flow non-preemption penalty δi added to
-	// the end-to-end bound when the analysed flows form the EF class of
-	// a DiffServ router (paper Section 6); nil means zeros.
-	NonPreemption []model.Time
 }
 
 func (o FIFOOptions) maxIterations() int {
@@ -140,7 +136,8 @@ func bestResidual(rate, latency, sigmaC, rhoC float64, grid []float64) Curve {
 //     Form (b) convolves work units across nodes, so it only applies
 //     when the flow's cost is uniform along its path (true for every
 //     workload in this repository); otherwise (a) stands alone.
-//  4. The bound is J + min(a,b) + (|P|−1)·Lmax + δ, with every
+//  4. The bound is J + min(a,b) + (|P|−1)·Lmax + δ (the flow's
+//     Blocking summed), with every
 //     float→Time crossing saturating to an explicit Unbounded verdict.
 //
 // Divergence (some node's utilization exceeding 1, or a
@@ -152,10 +149,6 @@ func AnalyzeFIFO(fs *model.FlowSet, opt FIFOOptions) (*Result, error) {
 	if opt.Arrivals != nil && len(opt.Arrivals) != n {
 		return nil, model.Errorf(model.ErrInvalidConfig,
 			"netcalc: %d arrival specs for %d flows", len(opt.Arrivals), n)
-	}
-	if opt.NonPreemption != nil && len(opt.NonPreemption) != n {
-		return nil, model.Errorf(model.ErrInvalidConfig,
-			"netcalc: %d non-preemption penalties for %d flows", len(opt.NonPreemption), n)
 	}
 	// sigma[i][k], rho[i][k]: flow i's token bucket entering its k-th
 	// node, in that node's work units.
@@ -312,11 +305,9 @@ func AnalyzeFIFO(fs *model.FlowSet, opt FIFOOptions) (*Result, error) {
 			res.Stable = false
 			continue
 		}
-		total := float64(f.Jitter) + best + float64(len(f.Path)-1)*float64(fs.Net.Lmax)
-		if opt.NonPreemption != nil {
-			total += float64(opt.NonPreemption[i])
-		}
 		var sat bool
+		total := float64(f.Jitter) + best + float64(len(f.Path)-1)*float64(fs.Net.Lmax) +
+			float64(f.BlockingOver(len(f.Path), &sat))
 		b := ceilTime(total, &sat)
 		if sat {
 			res.Bounds[i] = model.TimeInfinity

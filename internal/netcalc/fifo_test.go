@@ -178,6 +178,35 @@ func TestAnalyzeFIFOOverload(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFIFOBlocking: a flow's Blocking shifts its bound by
+// exactly its sum δi and leaves every other flow's bound alone.
+func TestAnalyzeFIFOBlocking(t *testing.T) {
+	fs := model.PaperExample()
+	base, err := AnalyzeFIFO(fs, FIFOOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := make([]*model.Flow, fs.N())
+	for i, f := range fs.Flows {
+		flows[i] = f.Clone()
+	}
+	flows[1].Blocking = make([]model.Time, len(flows[1].Path))
+	flows[1].Blocking[0], flows[1].Blocking[len(flows[1].Path)-1] = 2, 5
+	got, err := AnalyzeFIFO(model.MustNewFlowSet(fs.Net, flows), FIFOOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fs.Flows {
+		want := base.Bounds[i]
+		if i == 1 {
+			want += 7
+		}
+		if got.Bounds[i] != want {
+			t.Errorf("flow %d: bound %d, want %d", i, got.Bounds[i], want)
+		}
+	}
+}
+
 // TestFloatOverflowDegradesToUnbounded: a finite float total past the
 // Time rail must come out as TimeInfinity with Stable=false in every
 // netcalc analysis — the raw float→int64 conversion this replaces

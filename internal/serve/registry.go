@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trajan/internal/feasibility"
 	"trajan/internal/journal"
 	"trajan/internal/model"
 	"trajan/internal/obs"
@@ -106,7 +107,11 @@ type Registry struct {
 // NewRegistry validates the template and returns an empty registry; no
 // tenant is hydrated until first touched.
 func NewRegistry(cfg RegistryConfig) (*Registry, error) {
-	if err := cfg.Template.Network.Validate(); err != nil {
+	// Every tenant's server starts with this controller configuration,
+	// so an invalid one (bad network, backend, unsound Smax estimator)
+	// fails here rather than on each tenant's first touch.
+	t := cfg.Template
+	if _, err := feasibility.NewController(t.Network, t.Options, t.Backend, t.Topology, t.RouteK); err != nil {
 		return nil, err
 	}
 	if cfg.Template.Journal != nil || cfg.Template.Tenant != "" || len(cfg.Template.Preload) > 0 {

@@ -30,22 +30,6 @@ func TestFiniteBufferDrops(t *testing.T) {
 	}
 }
 
-// TestBufferForOverride: per-node capacities override the global one.
-func TestBufferForOverride(t *testing.T) {
-	fs := singleHopFlowSet(t, 4)
-	sc := PeriodicScenario(fs, nil, 1)
-	res, err := NewEngine(fs, Config{
-		Buffer:    1,
-		BufferFor: func(model.NodeID) int { return 0 }, // unlimited everywhere
-	}).Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalDrops() != 0 || res.Delivered() != 4 {
-		t.Errorf("delivered %d dropped %d, want 4/0", res.Delivered(), res.TotalDrops())
-	}
-}
-
 // TestBufferConservation: under adversarial bursty traffic with tiny
 // buffers, delivered plus dropped still equals generated — nothing is
 // lost twice or leaked.

@@ -65,9 +65,6 @@ type Config struct {
 	// FlowStats.Drops / BacklogStats.Drops. 0 means unlimited — the
 	// paper's lossless model, under which a run can never drop.
 	Buffer int
-	// BufferFor overrides Buffer per node when non-nil (return 0 for
-	// unlimited).
-	BufferFor func(node model.NodeID) int
 	// MaxEvents caps the number of simulation events processed in one
 	// run (0 = unlimited), counted across all of the run's shards.
 	// Exceeding the budget aborts the run with model.ErrCanceled — a
@@ -196,7 +193,6 @@ type Engine struct {
 type shard struct {
 	flows   []int32        // global flow indices, ascending
 	nodeIDs []model.NodeID // local node index -> identifier
-	limits  []int          // per local node: buffer capacity (0 = unlimited)
 	nlinks  int
 	hops    int // packet-hops per round, the work estimate shards are claimed by
 
@@ -244,11 +240,6 @@ func NewEngine(fs *model.FlowSet, cfg Config) *Engine {
 				ni = int32(len(sd.nodeIDs))
 				local[h] = ni
 				sd.nodeIDs = append(sd.nodeIDs, h)
-				limit := cfg.Buffer
-				if cfg.BufferFor != nil {
-					limit = cfg.BufferFor(h)
-				}
-				sd.limits = append(sd.limits, limit)
 			}
 			path[s] = ni
 		}

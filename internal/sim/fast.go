@@ -532,9 +532,10 @@ func (e *Engine) runShard(r *run, wk *worker, sd *shard) {
 		r.fail(now, f, model.Errorf(model.ErrInvalidConfig, format, args...))
 	}
 
+	buffer := e.cfg.Buffer // per-node capacity, 0 = unlimited
 	arrive := func(ni int32, q QueuedPacket) {
 		ns := &nodes[ni]
-		if lim := sd.limits[ni]; lim > 0 && ns.pkts >= lim {
+		if buffer > 0 && ns.pkts >= buffer {
 			res.PerFlow[q.P.Flow].Drops++
 			ns.drops++
 			releaseFlight(q.fl)

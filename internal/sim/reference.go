@@ -76,7 +76,7 @@ func (e *Engine) RunReference(ctx context.Context, sc *Scenario) (*Result, error
 	if err := sc.Validate(e.fs); err != nil {
 		return nil, err
 	}
-	if e.cfg.Buffer != 0 || e.cfg.BufferFor != nil {
+	if e.cfg.Buffer != 0 {
 		return nil, model.Errorf(model.ErrInvalidConfig,
 			"sim: the reference engine models lossless nodes only (no Buffer)")
 	}

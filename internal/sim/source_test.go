@@ -16,7 +16,7 @@ type fakeSource struct {
 	pos    []int
 }
 
-func (f *fakeSource) Flows() int           { return f.nflows }
+func (f *fakeSource) Flows() int            { return f.nflows }
 func (f *fakeSource) TieBreak(flow int) int { return flow }
 
 func (f *fakeSource) Next(flow int, s *PacketSpec) bool {

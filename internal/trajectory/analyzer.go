@@ -9,8 +9,8 @@ import (
 // Result is the outcome of a trajectory analysis of a whole flow set.
 type Result struct {
 	// Bounds[i] is the worst-case end-to-end response-time bound Ri of
-	// flow i (Property 2, or Property 3 when Options.NonPreemption was
-	// supplied).
+	// flow i (Property 2, or Property 3 when the flow carries
+	// Blocking).
 	Bounds []model.Time
 	// Jitters[i] is flow i's end-to-end jitter per Definition 2:
 	// Ri - (Σ_h C^h_i + (|Pi|-1)·Lmin).
@@ -89,9 +89,6 @@ func Analyze(fs *model.FlowSet, opt Options) (*Result, error) {
 // deadline) aborts the analysis within one fixed-point sweep and
 // surfaces as model.ErrCanceled.
 func AnalyzeContext(ctx context.Context, fs *model.FlowSet, opt Options) (*Result, error) {
-	if err := checkOptions(fs, opt); err != nil {
-		return nil, err
-	}
 	// A seed vector of the wrong length is the whole-set analyzer's
 	// error to report.
 	if opt.SeedBounds == nil || len(opt.SeedBounds) == fs.N() {

@@ -191,17 +191,16 @@ func TestAnalyzeFlowMatchesAnalyze(t *testing.T) {
 // blocking also widens the A windows).
 func TestNonPreemptionShiftsBound(t *testing.T) {
 	fs := model.PaperExample()
-	delta := make([][]model.Time, fs.N())
+	delta := cyclicBlocking(fs)
 	total := make([]model.Time, fs.N())
-	for i, f := range fs.Flows {
-		delta[i] = make([]model.Time, len(f.Path))
-		for k := range delta[i] {
-			delta[i][k] = model.Time((i + k) % 3)
-			total[i] += delta[i][k]
+	for i := range delta {
+		for _, d := range delta[i] {
+			total[i] += d
 		}
 	}
+	blocked := withBlocking(t, fs, delta)
 	baseNQ := mustAnalyze(t, fs, Options{Smax: SmaxNoQueue})
-	shiftNQ := mustAnalyze(t, fs, Options{Smax: SmaxNoQueue, NonPreemption: delta})
+	shiftNQ := mustAnalyze(t, blocked, Options{Smax: SmaxNoQueue})
 	for i := range fs.Flows {
 		if shiftNQ.Bounds[i] != baseNQ.Bounds[i]+total[i] {
 			t.Errorf("no-queue flow %d: %d + δ%d ≠ %d",
@@ -209,20 +208,12 @@ func TestNonPreemptionShiftsBound(t *testing.T) {
 		}
 	}
 	base := mustAnalyze(t, fs, Options{})
-	shifted := mustAnalyze(t, fs, Options{NonPreemption: delta})
+	shifted := mustAnalyze(t, blocked, Options{})
 	for i := range fs.Flows {
 		if shifted.Bounds[i] < base.Bounds[i]+total[i] {
 			t.Errorf("prefix flow %d: shifted %d < base %d + δ%d",
 				i, shifted.Bounds[i], base.Bounds[i], total[i])
 		}
-	}
-	if _, err := Analyze(fs, Options{NonPreemption: delta[:2]}); err == nil {
-		t.Error("wrong-length δ accepted")
-	}
-	bad := make([][]model.Time, fs.N())
-	bad[0] = []model.Time{1}
-	if _, err := Analyze(fs, Options{NonPreemption: bad}); err == nil {
-		t.Error("wrong-arity δ vector accepted")
 	}
 }
 

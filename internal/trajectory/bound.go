@@ -68,7 +68,7 @@ func newBoundCtx(fs *model.FlowSet, opt Options, view pathView, smax smaxTable) 
 		jitter: f.Jitter,
 		clast:  view.cost[len(view.cost)-1],
 	}
-	c.delta = opt.deltaForView(view.flow, len(view.path), &c.sat)
+	c.delta = f.BlockingOver(len(view.path), &c.sat)
 
 	for j, fj := range fs.Flows {
 		if j == view.flow {

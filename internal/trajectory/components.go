@@ -78,14 +78,8 @@ func analyzeComponents(ctx context.Context, fs *model.FlowSet, opt Options, comp
 	return res, nil
 }
 
-// componentOptions slices the per-flow options down to the flows idx.
+// componentOptions slices SeedBounds down to the flows idx.
 func componentOptions(opt Options, idx []int) Options {
-	if np := opt.NonPreemption; np != nil {
-		opt.NonPreemption = make([][]model.Time, len(idx))
-		for l, g := range idx {
-			opt.NonPreemption[l] = np[g]
-		}
-	}
 	if sb := opt.SeedBounds; sb != nil {
 		opt.SeedBounds = make([]model.Time, len(idx))
 		for l, g := range idx {

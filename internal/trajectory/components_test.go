@@ -63,19 +63,14 @@ func podFlows(t testing.TB, seed int64, pods int, extra ...*model.Flow) *model.F
 }
 
 // componentOptionMatrix covers every Smax estimator, Property 3's
-// non-preemption vectors, caller seed bounds for the global-tail
+// non-preemption blocking, caller seed bounds for the global-tail
 // estimator, and serial and parallel sweeps.
-func componentOptionMatrix(t *testing.T, fs *model.FlowSet) []Options {
-	np := make([][]model.Time, fs.N())
-	for i, f := range fs.Flows {
-		if i%4 == 3 {
-			continue // a nil vector is "no blocking" for that flow
-		}
-		np[i] = make([]model.Time, len(f.Path))
-		for k := range np[i] {
-			np[i][k] = model.Time((i + k) % 3)
-		}
+func componentOptionMatrix(t *testing.T, fs *model.FlowSet) []engineCase {
+	np := cyclicBlocking(fs)
+	for i := 3; i < len(np); i += 4 {
+		np[i] = nil // a nil row is "no blocking" for that flow
 	}
+	blocked := withBlocking(t, fs, np)
 	seed, err := BusyPeriodSeed(fs, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -83,22 +78,22 @@ func componentOptionMatrix(t *testing.T, fs *model.FlowSet) []Options {
 	for i := range seed {
 		seed[i] += model.Time(i % 5)
 	}
-	var opts []Options
+	var cases []engineCase
 	for _, par := range []int{1, 8} {
 		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail, SmaxNoQueue} {
-			opts = append(opts,
-				Options{Smax: mode, Parallelism: par},
-				Options{Smax: mode, Parallelism: par, NonPreemption: np},
+			cases = append(cases,
+				engineCase{fs, Options{Smax: mode, Parallelism: par}},
+				engineCase{blocked, Options{Smax: mode, Parallelism: par}},
 			)
 		}
-		opts = append(opts,
-			Options{Smax: SmaxGlobalTail, Parallelism: par, SeedBounds: seed},
-			Options{Smax: SmaxPrefixFixpoint, Parallelism: par, MaxIterations: 2},
-			Options{Smax: SmaxPrefixFixpoint, Parallelism: par, MaxIterations: 4},
-			Options{Smax: SmaxGlobalTail, Parallelism: par, SeedBounds: seed, MaxIterations: 3},
+		cases = append(cases,
+			engineCase{fs, Options{Smax: SmaxGlobalTail, Parallelism: par, SeedBounds: seed}},
+			engineCase{fs, Options{Smax: SmaxPrefixFixpoint, Parallelism: par, MaxIterations: 2}},
+			engineCase{fs, Options{Smax: SmaxPrefixFixpoint, Parallelism: par, MaxIterations: 4}},
+			engineCase{fs, Options{Smax: SmaxGlobalTail, Parallelism: par, SeedBounds: seed, MaxIterations: 3}},
 		)
 	}
-	return opts
+	return cases
 }
 
 // TestComponentAnalysisMatchesWholeSet is the sharding differential:
@@ -108,11 +103,12 @@ func componentOptionMatrix(t *testing.T, fs *model.FlowSet) []Options {
 func TestComponentAnalysisMatchesWholeSet(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
-		fs := podFlows(t, seed, 3+int(seed))
-		if _, nc := fs.Components(); nc < 2 {
+		set := podFlows(t, seed, 3+int(seed))
+		if _, nc := set.Components(); nc < 2 {
 			t.Fatalf("seed %d: %d components, want several", seed, nc)
 		}
-		for oi, opt := range componentOptionMatrix(t, fs) {
+		for oi, c := range componentOptionMatrix(t, set) {
+			fs, opt := c.fs, c.opt
 			a, err := NewAnalyzer(fs, opt)
 			if err != nil {
 				t.Fatal(err)

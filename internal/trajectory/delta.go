@@ -64,17 +64,6 @@ type undoSnap struct {
 	pendingDirty []bool
 }
 
-// mutable rejects mutations on configurations whose options index into
-// the flow list: per-flow NonPreemption vectors cannot be remapped on
-// the caller's behalf.
-func (a *Analyzer) mutable() error {
-	if a.opt.NonPreemption != nil {
-		return model.Errorf(model.ErrInvalidConfig,
-			"trajectory: cannot mutate an analyzer configured with per-flow NonPreemption vectors")
-	}
-	return nil
-}
-
 // warmEligible reports whether the next fixed point may start from the
 // previous state: either a converged table exists, or an earlier
 // mutation already left a valid under-seed behind.
@@ -294,9 +283,6 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 			idx, err = 0, model.Errorf(model.ErrInternal, "trajectory: internal panic in AddFlow: %v", p)
 		}
 	}()
-	if err := a.mutable(); err != nil {
-		return 0, err
-	}
 	nfs, err := a.fs.WithFlowAdded(f)
 	if err != nil {
 		return 0, err
@@ -367,9 +353,6 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 			err = model.Errorf(model.ErrInternal, "trajectory: internal panic in RemoveFlow: %v", p)
 		}
 	}()
-	if err := a.mutable(); err != nil {
-		return err
-	}
 	if i < 0 || i >= a.fs.N() {
 		return model.Errorf(model.ErrInvalidConfig, "trajectory: flow index %d out of range [0,%d)", i, a.fs.N())
 	}
@@ -465,9 +448,6 @@ func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 			err = model.Errorf(model.ErrInternal, "trajectory: internal panic in UpdateFlow: %v", p)
 		}
 	}()
-	if err := a.mutable(); err != nil {
-		return err
-	}
 	if i < 0 || i >= a.fs.N() {
 		return model.Errorf(model.ErrInvalidConfig, "trajectory: flow index %d out of range [0,%d)", i, a.fs.N())
 	}

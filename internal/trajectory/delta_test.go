@@ -3,6 +3,7 @@ package trajectory
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -15,8 +16,8 @@ import (
 )
 
 // deltaOptionMatrix enumerates the Options settings the mutation tests
-// cover. NonPreemption is excluded: mutations reject it by contract
-// (its vectors index into the flow list).
+// cover. Property 3's non-preemption penalty rides on the flows the
+// tests mutate (randomBlocking), so it meets every setting.
 func deltaOptionMatrix() []Options {
 	return []Options{
 		{},
@@ -63,9 +64,32 @@ func candidateFlow(rng *rand.Rand, fs *model.FlowSet, name string) *model.Flow {
 			path[a], path[b] = path[b], path[a]
 		}
 	}
-	return model.UniformFlow(name,
+	return randomBlocking(rng, model.UniformFlow(name,
 		model.Time(30+rng.Intn(90)), model.Time(rng.Intn(5)), 0,
-		model.Time(1+rng.Intn(3)), path...)
+		model.Time(1+rng.Intn(3)), path...))
+}
+
+// randomBlocking gives f a random per-node Blocking row in [0,3], or
+// none (one draw in three), and returns it.
+func randomBlocking(rng *rand.Rand, f *model.Flow) *model.Flow {
+	f.Blocking = nil
+	if rng.Intn(3) > 0 {
+		f.Blocking = make([]model.Time, len(f.Path))
+		for k := range f.Blocking {
+			f.Blocking[k] = model.Time(rng.Intn(4))
+		}
+	}
+	return f
+}
+
+// withRandomBlocking is withBlocking with a randomBlocking row per flow.
+func withRandomBlocking(t *testing.T, rng *rand.Rand, fs *model.FlowSet) *model.FlowSet {
+	t.Helper()
+	rows := make([][]model.Time, fs.N())
+	for i, f := range fs.Flows {
+		rows[i] = randomBlocking(rng, f.Clone()).Blocking
+	}
+	return withBlocking(t, fs, rows)
 }
 
 // requireWarmMatchesCold compares the mutated analyzer against a cold
@@ -131,12 +155,14 @@ func requireWarmMatchesCold(t *testing.T, tag string, warm *Analyzer, opt Option
 }
 
 // TestDeltaScriptedMutationsMatchCold drives a fixed add→update→remove
-// script through every option setting on every fuzzed set, comparing
-// against a cold rebuild after each step.
+// script, then a what-if batch, through every option setting on every
+// fuzzed set whose flows carry random Blocking, comparing against a
+// cold rebuild after each step.
 func TestDeltaScriptedMutationsMatchCold(t *testing.T) {
-	for si, base := range fuzzedSets(t, 12) {
+	for si, set := range fuzzedSets(t, 12) {
 		for oi, opt := range deltaOptionMatrix() {
 			rng := rand.New(rand.NewSource(int64(si*31 + oi)))
+			base := withRandomBlocking(t, rng, set)
 			a, err := NewAnalyzer(base, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -184,6 +210,19 @@ func TestDeltaScriptedMutationsMatchCold(t *testing.T) {
 				}
 			}
 			requireWarmMatchesCold(t, tag("chain"), a, opt)
+
+			// A what-if batch over the mutated set: each outcome equals
+			// its candidate applied to a fresh analyzer.
+			cur := a.FlowSet()
+			cands := []Candidate{
+				{Add: candidateFlow(rng, base, "cand-wi-add")},
+				{Update: candidateFlow(rng, base, "cand-wi-upd"), Index: rng.Intn(cur.N())},
+				{Remove: true, Index: rng.Intn(cur.N())},
+			}
+			for k, out := range a.WhatIf(cands) {
+				requireOutcomeMatches(t, fmt.Sprintf("set %d opt %d whatif %d", si, oi, k),
+					out, coldCandidateOutcome(t, cur, opt, cands[k]))
+			}
 		}
 	}
 }
@@ -379,29 +418,6 @@ func TestDeltaMutationErrorsLeaveAnalyzerUsable(t *testing.T) {
 	got, err := a.Analyze()
 	if err != nil || !reflect.DeepEqual(want, got) {
 		t.Fatalf("analyzer disturbed by rejected mutations: err %v", err)
-	}
-}
-
-// TestDeltaMutationsRejectNonPreemption: per-flow option vectors cannot
-// be remapped, so mutations refuse.
-func TestDeltaMutationsRejectNonPreemption(t *testing.T) {
-	fs := model.PaperExample()
-	np := make([][]model.Time, fs.N())
-	for i, f := range fs.Flows {
-		np[i] = make([]model.Time, len(f.Path))
-	}
-	a, err := NewAnalyzer(fs, Options{NonPreemption: np})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.AddFlow(model.UniformFlow("x", 40, 0, 0, 2, 1, 3)); !errors.Is(err, model.ErrInvalidConfig) {
-		t.Errorf("AddFlow under NonPreemption: %v", err)
-	}
-	if err := a.RemoveFlow(0); !errors.Is(err, model.ErrInvalidConfig) {
-		t.Errorf("RemoveFlow under NonPreemption: %v", err)
-	}
-	if err := a.UpdateFlow(0, fs.Flows[0]); !errors.Is(err, model.ErrInvalidConfig) {
-		t.Errorf("UpdateFlow under NonPreemption: %v", err)
 	}
 }
 

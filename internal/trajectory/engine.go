@@ -127,35 +127,15 @@ type Analyzer struct {
 // use this accessor to read the committed state back.
 func (a *Analyzer) FlowSet() *model.FlowSet { return a.fs }
 
-// NewAnalyzer validates the options against the flow set and prepares
-// an empty engine. All heavy precomputation happens lazily on the first
+// NewAnalyzer prepares an empty engine over fs; the error is always
+// nil. All heavy precomputation happens lazily on the first
 // Analyze/AnalyzeFlow/Bounds call, in the same order the reference
 // implementation would perform it.
 func NewAnalyzer(fs *model.FlowSet, opt Options) (*Analyzer, error) {
-	if err := checkOptions(fs, opt); err != nil {
-		return nil, err
-	}
 	return newAnalyzer(fs, opt), nil
 }
 
-// checkOptions validates the per-flow options against the flow set.
-func checkOptions(fs *model.FlowSet, opt Options) error {
-	if opt.NonPreemption != nil {
-		if len(opt.NonPreemption) != fs.N() {
-			return model.Errorf(model.ErrInvalidConfig, "trajectory: %d non-preemption vectors for %d flows",
-				len(opt.NonPreemption), fs.N())
-		}
-		for i, v := range opt.NonPreemption {
-			if v != nil && len(v) != len(fs.Flows[i].Path) {
-				return model.Errorf(model.ErrInvalidConfig, "trajectory: flow %q has %d non-preemption terms for %d nodes",
-					fs.Flows[i].Name, len(v), len(fs.Flows[i].Path))
-			}
-		}
-	}
-	return nil
-}
-
-// newAnalyzer is NewAnalyzer for options checkOptions accepted.
+// newAnalyzer is NewAnalyzer without the error return.
 func newAnalyzer(fs *model.FlowSet, opt Options) *Analyzer {
 	a := &Analyzer{
 		fs:        fs,
@@ -695,7 +675,7 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 		vc.period = f.Period
 		vc.jitter = f.Jitter
 		vc.clast = f.Cost[p-1]
-		vc.delta = a.opt.deltaForView(i, p, &vc.sat)
+		vc.delta = f.BlockingOver(p, &vc.sat)
 		ni := cum
 		vc.jflow = arenaSlice(&ar.ints, ni)
 		vc.iEnt = arenaSlice(&ar.ints, ni)

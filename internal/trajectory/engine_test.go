@@ -39,29 +39,59 @@ func fuzzedSets(t *testing.T, trials int) []*model.FlowSet {
 	return sets
 }
 
-// engineOptionMatrix enumerates the Options settings the differential
-// tests cover: all three Smax estimators crossed with the window and
-// scan variants, serial and parallel sweeps, and Property 3's
-// non-preemption penalty.
-func engineOptionMatrix(fs *model.FlowSet) []Options {
-	np := make([][]model.Time, fs.N())
+// withBlocking returns a copy of fs whose flow i carries Blocking
+// rows[i] (a nil row carries none).
+func withBlocking(t testing.TB, fs *model.FlowSet, rows [][]model.Time) *model.FlowSet {
+	t.Helper()
+	flows := make([]*model.Flow, fs.N())
 	for i, f := range fs.Flows {
-		np[i] = make([]model.Time, len(f.Path))
-		for k := range np[i] {
-			np[i][k] = model.Time((i + k) % 3)
+		flows[i] = f.Clone()
+		flows[i].Blocking = rows[i]
+	}
+	out, err := model.NewFlowSet(fs.Net, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// cyclicBlocking is the deterministic Property-3 pattern the
+// differential tests charge: (i+k) mod 3 at the k-th node of flow i.
+func cyclicBlocking(fs *model.FlowSet) [][]model.Time {
+	rows := make([][]model.Time, fs.N())
+	for i, f := range fs.Flows {
+		rows[i] = make([]model.Time, len(f.Path))
+		for k := range rows[i] {
+			rows[i][k] = model.Time((i + k) % 3)
 		}
 	}
-	var opts []Options
+	return rows
+}
+
+// engineCase is one differential input: a flow set and the options to
+// analyse it under.
+type engineCase struct {
+	fs  *model.FlowSet
+	opt Options
+}
+
+// engineOptionMatrix enumerates the settings the differential tests
+// cover: all three Smax estimators crossed with the window and scan
+// variants, serial and parallel sweeps, and Property 3's non-preemption
+// penalty (the set with cyclicBlocking).
+func engineOptionMatrix(t testing.TB, fs *model.FlowSet) []engineCase {
+	blocked := withBlocking(t, fs, cyclicBlocking(fs))
+	var cases []engineCase
 	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail, SmaxNoQueue} {
-		opts = append(opts,
-			Options{Smax: mode},
-			Options{Smax: mode, StrictWindow: true},
-			Options{Smax: mode, DisableTScan: true},
-			Options{Smax: mode, Parallelism: 3},
-			Options{Smax: mode, NonPreemption: np},
+		cases = append(cases,
+			engineCase{fs, Options{Smax: mode}},
+			engineCase{fs, Options{Smax: mode, StrictWindow: true}},
+			engineCase{fs, Options{Smax: mode, DisableTScan: true}},
+			engineCase{fs, Options{Smax: mode, Parallelism: 3}},
+			engineCase{blocked, Options{Smax: mode}},
 		)
 	}
-	return opts
+	return cases
 }
 
 // TestEngineMatchesReferenceFuzzed is the tentpole's correctness bar:
@@ -69,8 +99,9 @@ func engineOptionMatrix(fs *model.FlowSet) []Options {
 // straight-line reference implementation for every fuzzed flow set at
 // every Options setting.
 func TestEngineMatchesReferenceFuzzed(t *testing.T) {
-	for si, fs := range fuzzedSets(t, 24) {
-		for oi, opt := range engineOptionMatrix(fs) {
+	for si, set := range fuzzedSets(t, 24) {
+		for oi, c := range engineOptionMatrix(t, set) {
+			fs, opt := c.fs, c.opt
 			want, wantErr := referenceAnalyze(fs, opt)
 			got, gotErr := Analyze(fs, opt)
 			if (wantErr == nil) != (gotErr == nil) {
@@ -93,8 +124,8 @@ func TestEngineMatchesReferenceFuzzed(t *testing.T) {
 // TestEngineMatchesReferencePaperExample pins the differential on the
 // paper's Section-5 example, where the golden bounds are known.
 func TestEngineMatchesReferencePaperExample(t *testing.T) {
-	fs := model.PaperExample()
-	for oi, opt := range engineOptionMatrix(fs) {
+	for oi, c := range engineOptionMatrix(t, model.PaperExample()) {
+		fs, opt := c.fs, c.opt
 		want, err := referenceAnalyze(fs, opt)
 		if err != nil {
 			t.Fatalf("opt %d: reference: %v", oi, err)
@@ -249,7 +280,6 @@ func TestEngineErrorParity(t *testing.T) {
 		{"prebuilt middle global workers 4", middle, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{100, 100, 100, 100, 100}, Parallelism: 4}},
 		{"unknown mode", ok, Options{Smax: SmaxMode(99)}},
 		{"bad seed length", ok, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{1}}},
-		{"bad nonpreemption shape", ok, Options{NonPreemption: make([][]model.Time, 1)}},
 	}
 	for _, c := range cases {
 		_, wantErr := referenceAnalyze(c.fs, c.opt)

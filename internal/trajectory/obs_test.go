@@ -74,20 +74,21 @@ func TestTracerPreservesResults(t *testing.T) {
 //
 //	Ri = Σ work + self + countedTwice + links + δi − t*.
 func TestFlowBoundDecompSumsToBound(t *testing.T) {
-	fs := model.PaperExample()
-	np := make([][]model.Time, fs.N())
-	for i, f := range fs.Flows {
+	paper := model.PaperExample()
+	np := make([][]model.Time, paper.N())
+	for i, f := range paper.Flows {
 		np[i] = make([]model.Time, len(f.Path))
 		np[i][0] = 3 // a non-preemption charge at the ingress node
 	}
-	for name, opt := range map[string]Options{
-		"default":        {},
-		"non-preemption": {NonPreemption: np},
-		"strict-window":  {StrictWindow: true},
-		"no-tscan":       {DisableTScan: true},
-		"global-tail":    {Smax: SmaxGlobalTail},
-		"no-queue":       {Smax: SmaxNoQueue},
+	for name, tc := range map[string]engineCase{
+		"default":        {paper, Options{}},
+		"non-preemption": {withBlocking(t, paper, np), Options{}},
+		"strict-window":  {paper, Options{StrictWindow: true}},
+		"no-tscan":       {paper, Options{DisableTScan: true}},
+		"global-tail":    {paper, Options{Smax: SmaxGlobalTail}},
+		"no-queue":       {paper, Options{Smax: SmaxNoQueue}},
 	} {
+		fs, opt := tc.fs, tc.opt
 		var c obs.Collector
 		opt.Tracer = &c
 		res, err := Analyze(fs, opt)

@@ -107,15 +107,6 @@ type Options struct {
 	// nil, a per-node busy-period seed is computed internally.
 	SeedBounds []model.Time
 
-	// NonPreemption is the non-preemption penalty of Property 3,
-	// decomposed per visited node: NonPreemption[i][k] is the blocking
-	// charged at the k-th node of flow i's path (computed by package
-	// ef, Lemma 4). The per-node decomposition matters because the
-	// Smax^h estimators analyse path prefixes, which incur only the
-	// blocking of their own nodes. Nil means all zeros — the pure FIFO
-	// analysis of Property 2.
-	NonPreemption [][]model.Time
-
 	// MaxIterations caps fixed-point iterations (both the Smax tables
 	// and the Bslow busy-period equation). Zero selects the default 256.
 	MaxIterations int
@@ -187,19 +178,6 @@ func (o Options) horizon() model.Time {
 		return model.TimeInfinity
 	}
 	return o.Horizon
-}
-
-// deltaForView sums the non-preemption blocking over the nodes of a
-// (possibly prefix) path view of flow i, saturating at TimeInfinity.
-func (o Options) deltaForView(i, pathLen int, sat *bool) model.Time {
-	if o.NonPreemption == nil {
-		return 0
-	}
-	var s model.Time
-	for k := 0; k < pathLen && k < len(o.NonPreemption[i]); k++ {
-		s = model.AddSat(s, o.NonPreemption[i][k], sat)
-	}
-	return s
 }
 
 // count returns the number of packets of a sporadic flow with period

@@ -11,30 +11,28 @@ import (
 
 // This file holds the sweep schedulers and the view prebuild:
 //
-//   - runViews: the reference path's channel-fed pool over straight-line
+//   - runViews: the reference path's serial loop over straight-line
 //     boundForView computations (pathView jobs).
 //   - runJobs/colorSort: the engine's colored scheduler over cached SoA
 //     views against a flat Smax table.
 //   - prebuildViews: the engine's view builds, one flow per job, ahead
 //     of a fixed point's serial request loop.
 //
-// All produce results identical to serial execution — each job writes
-// only its own slot and the first error in job/slot order wins — which
-// is what keeps the engine differentially pinned to the reference at
-// every worker count.
+// The engine's parallel schedules produce results identical to serial
+// execution — each job writes only its own slot and the first error in
+// job/slot order wins — which is what keeps the engine differentially
+// pinned to the serial reference at every worker count.
 
 // viewJob is one independent bound computation of a fixed-point sweep.
 type viewJob struct {
 	view pathView
 	// dst receives the resulting bound; each job writes a distinct slot.
 	dst *model.Time
-	err error
 }
 
-// safeBoundForView is boundForView with panic containment: a panic in
-// a worker (a broken internal invariant) becomes ErrInternal instead of
-// crashing the whole process — essential because a panicking goroutine
-// cannot be recovered by the caller.
+// safeBoundForView is boundForView with panic containment: a panic (a
+// broken internal invariant) becomes ErrInternal, the same error the
+// engine's workers report, instead of crashing the whole process.
 func safeBoundForView(fs *model.FlowSet, opt Options, view pathView, smax smaxTable) (r model.Time, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -47,53 +45,15 @@ func safeBoundForView(fs *model.FlowSet, opt Options, view pathView, smax smaxTa
 	return boundForView(fs, opt, view, smax)
 }
 
-// runViews evaluates the jobs against an immutable Smax table, fanning
-// out across Options.Workers() goroutines. Each job writes only its
-// own slot, so the result is identical to serial execution; the first
-// error (by job order) is returned. All goroutines are joined before
-// returning, whether or not a job failed.
+// runViews evaluates the jobs in order against an immutable Smax table
+// and returns the first error.
 func runViews(fs *model.FlowSet, opt Options, smax smaxTable, jobs []viewJob) error {
-	workers := opt.Workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for k := range jobs {
-			r, err := safeBoundForView(fs, opt, jobs[k].view, smax)
-			if err != nil {
-				return err
-			}
-			*jobs[k].dst = r
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		for k := range jobs {
-			next <- k
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				r, err := safeBoundForView(fs, opt, jobs[k].view, smax)
-				if err != nil {
-					jobs[k].err = err
-					continue
-				}
-				*jobs[k].dst = r
-			}
-		}()
-	}
-	wg.Wait()
 	for k := range jobs {
-		if jobs[k].err != nil {
-			return jobs[k].err
+		r, err := safeBoundForView(fs, opt, jobs[k].view, smax)
+		if err != nil {
+			return err
 		}
+		*jobs[k].dst = r
 	}
 	return nil
 }

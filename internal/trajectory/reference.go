@@ -19,18 +19,6 @@ import (
 // every sweep, and every boundForView call pays the full newBoundCtx
 // topology cost.
 func referenceAnalyze(fs *model.FlowSet, opt Options) (*Result, error) {
-	if opt.NonPreemption != nil {
-		if len(opt.NonPreemption) != fs.N() {
-			return nil, model.Errorf(model.ErrInvalidConfig, "trajectory: %d non-preemption vectors for %d flows",
-				len(opt.NonPreemption), fs.N())
-		}
-		for i, v := range opt.NonPreemption {
-			if v != nil && len(v) != len(fs.Flows[i].Path) {
-				return nil, model.Errorf(model.ErrInvalidConfig, "trajectory: flow %q has %d non-preemption terms for %d nodes",
-					fs.Flows[i].Name, len(v), len(fs.Flows[i].Path))
-			}
-		}
-	}
 	smax, sweeps, converged, err := computeSmax(fs, opt)
 	if err != nil {
 		return nil, err

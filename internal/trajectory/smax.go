@@ -173,8 +173,7 @@ func prefixFixpoint(fs *model.FlowSet, opt Options) (smaxTable, int, bool, error
 	t.fillNoQueue(fs)
 	horizon := opt.horizon()
 	// Pre-build the sweep's job list; each sweep re-evaluates every
-	// prefix view against the immutable previous table (in parallel
-	// when Options.Parallelism allows).
+	// prefix view against the immutable previous table.
 	type slot struct{ i, k int }
 	total := 0
 	for _, f := range fs.Flows {

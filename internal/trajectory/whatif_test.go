@@ -70,9 +70,9 @@ func TestWhatIfMatchesColdPerCandidate(t *testing.T) {
 			{Add: candidateFlow(rng, base, "wi-add-2")},
 			{Update: candidateFlow(rng, base, "wi-upd"), Index: rng.Intn(base.N())},
 			{Remove: true, Index: rng.Intn(base.N())},
-			{Add: base.Flows[0]},                 // duplicate name: must error
-			{Remove: true, Index: base.N() + 7},  // out of range: must error
-			{},                                   // no mutation: must error
+			{Add: base.Flows[0]},                // duplicate name: must error
+			{Remove: true, Index: base.N() + 7}, // out of range: must error
+			{},                                  // no mutation: must error
 			{Update: candidateFlow(rng, base, "wi-upd-2"), Index: 0},
 		}
 		if base.N() > 1 {
