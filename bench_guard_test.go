@@ -9,6 +9,7 @@ package trajan_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -488,6 +489,115 @@ func TestBenchGuardRouteAdmit(t *testing.T) {
 		t.Errorf("RouteAdmit/workers1: %d allocs/op, baseline %d (+10%% = %d)", got, base, limit)
 	} else {
 		t.Logf("RouteAdmit/workers1: %d allocs/op (baseline %d)", got, base)
+	}
+}
+
+// routeCommitBase admits about 40 seeded flows by route=auto into a
+// Controller on Clos(4,8,4), the shape the route-auto workload serves,
+// and returns it with a probe the set admits.
+func routeCommitBase(tb testing.TB) (*feasibility.Controller, *model.Topology, *model.Flow) {
+	tb.Helper()
+	topo, err := workload.ClosTopology(4, 8, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := feasibility.NewController(model.UnitDelayNetwork(), trajectory.Options{}, "", topo, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	mk := func(name string) *model.Flow {
+		sl, dl := rng.Intn(8), rng.Intn(7)
+		if dl >= sl {
+			dl++
+		}
+		return model.UniformFlow(name, model.Time(300+rng.Intn(300)), 0, 200,
+			model.Time(1+rng.Intn(3)), workload.ClosHost(sl, rng.Intn(4)), workload.ClosHost(dl, rng.Intn(4)))
+	}
+	ctx := context.Background()
+	for k := 0; k < 40; k++ {
+		if _, err := c.Admit(ctx, mk(benchName("f", k)), true); err != nil && !errors.Is(err, model.ErrInvalidConfig) {
+			tb.Fatal(err)
+		}
+	}
+	for k := 0; ; k++ {
+		probe := mk(benchName("probe", k))
+		d, err := c.Admit(ctx, probe, true)
+		if err == nil && d.Outcome == "admitted" {
+			if _, err := c.Release(ctx, probe.Name); err != nil {
+				tb.Fatal(err)
+			}
+			return c, topo, probe
+		}
+	}
+}
+
+// TestBenchGuardRouteCommit pins what a route=auto decision costs beyond
+// its scoring: a Controller.Admit with route=auto plus the Release that
+// undoes it, against RouteCandidates and ScoreRoutesWhatIf of the same
+// probe on the same warm base, alternating in this process at
+// GOMAXPROCS 1. The commit adopts the winner's scored fork and the
+// release restores the snapshot it pushed, so the decision should cost
+// little more than its scoring (0.99 on 2 vCPU); re-analysing the
+// winner on commit reads 1.5. The ceiling is 1.15 in the median of 7
+// samples.
+func TestBenchGuardRouteCommit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("time ratio not checked under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c, topo, probe := routeCommitBase(t)
+	ctx := context.Background()
+	decide := func() float64 {
+		start := time.Now()
+		d, err := c.Admit(ctx, probe, true)
+		if err != nil || d.Outcome != "admitted" {
+			t.Fatalf("probe admit: %v %+v", err, d)
+		}
+		if _, err := c.Release(ctx, probe.Name); err != nil {
+			t.Fatal(err)
+		}
+		return float64(time.Since(start))
+	}
+	score := func() float64 {
+		start := time.Now()
+		a, err := c.Analyzer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfs, err := feasibility.RouteCandidates(topo, probe, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if feasibility.ChooseRoute(feasibility.ScoreRoutesWhatIf(ctx, a, cfs, -1)) < 0 {
+			t.Fatal("probe has no feasible route")
+		}
+		return float64(time.Since(start))
+	}
+	const decisions = 21
+	d, s := make([]float64, decisions), make([]float64, decisions)
+	ratios := make([]float64, 7)
+	for r := range ratios {
+		for k := 0; k < decisions; k++ {
+			if k%2 == 0 {
+				d[k], s[k] = decide(), score()
+			} else {
+				s[k], d[k] = score(), decide()
+			}
+		}
+		dm, _ := medianMAD(d)
+		sm, _ := medianMAD(s)
+		ratios[r] = dm / sm
+	}
+	med, mad := medianMAD(ratios)
+	if med > 1.15 {
+		t.Errorf("route=auto admit+release costs %.2fx its scoring (median of %d, MAD %.2f, samples %.2f), want <= 1.15",
+			med, len(ratios), mad, ratios)
+	} else {
+		t.Logf("route=auto admit+release costs %.2fx its scoring (MAD %.2f)", med, mad)
 	}
 }
 

@@ -264,18 +264,15 @@ func BenchmarkAnalyzerReuse(b *testing.B) {
 // BenchmarkColdPods times the offline verification profile: the cold
 // combined analysis (trajectory, holistic, netcalc) of disjoint
 // leaf-spine pods. Each op analyses a fresh FlowSet, so the lazily built
-// node index is paid inside the loop. pods6 costs about six times pods1
+// node index is paid inside the loop. podsN costs about N times pods1
 // when every layer is linear in the pod count.
 func BenchmarkColdPods(b *testing.B) {
-	all, pods := podSets(b, 6, 1)
-	for _, c := range []struct {
-		name string
-		fs   *model.FlowSet
-	}{{"pods1", pods[0]}, {"pods6", all}} {
-		b.Run(c.name, func(b *testing.B) {
+	for _, n := range []int{1, 2, 3, 6} {
+		fs, _ := podSets(b, n, 1)
+		b.Run(benchName("pods", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := coldCombined(c.fs, 0); err != nil {
+				if _, err := coldCombined(fs, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -292,6 +292,14 @@ func TestControllerDifferential(t *testing.T) {
 					got, gotErr = c.Release(ctx, name)
 				}
 				o.check(step, c, got, gotErr, want, wantErr)
+				if got.Cands != nil && got.Winner >= 0 && got.Outcome != "rejected" {
+					// A route=auto commit adopted the winner's fork.
+					a, err := c.Analyzer()
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireEngineMatchesCold(t, step, a, trajectory.Options{})
+				}
 				decided[got.Op+" "+got.Outcome]++
 			}
 			t.Logf("seed %d %s: %v", seed, backend, decided)

@@ -188,9 +188,9 @@ func ScoreRoutesWhatIf(ctx context.Context, a *trajectory.Analyzer, cands []*mod
 	tcands := make([]trajectory.Candidate, len(cands))
 	for i, cf := range cands {
 		if updateIdx >= 0 {
-			tcands[i] = trajectory.Candidate{Update: cf, Index: updateIdx}
+			tcands[i] = trajectory.Candidate{Update: cf, Index: updateIdx, Keep: true}
 		} else {
-			tcands[i] = trajectory.Candidate{Add: cf}
+			tcands[i] = trajectory.Candidate{Add: cf, Keep: true}
 		}
 	}
 	outcomes := a.WhatIfContext(ctx, tcands)
@@ -211,7 +211,7 @@ func ScoreRoutesWhatIf(ctx context.Context, a *trajectory.Analyzer, cands []*mod
 		} else {
 			flows = append(flows, cf)
 		}
-		ok, minSlack := SetVerdict(flows, outcomes[i].Result.Bounds)
+		ok, minSlack := SetVerdict(flows, outcomes[i].Bounds)
 		out[i].MinSlack = minSlack
 		out[i].Outcome = ClassifyRouteOutcome(nil, ok)
 	}

@@ -3,6 +3,7 @@ package feasibility
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -242,8 +243,35 @@ func TestRouteParallelScoringParity(t *testing.T) {
 				t.Fatalf("par=%d candidate %d: path %v vs %v", par, i, warm[i].Path, cold[i].Path)
 			}
 		}
-		if ChooseRoute(warm) != ChooseRoute(cold) {
-			t.Fatalf("par=%d: warm decision %d != cold decision %d", par, ChooseRoute(warm), ChooseRoute(cold))
+		win := ChooseRoute(warm)
+		if win != ChooseRoute(cold) {
+			t.Fatalf("par=%d: warm decision %d != cold decision %d", par, win, ChooseRoute(cold))
 		}
+		if win < 0 {
+			t.Fatalf("par=%d: no feasible route", par)
+		}
+		// Committing the winner adopts its scored fork: the engine's
+		// bounds must equal a cold analysis of the committed set.
+		if _, err := a.AddFlow(warm[win].Flow); err != nil {
+			t.Fatal(err)
+		}
+		requireEngineMatchesCold(t, fmt.Sprintf("par=%d commit", par), a, opt)
+	}
+}
+
+// requireEngineMatchesCold checks that a warm engine's bounds equal a
+// cold trajectory analysis of its flow set, bit for bit.
+func requireEngineMatchesCold(t *testing.T, tag string, a *trajectory.Analyzer, opt trajectory.Options) {
+	t.Helper()
+	got, err := a.Bounds()
+	if err != nil {
+		t.Fatalf("%s: warm bounds: %v", tag, err)
+	}
+	cold, err := trajectory.Analyze(a.FlowSet(), opt)
+	if err != nil {
+		t.Fatalf("%s: cold analysis: %v", tag, err)
+	}
+	if !reflect.DeepEqual(got, cold.Bounds) {
+		t.Fatalf("%s: warm bounds %v, cold %v", tag, got, cold.Bounds)
 	}
 }

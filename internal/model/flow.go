@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a node (router) of the network. Node identifiers
@@ -293,6 +294,17 @@ func (f *Flow) Clone() *Flow {
 		g.Blocking = append([]Time(nil), f.Blocking...)
 	}
 	return &g
+}
+
+// Equal reports whether f and g describe the same flow: every field,
+// a fragment's origin included. Nil and empty slices compare equal, as
+// the analyses read them alike.
+func (f *Flow) Equal(g *Flow) bool {
+	return f.Name == g.Name && f.Period == g.Period && f.Jitter == g.Jitter &&
+		f.Deadline == g.Deadline && f.Class == g.Class &&
+		f.parent == g.parent && f.fragStart == g.fragStart &&
+		slices.Equal(f.Path, g.Path) && slices.Equal(f.Cost, g.Cost) &&
+		slices.Equal(f.Blocking, g.Blocking)
 }
 
 // UniformFlow builds a flow whose processing cost is the same on every

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -179,6 +180,10 @@ func ComparePaths(a, b Path) int {
 // pure function of (src, dst, k). Fewer than k paths are returned when
 // the graph has no more loop-free alternatives; errors are classified
 // ErrInvalidConfig (bad k, unknown nodes, unreachable destination).
+//
+// The search runs on a dense mirror of the graph built for the call
+// (kspGraph), so nothing is cached on the Topology and AddLink after a
+// call needs no invalidation.
 func (t *Topology) KShortestPaths(src, dst NodeID, k int) ([]Path, error) {
 	if k < 1 {
 		return nil, Errorf(ErrInvalidConfig, "topology: k-shortest paths needs k ≥ 1, got %d", k)
@@ -189,43 +194,46 @@ func (t *Topology) KShortestPaths(src, dst NodeID, k int) ([]Path, error) {
 	if _, ok := t.adj[dst]; !ok {
 		return nil, Errorf(ErrInvalidConfig, "topology: unknown destination %d", dst)
 	}
-	first, ok := t.lexRoute(src, dst, nil, nil)
+	g := t.dense()
+	s, d := g.index(src), g.index(dst)
+	first, ok := g.lexRoute(s, d, -1)
 	if !ok {
 		return nil, Errorf(ErrInvalidConfig, "topology: node %d unreachable from %d", dst, src)
 	}
-	shortest := []Path{first}
-	var candidates []Path
+	shortest := [][]int32{first}
+	var candidates [][]int32
 	for len(shortest) < k {
 		prev := shortest[len(shortest)-1]
 		// Deviate from every spur node of the previously accepted path.
+		// Every banned edge leaves the spur node: it is the next hop of
+		// an accepted path sharing the root.
 		for i := 0; i+1 < len(prev); i++ {
 			spur := prev[i]
 			root := prev[:i+1]
-			bannedEdges := make(map[[2]NodeID]bool)
 			for _, p := range shortest {
-				if len(p) > i+1 && ComparePaths(p[:i+1], root) == 0 {
-					bannedEdges[[2]NodeID{p[i], p[i+1]}] = true
+				if len(p) > i+1 && slices.Equal(p[:i+1], root) {
+					g.bannedNext[p[i+1]] = true
 				}
 			}
-			bannedNodes := make(map[NodeID]bool, i)
 			for _, n := range root[:i] {
-				bannedNodes[n] = true
+				g.bannedNode[n] = true
 			}
-			spurPath, ok := t.lexRoute(spur, dst, bannedEdges, bannedNodes)
+			spurPath, ok := g.lexRoute(spur, d, spur)
+			clear(g.bannedNext)
+			clear(g.bannedNode)
 			if !ok {
 				continue
 			}
-			total := append(append(Path{}, root...), spurPath[1:]...)
-			if !containsPath(shortest, total) && !containsPath(candidates, total) {
+			total := append(append(make([]int32, 0, i+len(spurPath)), root...), spurPath[1:]...)
+			same := func(q []int32) bool { return slices.Equal(q, total) }
+			if !slices.ContainsFunc(shortest, same) && !slices.ContainsFunc(candidates, same) {
 				candidates = append(candidates, total)
 			}
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		sort.Slice(candidates, func(a, b int) bool {
-			return ComparePaths(candidates[a], candidates[b]) < 0
-		})
+		slices.SortFunc(candidates, compareIdxPaths)
 		shortest = append(shortest, candidates[0])
 		candidates = candidates[1:]
 	}
@@ -233,76 +241,131 @@ func (t *Topology) KShortestPaths(src, dst NodeID, k int) ([]Path, error) {
 	// the final sort additionally pins the lexicographic order among
 	// equal-length paths, making the output exactly the ComparePaths
 	// order regardless of discovery order.
-	sort.Slice(shortest, func(a, b int) bool {
-		return ComparePaths(shortest[a], shortest[b]) < 0
-	})
-	return shortest, nil
-}
-
-func containsPath(set []Path, p Path) bool {
-	for _, q := range set {
-		if ComparePaths(q, p) == 0 {
-			return true
+	slices.SortFunc(shortest, compareIdxPaths)
+	out := make([]Path, len(shortest))
+	for j, p := range shortest {
+		out[j] = make(Path, len(p))
+		for x, n := range p {
+			out[j][x] = g.ids[n]
 		}
 	}
-	return false
+	return out, nil
+}
+
+// kspGraph is a dense mirror of a Topology for one k-shortest-paths
+// call: node n of the mirror is ids[n], ids sorted ascending, so
+// index order is identifier order and ComparePaths carries over to
+// index paths. Successor and predecessor lists are CSR slices, the
+// successors ascending. bannedNode and bannedNext are the spur search's
+// exclusions (nodes of the root, next hops out of the spur node); dist
+// and queue are lexRoute's scratch.
+type kspGraph struct {
+	ids           []NodeID
+	succOff, succ []int32
+	predOff, pred []int32
+	bannedNode    []bool
+	bannedNext    []bool
+	dist, queue   []int32
+}
+
+// dense builds the mirror.
+func (t *Topology) dense() *kspGraph {
+	n := len(t.adj)
+	g := &kspGraph{ids: make([]NodeID, 0, n)}
+	edges := 0
+	for u, vs := range t.adj {
+		g.ids = append(g.ids, u)
+		edges += len(vs)
+	}
+	slices.Sort(g.ids)
+	ints := make([]int32, 2*(n+1)+2*edges+2*n)
+	g.succOff, ints = ints[:n+1], ints[n+1:]
+	g.predOff, ints = ints[:n+1], ints[n+1:]
+	g.succ, ints = ints[:0:edges], ints[edges:]
+	g.pred, ints = ints[:edges], ints[edges:]
+	g.dist, g.queue = ints[:n], ints[n:n]
+	bools := make([]bool, 2*n)
+	g.bannedNode, g.bannedNext = bools[:n], bools[n:]
+	for i, u := range g.ids {
+		start := len(g.succ)
+		for _, v := range t.adj[u] {
+			j := g.index(v)
+			g.succ = append(g.succ, j)
+			g.predOff[j+1]++
+		}
+		slices.Sort(g.succ[start:])
+		g.succOff[i+1] = int32(len(g.succ))
+	}
+	for i := 1; i <= n; i++ {
+		g.predOff[i] += g.predOff[i-1]
+	}
+	// Fill each node's predecessor run from its end backwards, using
+	// dist as the cursor (it is scratch until lexRoute runs).
+	fill := g.dist
+	copy(fill, g.predOff[1:])
+	for u := range g.ids {
+		for _, v := range g.succ[g.succOff[u]:g.succOff[u+1]] {
+			fill[v]--
+			g.pred[fill[v]] = int32(u)
+		}
+	}
+	return g
+}
+
+// index returns the mirror index of a node the topology has.
+func (g *kspGraph) index(n NodeID) int32 {
+	i, _ := slices.BinarySearch(g.ids, n)
+	return int32(i)
 }
 
 // lexRoute returns the lexicographically smallest shortest path from
-// src to dst that avoids the banned edges and nodes, or ok=false when
-// no such path exists. It computes hop distances to dst by a reverse
-// BFS (order-independent), then walks forward greedily taking the
-// smallest admissible neighbor that stays on a shortest path.
-func (t *Topology) lexRoute(src, dst NodeID, bannedEdge map[[2]NodeID]bool, bannedNode map[NodeID]bool) (Path, bool) {
-	if bannedNode[src] || bannedNode[dst] {
+// src to dst that avoids the banned nodes and, out of node spur (-1 for
+// none), the banned next hops; ok=false when no such path exists. It
+// computes hop distances to dst by a reverse BFS (order-independent),
+// then walks forward greedily taking the smallest admissible successor
+// that stays on a shortest path.
+func (g *kspGraph) lexRoute(src, dst, spur int32) ([]int32, bool) {
+	if g.bannedNode[src] || g.bannedNode[dst] {
 		return nil, false
 	}
 	if src == dst {
-		return Path{src}, true
+		return []int32{src}, true
 	}
-	rev := make(map[NodeID][]NodeID, len(t.adj))
-	for u, vs := range t.adj {
-		if bannedNode[u] {
-			continue
-		}
-		for _, v := range vs {
-			if bannedNode[v] || bannedEdge[[2]NodeID{u, v}] {
+	dist := g.dist
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[dst] = 0
+	queue := append(g.queue[:0], dst)
+	for h := 0; h < len(queue); h++ {
+		v := queue[h]
+		for _, u := range g.pred[g.predOff[v]:g.predOff[v+1]] {
+			if dist[u] >= 0 || g.bannedNode[u] || (u == spur && g.bannedNext[v]) {
 				continue
 			}
-			rev[v] = append(rev[v], u)
+			dist[u] = dist[v] + 1
+			queue = append(queue, u)
 		}
 	}
-	dist := map[NodeID]int{dst: 0}
-	queue := []NodeID{dst}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range rev[v] {
-			if _, seen := dist[u]; !seen {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	d, ok := dist[src]
-	if !ok {
+	g.queue = queue
+	d := dist[src]
+	if d < 0 {
 		return nil, false
 	}
-	p := make(Path, 0, d+1)
-	p = append(p, src)
+	p := make([]int32, 1, d+1)
+	p[0] = src
 	for u := src; u != dst; {
-		var next NodeID
-		found := false
-		for _, v := range t.Neighbors(u) { // sorted: first hit is smallest
-			if bannedNode[v] || bannedEdge[[2]NodeID{u, v}] {
+		next := int32(-1)
+		for _, v := range g.succ[g.succOff[u]:g.succOff[u+1]] { // ascending: first hit is smallest
+			if g.bannedNode[v] || (u == spur && g.bannedNext[v]) {
 				continue
 			}
-			if dv, ok := dist[v]; ok && dv == d-1 {
-				next, found = v, true
+			if dist[v] == d-1 {
+				next = v
 				break
 			}
 		}
-		if !found {
+		if next < 0 {
 			return nil, false // unreachable: dist[src] guarantees a way out
 		}
 		p = append(p, next)
@@ -310,6 +373,14 @@ func (t *Topology) lexRoute(src, dst NodeID, bannedEdge map[[2]NodeID]bool, bann
 		d--
 	}
 	return p, true
+}
+
+// compareIdxPaths is ComparePaths over mirror index paths.
+func compareIdxPaths(a, b []int32) int {
+	if len(a) != len(b) {
+		return len(a) - len(b)
+	}
+	return slices.Compare(a, b)
 }
 
 // LineTopology builds the bidirectional line 0–1–…–(n-1).

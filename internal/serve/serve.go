@@ -797,12 +797,12 @@ func (st *loopState) probeFromOutcome(c *trajectory.Candidate, o trajectory.What
 		p.Err = o.Err
 		return p
 	}
-	fillProbe(&p, st.hypotheticalSet(c), o.Result.Bounds)
+	fillProbe(&p, st.hypotheticalSet(c), o.Bounds)
 	return p
 }
 
-// hypotheticalSet reconstructs the flow metadata a candidate's Result
-// indexes into, without re-deriving the set itself: adds append, removes
+// hypotheticalSet reconstructs the flow metadata a candidate's Bounds
+// index into, without re-deriving the set itself: adds append, removes
 // shift down, updates replace in place — the same index contract as the
 // Analyzer mutations.
 func (st *loopState) hypotheticalSet(c *trajectory.Candidate) []*model.Flow {

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"sync"
 
 	"trajan/internal/model"
 )
@@ -132,7 +133,7 @@ const (
 )
 
 type streamFlow struct {
-	rng     *rand.Rand // nil until the flow's first Next
+	rng     *rand.Rand // from rngPool between the flow's first Next and its exhaustion
 	emitted int
 	nextGen model.Time
 	lastRel model.Time
@@ -149,6 +150,11 @@ func flowSeed(seed int64, flow int) int64 {
 	return int64((z ^ (z >> 31)) &^ (1 << 63))
 }
 
+// rngPool recycles the per-flow generators across flows and runs: a
+// math/rand source is about 4.9 KB, and re-seeding one gives exactly the
+// stream a fresh rand.NewSource would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 func newStreamSource(fs *model.FlowSet, seed int64, npackets, mode int) *streamSource {
 	return &streamSource{fs: fs, seed: seed, limit: npackets, mode: mode, flows: make([]streamFlow, fs.N())}
 }
@@ -159,7 +165,8 @@ func newStreamSource(fs *model.FlowSet, seed int64, npackets, mode int) *streamS
 func (s *streamSource) start(flow int) {
 	f := s.fs.Flows[flow]
 	sf := &s.flows[flow]
-	sf.rng = rand.New(rand.NewSource(flowSeed(s.seed, flow)))
+	sf.rng = rngPool.Get().(*rand.Rand)
+	sf.rng.Seed(flowSeed(s.seed, flow))
 	sf.nextGen = rndTime(sf.rng, 0, f.Period)
 	sf.proc = make([]model.Time, len(f.Path))
 	sf.link = make([]model.Time, len(f.Path)-1)
@@ -213,6 +220,10 @@ func (s *streamSource) TieBreak(flow int) int { return flow }
 func (s *streamSource) Next(flow int, spec *PacketSpec) bool {
 	sf := &s.flows[flow]
 	if sf.emitted >= s.limit {
+		if sf.rng != nil {
+			rngPool.Put(sf.rng)
+			sf.rng = nil
+		}
 		return false
 	}
 	if sf.rng == nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -112,6 +113,29 @@ func TestStreamSourceInterleavingIndependence(t *testing.T) {
 				t.Fatalf("flow %d packet %d differs across interleavings:\nseq  %+v\nrr   %+v", f, k, a, b)
 			}
 		}
+	}
+}
+
+// TestPooledRandMatchesFresh: a generator taken from rngPool after
+// another stream used it, and re-seeded, draws exactly what a fresh
+// rand.NewSource with that seed draws.
+func TestPooledRandMatchesFresh(t *testing.T) {
+	used := rngPool.Get().(*rand.Rand)
+	used.Seed(7)
+	for k := 0; k < 777; k++ {
+		used.Int63n(1 + int64(k))
+	}
+	rngPool.Put(used)
+	for _, seed := range []int64{0, 1, flowSeed(42, 3), -5} {
+		pooled := rngPool.Get().(*rand.Rand)
+		pooled.Seed(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for k := 0; k < 10000; k++ {
+			if g, w := pooled.Int63(), fresh.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: pooled %d, fresh %d", seed, k, g, w)
+			}
+		}
+		rngPool.Put(pooled)
 	}
 }
 

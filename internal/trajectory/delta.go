@@ -37,10 +37,11 @@ import (
 // general path, which is still correct, just not O(1)).
 const maxUndoDepth = 32
 
-// undoSnap captures the Analyzer's complete pre-AddFlow state. AddFlow
-// never mutates the structures a snapshot aliases — it builds fresh
-// outer arrays and a fresh seed table — so restoring is O(1) and
-// bit-exact.
+// undoSnap captures the Analyzer's complete state: a pre-AddFlow
+// snapshot on the undo chain, or a kept WhatIf fork's converged state
+// (keptFork). AddFlow never mutates the structures a snapshot aliases —
+// it builds fresh outer arrays and a fresh seed table — so restoring is
+// O(1) and bit-exact.
 type undoSnap struct {
 	prev      *undoSnap
 	fs        *model.FlowSet
@@ -59,6 +60,7 @@ type undoSnap struct {
 	converged bool
 	smaxDone  bool
 	smaxErr   error
+	bounds    []model.Time
 
 	pendingSeed  smaxTable
 	pendingDirty []bool
@@ -216,22 +218,14 @@ func (a *Analyzer) resetSmaxState() {
 	a.converged = false
 	a.smaxDone = false
 	a.smaxErr = nil
+	a.bounds = nil
 	a.colors = nil
 	a.nColors = 0
 }
 
-// pushUndo records the current state on the snapshot chain.
-func (a *Analyzer) pushUndo() {
-	if a.undoDepth >= maxUndoDepth {
-		s := a.undo
-		for s.prev != nil && s.prev.prev != nil {
-			s = s.prev
-		}
-		s.prev = nil
-		a.undoDepth--
-	}
-	a.undo = &undoSnap{
-		prev:      a.undo,
+// snapshot captures the current state (prev unset).
+func (a *Analyzer) snapshot() *undoSnap {
+	return &undoSnap{
 		fs:        a.fs,
 		full:      a.full,
 		prefix:    a.prefix,
@@ -248,24 +242,46 @@ func (a *Analyzer) pushUndo() {
 		converged: a.converged,
 		smaxDone:  a.smaxDone,
 		smaxErr:   a.smaxErr,
+		bounds:    a.bounds,
 
 		pendingSeed:  a.pendingSeed,
 		pendingDirty: a.pendingDirty,
 	}
-	a.undoDepth++
 }
 
-// restore pops one snapshot. Topo extensions never mutate the rows a
-// snapshot's topo aliases (delta constructors are copy-on-write), so
-// restoring the pointer is exact.
-func (a *Analyzer) restore(s *undoSnap) {
+// install makes s the current state; the undo chain is the caller's.
+// Topo extensions never mutate the rows a snapshot's topo aliases
+// (delta constructors are copy-on-write), so installing the pointer is
+// exact.
+func (a *Analyzer) install(s *undoSnap) {
 	a.fs, a.full, a.prefix = s.fs, s.full, s.prefix
 	a.entryBase, a.nEntries = s.entryBase, s.nEntries
 	a.topo, a.colors, a.nColors = s.topo, s.colors, s.nColors
 	a.smax, a.smaxFlat = s.smax, s.smaxFlat
 	a.sweeps, a.converged = s.sweeps, s.converged
-	a.smaxDone, a.smaxErr = s.smaxDone, s.smaxErr
+	a.smaxDone, a.smaxErr, a.bounds = s.smaxDone, s.smaxErr, s.bounds
 	a.pendingSeed, a.pendingDirty = s.pendingSeed, s.pendingDirty
+}
+
+// pushUndo records the current state on the snapshot chain.
+func (a *Analyzer) pushUndo() {
+	if a.undoDepth >= maxUndoDepth {
+		s := a.undo
+		for s.prev != nil && s.prev.prev != nil {
+			s = s.prev
+		}
+		s.prev = nil
+		a.undoDepth--
+	}
+	s := a.snapshot()
+	s.prev = a.undo
+	a.undo = s
+	a.undoDepth++
+}
+
+// restore pops one snapshot.
+func (a *Analyzer) restore(s *undoSnap) {
+	a.install(s)
 	a.undo = s.prev
 	a.undoDepth--
 }
@@ -276,13 +292,20 @@ func (a *Analyzer) restore(s *undoSnap) {
 // table, which remains a valid under-seed because an added flow only
 // grows the interference operator. On a validation error (invalid flow,
 // duplicate name, Assumption-1 violation — the exact errors NewFlowSet
-// would report) the analyzer is unchanged and remains usable.
+// would report) the analyzer is unchanged and remains usable. When the
+// last WhatIf batch kept a fork for this very add, its converged state
+// is installed instead (adopt).
 func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			idx, err = 0, model.Errorf(model.ErrInternal, "trajectory: internal panic in AddFlow: %v", p)
 		}
 	}()
+	if k := a.takeKept("add", -1, f); k != nil {
+		a.pushUndo()
+		a.adopt(k)
+		return a.fs.N() - 1, nil
+	}
 	nfs, err := a.fs.WithFlowAdded(f)
 	if err != nil {
 		return 0, err
@@ -347,12 +370,14 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 // snapshot chain. The general path remaps the kept views in place and
 // restarts the interference closure of the removed flow from the
 // no-queue floor; rows outside the closure keep their converged values.
+// A kept WhatIf fork of this removal replaces the general path (adopt).
 func (a *Analyzer) RemoveFlow(i int) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = model.Errorf(model.ErrInternal, "trajectory: internal panic in RemoveFlow: %v", p)
 		}
 	}()
+	kept := a.takeKept("remove", i, nil)
 	if i < 0 || i >= a.fs.N() {
 		return model.Errorf(model.ErrInvalidConfig, "trajectory: flow index %d out of range [0,%d)", i, a.fs.N())
 	}
@@ -362,6 +387,11 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 		if tr := a.opt.Tracer; tr != nil {
 			tr.Emit(obs.Event{Type: obs.EvDelta, Op: "remove", Flow: name, Outcome: "undo"})
 		}
+		return nil
+	}
+	if kept != nil {
+		a.undo, a.undoDepth = nil, 0
+		a.adopt(kept)
 		return nil
 	}
 	nfs, err := a.fs.WithFlowRemoved(i)
@@ -441,13 +471,19 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 // index, new parameters). Views of flows intersecting neither the old
 // nor the new flow survive; the interference closure of both restarts
 // from the no-queue floor. Validation errors leave the analyzer
-// unchanged.
+// unchanged. A kept WhatIf fork of this update is installed instead
+// (adopt).
 func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = model.Errorf(model.ErrInternal, "trajectory: internal panic in UpdateFlow: %v", p)
 		}
 	}()
+	if k := a.takeKept("update", i, f); k != nil {
+		a.undo, a.undoDepth = nil, 0
+		a.adopt(k)
+		return nil
+	}
 	if i < 0 || i >= a.fs.N() {
 		return model.Errorf(model.ErrInvalidConfig, "trajectory: flow index %d out of range [0,%d)", i, a.fs.N())
 	}

@@ -3,6 +3,7 @@ package trajectory
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"trajan/internal/model"
 	"trajan/internal/obs"
@@ -100,6 +101,10 @@ type Analyzer struct {
 	smaxDone  bool
 	smaxErr   error
 
+	// bounds caches the last successful Bounds of the current state
+	// (nil until then); every mutation clears it.
+	bounds []model.Time
+
 	// pendingSeed/pendingDirty carry warm-start state left behind by
 	// AddFlow/RemoveFlow/UpdateFlow (delta.go): a valid under-seed of the
 	// mutated set's Smax fixed point plus the per-flow dirty marks. The
@@ -114,6 +119,11 @@ type Analyzer struct {
 	// Any other mutation clears the chain.
 	undo      *undoSnap
 	undoDepth int
+
+	// kept holds the converged forks of the last WhatIf batch's Keep
+	// candidates; the next mutation adopts the matching one and drops
+	// the rest.
+	kept []*keptFork
 
 	// cow marks a WhatIf fork: shared view caches must be cloned before
 	// any in-place patch (the base Analyzer and sibling forks alias them).
@@ -327,7 +337,9 @@ func (a *Analyzer) AnalyzeFlowContext(ctx context.Context, i int) (r model.Time,
 }
 
 // Bounds returns every flow's bound without materializing Details —
-// the cheap path for feasibility checks.
+// the cheap path for feasibility checks. The bounds are cached until
+// the next mutation, so a repeated call (or the call after an adopted
+// WhatIf fork) only copies them.
 func (a *Analyzer) Bounds() ([]model.Time, error) {
 	return a.BoundsContext(context.Background())
 }
@@ -340,6 +352,12 @@ func (a *Analyzer) BoundsContext(ctx context.Context) (out []model.Time, err err
 			out, err = nil, model.Errorf(model.ErrInternal, "trajectory: internal panic in Bounds: %v", p)
 		}
 	}()
+	if a.bounds != nil {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		return slices.Clone(a.bounds), nil
+	}
 	if err := a.ensureSmax(ctx); err != nil {
 		return nil, err
 	}
@@ -357,6 +375,7 @@ func (a *Analyzer) BoundsContext(ctx context.Context) (out []model.Time, err err
 			return nil, err
 		}
 	}
+	a.bounds = slices.Clone(out)
 	return out, nil
 }
 

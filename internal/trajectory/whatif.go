@@ -17,15 +17,62 @@ type Candidate struct {
 	Update *model.Flow // replace flow Index with this flow
 	Remove bool        // evict flow Index
 	Index  int
+	// Keep retains the candidate's converged fork when its analysis
+	// succeeds, until the Analyzer's next mutation or batch: a matching
+	// AddFlow/UpdateFlow/RemoveFlow then installs the fork's state
+	// instead of recomputing it (see keptFork).
+	Keep bool
 }
 
-// WhatIfOutcome is one candidate's analysis: the full Result of the
+// WhatIfOutcome is one candidate's analysis: the bounds of the
 // hypothetically mutated flow set, or the error the mutation or the
 // analysis produced (exactly what AddFlow/UpdateFlow/RemoveFlow
-// followed by Analyze would have returned on a real Analyzer).
+// followed by Bounds would have returned on a real Analyzer).
 type WhatIfOutcome struct {
-	Result *Result
+	Bounds []model.Time
 	Err    error
+}
+
+// keptFork is a Keep candidate's converged fork, reduced to what the
+// matching mutation installs: the fork's state (flow set, views, entry
+// bases, dense topology, Smax table and bounds) and, on a traced base,
+// the events its mutation and Bounds emitted, which adoption re-emits
+// to the base's tracer. flow is the fork's own copy of the candidate's
+// flow (nil for a removal), so a caller that edits its *model.Flow after
+// the batch gets no stale match.
+type keptFork struct {
+	op     string
+	index  int // target of an update or removal; -1 for an add
+	flow   *model.Flow
+	state  *undoSnap
+	events eventBuffer
+}
+
+// takeKept drops the kept forks and returns the one matching the
+// mutation about to run, or nil: every mutation consumes the kept set,
+// since a fork describes a successor of the current state only.
+func (a *Analyzer) takeKept(op string, i int, f *model.Flow) *keptFork {
+	kept := a.kept
+	a.kept = nil
+	for _, k := range kept {
+		if k.op == op && k.index == i && (f == nil || k.flow.Equal(f)) {
+			return k
+		}
+	}
+	return nil
+}
+
+// adopt installs a kept fork's state, which is bit-identical to what
+// the matching mutation followed by Bounds computes on this Analyzer
+// (the WhatIf contract), and replays the events that work would have
+// emitted. The caller fixes up the undo chain as its mutation would.
+func (a *Analyzer) adopt(k *keptFork) {
+	a.install(k.state)
+	if tr := a.opt.Tracer; tr != nil {
+		for _, e := range k.events {
+			tr.Emit(e)
+		}
+	}
 }
 
 // WhatIf evaluates N candidate mutations against one immutable base
@@ -34,8 +81,10 @@ type WhatIfOutcome struct {
 // copy-on-write fork sharing the base's flow set, converged Smax table
 // and view caches, and patches only what its own mutation touches. A
 // candidate's outcome is bit-identical to mutating a (copy of the) base
-// and calling Analyze — including warm-start behavior, so a converged
-// base makes every candidate a delta re-analysis.
+// and calling Bounds — including warm-start behavior, so a converged
+// base makes every candidate a delta re-analysis. The batch replaces
+// the kept forks of any earlier batch with those of its own successful
+// Keep candidates.
 func (a *Analyzer) WhatIf(cands []Candidate) []WhatIfOutcome {
 	return a.WhatIfContext(context.Background(), cands)
 }
@@ -43,6 +92,7 @@ func (a *Analyzer) WhatIf(cands []Candidate) []WhatIfOutcome {
 // WhatIfContext is WhatIf with cancellation; a canceled context aborts
 // in-flight candidates with ErrCanceled outcomes.
 func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatIfOutcome {
+	a.kept = nil
 	out := make([]WhatIfOutcome, len(cands))
 	if len(cands) == 0 {
 		return out
@@ -78,14 +128,19 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 	if tr != nil {
 		tr.Emit(obs.Event{Type: obs.EvWhatIfBatch, Candidates: len(cands), Workers: workers})
 	}
+	kept := make([]*keptFork, len(cands))
 	run := func(k int) {
 		f := a.fork()
+		c := &cands[k]
+		var rec eventBuffer
+		if c.Keep && tr != nil {
+			f.opt.Tracer = &rec
+		}
 		// Seed the fork's serial evaluation scratch from the shared pool:
 		// candidate analyses reuse grown buffers across the batch (and
 		// across batches) instead of each fork growing its own from zero.
 		psc := scratchPool.Get().(*evalScratch)
 		f.scratch = *psc
-		c := &cands[k]
 		var err error
 		op := "invalid"
 		switch {
@@ -102,9 +157,19 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 			err = model.Errorf(model.ErrInvalidConfig, "trajectory: candidate %d specifies no mutation", k)
 		}
 		if err == nil {
-			out[k].Result, out[k].Err = f.AnalyzeContext(ctx)
+			out[k].Bounds, out[k].Err = f.BoundsContext(ctx)
 		} else {
 			out[k].Err = err
+		}
+		if c.Keep && out[k].Err == nil {
+			kf := &keptFork{op: op, index: c.Index, state: f.snapshot(), events: rec}
+			switch op {
+			case "add":
+				kf.index, kf.flow = -1, f.fs.Flows[f.fs.N()-1]
+			case "update":
+				kf.flow = f.fs.Flows[c.Index]
+			}
+			kept[k] = kf
 		}
 		*psc = f.scratch
 		scratchPool.Put(psc)
@@ -120,24 +185,29 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 		for k := range cands {
 			run(k)
 		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := next.Add(1) - 1
-				if k >= int64(len(cands)) {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					k := next.Add(1) - 1
+					if k >= int64(len(cands)) {
+						return
+					}
+					run(int(k))
 				}
-				run(int(k))
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	for _, kf := range kept {
+		if kf != nil {
+			a.kept = append(a.kept, kf)
+		}
+	}
 	return out
 }
 
@@ -148,10 +218,11 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 // write into base-owned (and sibling-shared) memory. Children run
 // serially inside themselves — parallelism lives across candidates —
 // and untraced: a hypothetical set is not the committed one, so its
-// Smax runs, mutations and flow bounds must not reach the base's
-// tracer (a metrics registry would record the candidate's bounds as
-// the resident flows'). The batch reports itself through the
-// whatif.batch and whatif.candidate events the base emits.
+// Smax runs, mutations and view builds must not reach the base's
+// tracer. The batch reports itself through the whatif.batch and
+// whatif.candidate events the base emits; a Keep candidate of a traced
+// base records its events instead, and they reach the tracer only if
+// the base adopts the fork.
 func (a *Analyzer) fork() *Analyzer {
 	f := &Analyzer{
 		fs:        a.fs,

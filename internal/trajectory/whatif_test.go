@@ -10,9 +10,16 @@ import (
 	"trajan/internal/model"
 )
 
-// coldCandidateOutcome computes what a candidate's outcome must be:
-// mutate a throwaway analyzer over the base set from scratch, analyze.
-func coldCandidateOutcome(t *testing.T, base *model.FlowSet, opt Options, c Candidate) WhatIfOutcome {
+// coldOutcome is what a candidate's outcome must be, and whether the
+// cold fixed point behind it converged.
+type coldOutcome struct {
+	WhatIfOutcome
+	converged bool
+}
+
+// coldCandidateOutcome computes a candidate's expected outcome: mutate a
+// throwaway analyzer over the base set from scratch, analyze.
+func coldCandidateOutcome(t *testing.T, base *model.FlowSet, opt Options, c Candidate) coldOutcome {
 	t.Helper()
 	a, err := NewAnalyzer(base, opt)
 	if err != nil {
@@ -26,16 +33,19 @@ func coldCandidateOutcome(t *testing.T, base *model.FlowSet, opt Options, c Cand
 	case c.Remove:
 		err = a.RemoveFlow(c.Index)
 	default:
-		return WhatIfOutcome{Err: errors.New("no mutation")}
+		return coldOutcome{WhatIfOutcome: WhatIfOutcome{Err: errors.New("no mutation")}}
 	}
 	if err != nil {
-		return WhatIfOutcome{Err: err}
+		return coldOutcome{WhatIfOutcome: WhatIfOutcome{Err: err}}
 	}
 	res, err := a.Analyze()
-	return WhatIfOutcome{Result: res, Err: err}
+	if err != nil {
+		return coldOutcome{WhatIfOutcome: WhatIfOutcome{Err: err}}
+	}
+	return coldOutcome{WhatIfOutcome{Bounds: res.Bounds}, res.SmaxConverged}
 }
 
-func requireOutcomeMatches(t *testing.T, tag string, got, want WhatIfOutcome) {
+func requireOutcomeMatches(t *testing.T, tag string, got WhatIfOutcome, want coldOutcome) {
 	t.Helper()
 	if (got.Err == nil) != (want.Err == nil) {
 		t.Fatalf("%s: err %v, want %v", tag, got.Err, want.Err)
@@ -46,16 +56,11 @@ func requireOutcomeMatches(t *testing.T, tag string, got, want WhatIfOutcome) {
 		}
 		return
 	}
-	if got.Result.SmaxConverged != want.Result.SmaxConverged {
-		if !got.Result.SmaxConverged {
-			t.Fatalf("%s: cold converged, WhatIf fork did not", tag)
-		}
-		return // fork warm-started past the cold iteration cap
+	if !want.converged {
+		return // the fork may have warm-started past the cold iteration cap
 	}
-	gn, wn := *got.Result, *want.Result
-	gn.SmaxSweeps, wn.SmaxSweeps = 0, 0
-	if !reflect.DeepEqual(&gn, &wn) {
-		t.Fatalf("%s: Result mismatch\ngot:  %+v\nwant: %+v", tag, got.Result, want.Result)
+	if !reflect.DeepEqual(got.Bounds, want.Bounds) {
+		t.Fatalf("%s: Bounds mismatch\ngot:  %v\nwant: %v", tag, got.Bounds, want.Bounds)
 	}
 }
 
