@@ -6,7 +6,7 @@
 // Usage:
 //
 //	trajan -config flows.json [-backend all|trajectory|holistic|netcalc|combined]
-//	       [-smax prefix|tail|noqueue] [-ef] [-detail] [-explain flow]
+//	       [-smax prefix|noqueue] [-ef] [-detail] [-explain flow]
 //	       [-sensitivity] [-timeout 30s] [-workers N]
 //	       [-trace events.json] [-metrics-addr :9090] [-metrics-dump]
 //	       [-cpuprofile f] [-memprofile f]
@@ -127,7 +127,7 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 	var (
 		configPath  = fl.String("config", "", "flow-set JSON (default: the paper's example)")
 		backendName = fl.String("backend", "all", "analysis backend: all|trajectory|holistic|netcalc|combined; all tabulates the three concrete backends with the verdict following trajectory, any other value prints that backend's bounds with per-flow provenance and makes the verdict follow it (see docs/BACKENDS.md)")
-		smaxMode    = fl.String("smax", "prefix", "Smax estimator: prefix|tail|noqueue")
+		smaxMode    = fl.String("smax", "prefix", "Smax estimator: prefix|noqueue")
 		useEF       = fl.Bool("ef", false, "EF-class analysis (Property 3): analyse EF flows, charge AF/BE as non-preemption blocking")
 		detail      = fl.Bool("detail", false, "print the per-flow interference breakdown")
 		explainFlow = fl.String("explain", "", "print the full bound derivation for this flow name")

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"trajan/internal/model"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -77,20 +81,25 @@ func TestSensitivityFlag(t *testing.T) {
 	}
 }
 
-// TestSmaxModes: all three estimators run; bogus ones error, and the
+// TestSmaxModes: both estimators run; bogus ones and the removed
+// global-tail spelling are the typed unknown -smax error, and the
 // unsound no-queue estimator is refused for admission.
 func TestSmaxModes(t *testing.T) {
-	for _, m := range []string{"prefix", "tail", "noqueue"} {
+	for _, m := range []string{"prefix", "noqueue"} {
 		runCLI(t, "-backend", "trajectory", "-smax", m)
 	}
 	for _, args := range [][]string{
 		{"-smax", "bogus"},
+		{"-smax", "tail"},
 		{"-admit", "testdata/churn.json", "-smax", "noqueue"},
 	} {
 		var b strings.Builder
 		code, err := run(args, &b)
 		if err == nil || code != 2 {
 			t.Errorf("%v: code %d, err %v; want code 2 with error", args, code, err)
+		}
+		if args[0] == "-smax" && (!errors.Is(err, model.ErrInvalidConfig) || !strings.Contains(err.Error(), fmt.Sprintf("unknown -smax %q", args[1]))) {
+			t.Errorf("%v: err %v; want ErrInvalidConfig naming the value", args, err)
 		}
 	}
 }

@@ -12,7 +12,7 @@
 //	        [-topology clos:4x4x4|topo.json] [-route-k 4]
 //	        [-journal-dir DIR] [-max-tenants N] [-checkpoint-every N]
 //	        [-backend trajectory|holistic|netcalc|combined]
-//	        [-smax prefix|tail] [-workers N] [-queue 64]
+//	        [-workers N] [-queue 64]
 //	        [-request-timeout 5s] [-drain-timeout 10s]
 //	        [-trace events.json]
 //	trajand -loadgen churn.json -target http://host:8080
@@ -108,7 +108,6 @@ func runDaemon(ctx context.Context, args []string, out io.Writer) (retErr error)
 		ckptEvery   = fl.Int("checkpoint-every", 0, "journal records between flow-set checkpoints (0 = 64)")
 		topoSpec    = fl.String("topology", "", "daemon topology: a spec (line:N|ring:N|star:N|grid:RxC|clos:SxLxH|paper) or a topology JSON file; enables manual-path validation and route=auto admission")
 		routeK      = fl.Int("route-k", 0, "route=auto candidate-path fan-out (0 = 4; needs -topology)")
-		smaxMode    = fl.String("smax", "prefix", "Smax estimator: prefix|tail (the unsound noqueue is refused)")
 		backendName = fl.String("backend", "", "analysis backend the admission verdicts follow: trajectory|holistic|netcalc|combined (empty = warm trajectory; see docs/BACKENDS.md)")
 		workers     = fl.Int("workers", 0, "analysis and what-if parallelism (0 = GOMAXPROCS)")
 		queue       = fl.Int("queue", 0, "mutation/what-if queue depth before 429 backpressure (0 = 64)")
@@ -129,11 +128,7 @@ func runDaemon(ctx context.Context, args []string, out io.Writer) (retErr error)
 		return runLoadgen(ctx, *loadgenPath, *target, *clients, *repeat, *tenants, out)
 	}
 
-	smax, err := trajectory.ParseSmaxMode(*smaxMode)
-	if err != nil {
-		return err
-	}
-	opt := trajectory.Options{Smax: smax, Parallelism: *workers}
+	opt := trajectory.Options{Smax: trajectory.SmaxPrefixFixpoint, Parallelism: *workers}
 	if *workers < 0 {
 		return model.Errorf(model.ErrInvalidConfig, "-workers must be >= 0")
 	}

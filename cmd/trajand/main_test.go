@@ -292,11 +292,8 @@ func TestTraceWriteFailureExitsNonzero(t *testing.T) {
 // TestBadFlags: flag and config errors exit with code 2 (invalid
 // configuration), matching the documented contract.
 func TestBadFlags(t *testing.T) {
-	dir := t.TempDir()
 	for _, args := range [][]string{
-		{"-smax", "bogus"},
-		{"-smax", "noqueue"}, // unsound: the admission core refuses it
-		{"-smax", "noqueue", "-journal-dir", dir},
+		{"-smax", "prefix"}, // no such flag: the daemon always runs the prefix fixed point
 		{"-workers", "-1"},
 		{"-loadgen", "testdata/churn.json"}, // missing -target
 		{"-preload", "testdata/does-not-exist.json"},

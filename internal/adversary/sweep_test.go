@@ -13,7 +13,7 @@ import (
 // TestRandomSoundnessSweep is the repository's central validation: over
 // randomized line networks (forward and reverse flows, mixed costs,
 // release jitters), the adversary must never observe a response above
-// the trajectory bound (any Smax mode) or the holistic bound.
+// the prefix-fixpoint trajectory bound or the holistic bound.
 func TestRandomSoundnessSweep(t *testing.T) {
 	trials := 12
 	if testing.Short() {
@@ -41,15 +41,9 @@ func TestRandomSoundnessSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: trajectory: %v", trial, err)
 		}
-		// The global-tail mode's busy-period seed and the holistic
-		// jitter feedback may legitimately diverge on sets the
-		// prefix-fixpoint analysis still bounds; skip those comparisons
-		// then.
-		tailA, tailErr := trajectory.NewAnalyzer(fs, trajectory.Options{Smax: trajectory.SmaxGlobalTail})
-		var tailBounds []model.Time
-		if tailErr == nil {
-			tailBounds, tailErr = tailA.Bounds()
-		}
+		// The holistic jitter feedback may legitimately diverge on sets
+		// the prefix-fixpoint analysis still bounds; skip that
+		// comparison then.
 		hol, holErr := holistic.Analyze(fs, holistic.Options{})
 		finds, err := Search(fs, Options{Seed: int64(trial), Restarts: 10, Packets: 5, ClimbSteps: 30})
 		if err != nil {
@@ -60,10 +54,6 @@ func TestRandomSoundnessSweep(t *testing.T) {
 			if f.MaxResponse > trajBounds[i] {
 				t.Errorf("trial %d %s: observed %d > prefix-fixpoint bound %d (strategy %s, flow %+v)",
 					trial, name, f.MaxResponse, trajBounds[i], f.Strategy, fs.Flows[i])
-			}
-			if tailErr == nil && f.MaxResponse > tailBounds[i] {
-				t.Errorf("trial %d %s: observed %d > global-tail bound %d",
-					trial, name, f.MaxResponse, tailBounds[i])
 			}
 			if holErr == nil && f.MaxResponse > hol.Bounds[i] {
 				t.Errorf("trial %d %s: observed %d > holistic bound %d",

@@ -157,19 +157,15 @@ func TestExactFamilySoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys.name, err)
 		}
-		for _, mode := range []trajectory.SmaxMode{
-			trajectory.SmaxPrefixFixpoint, trajectory.SmaxGlobalTail,
-		} {
-			traj, err := trajectory.Analyze(fs, trajectory.Options{Smax: mode})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", sys.name, mode, err)
-			}
-			for i := range fs.Flows {
-				if exact.Worst[i] > traj.Bounds[i] {
-					t.Errorf("%s/%v flow %s: EXACT worst %d exceeds bound %d (witness %+v)",
-						sys.name, mode, fs.Flows[i].Name, exact.Worst[i], traj.Bounds[i],
-						exact.Witness[i])
-				}
+		traj, err := trajectory.Analyze(fs, trajectory.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		for i := range fs.Flows {
+			if exact.Worst[i] > traj.Bounds[i] {
+				t.Errorf("%s flow %s: EXACT worst %d exceeds bound %d (witness %+v)",
+					sys.name, fs.Flows[i].Name, exact.Worst[i], traj.Bounds[i],
+					exact.Witness[i])
 			}
 		}
 		t.Logf("%s: exact=%v scenarios=%d", sys.name, exact.Worst, exact.Scenarios)
@@ -273,18 +269,14 @@ func TestExactThreeFlowMixes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys.name, err)
 		}
-		for _, mode := range []trajectory.SmaxMode{
-			trajectory.SmaxPrefixFixpoint, trajectory.SmaxGlobalTail,
-		} {
-			res, err := trajectory.Analyze(fs, trajectory.Options{Smax: mode})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", sys.name, mode, err)
-			}
-			for i := range fs.Flows {
-				if exact.Worst[i] > res.Bounds[i] {
-					t.Errorf("%s/%v flow %s: EXACT %d exceeds bound %d",
-						sys.name, mode, fs.Flows[i].Name, exact.Worst[i], res.Bounds[i])
-				}
+		res, err := trajectory.Analyze(fs, trajectory.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		for i := range fs.Flows {
+			if exact.Worst[i] > res.Bounds[i] {
+				t.Errorf("%s flow %s: EXACT %d exceeds bound %d",
+					sys.name, fs.Flows[i].Name, exact.Worst[i], res.Bounds[i])
 			}
 		}
 		t.Logf("%s: exact=%v scenarios=%d", sys.name, exact.Worst, exact.Scenarios)

@@ -35,18 +35,14 @@ func TestExactZeroLmin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []trajectory.SmaxMode{
-			trajectory.SmaxPrefixFixpoint, trajectory.SmaxGlobalTail,
-		} {
-			res, err := trajectory.Analyze(fs, trajectory.Options{Smax: mode})
-			if err != nil {
-				t.Fatalf("system %d mode %v: %v", si, mode, err)
-			}
-			for i := range flows {
-				if exact.Worst[i] > res.Bounds[i] {
-					t.Errorf("system %d mode %v flow %d: EXACT %d exceeds bound %d",
-						si, mode, i, exact.Worst[i], res.Bounds[i])
-				}
+		res, err := trajectory.Analyze(fs, trajectory.Options{})
+		if err != nil {
+			t.Fatalf("system %d: %v", si, err)
+		}
+		for i := range flows {
+			if exact.Worst[i] > res.Bounds[i] {
+				t.Errorf("system %d flow %d: EXACT %d exceeds bound %d",
+					si, i, exact.Worst[i], res.Bounds[i])
 			}
 		}
 		t.Logf("zero-lmin system %d: exact=%v over %d scenarios", si, exact.Worst, exact.Scenarios)

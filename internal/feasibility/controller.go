@@ -124,7 +124,7 @@ func NewController(net model.Network, opt trajectory.Options, backend Backend, t
 	}
 	if opt.Smax == trajectory.SmaxNoQueue {
 		return nil, model.Errorf(model.ErrInvalidConfig,
-			"feasibility: the no-queue Smax estimator is not sound; admission needs -smax prefix or tail")
+			"feasibility: the no-queue Smax estimator is not sound; admission needs -smax prefix")
 	}
 	if backend == "" {
 		backend = BackendTrajectory

@@ -318,9 +318,7 @@ func TestControllerRefusesNoQueue(t *testing.T) {
 	if !errors.Is(err, model.ErrInvalidConfig) {
 		t.Fatalf("NewController(SmaxNoQueue) = %v, want ErrInvalidConfig", err)
 	}
-	for _, mode := range []trajectory.SmaxMode{trajectory.SmaxPrefixFixpoint, trajectory.SmaxGlobalTail} {
-		if _, err := NewController(model.UnitDelayNetwork(), trajectory.Options{Smax: mode}, "", nil, 0); err != nil {
-			t.Errorf("NewController(%v): %v", mode, err)
-		}
+	if _, err := NewController(model.UnitDelayNetwork(), trajectory.Options{Smax: trajectory.SmaxPrefixFixpoint}, "", nil, 0); err != nil {
+		t.Errorf("NewController(SmaxPrefixFixpoint): %v", err)
 	}
 }

@@ -89,12 +89,8 @@ func Analyze(fs *model.FlowSet, opt Options) (*Result, error) {
 // deadline) aborts the analysis within one fixed-point sweep and
 // surfaces as model.ErrCanceled.
 func AnalyzeContext(ctx context.Context, fs *model.FlowSet, opt Options) (*Result, error) {
-	// A seed vector of the wrong length is the whole-set analyzer's
-	// error to report.
-	if opt.SeedBounds == nil || len(opt.SeedBounds) == fs.N() {
-		if comp, nc := fs.Components(); nc > 1 {
-			return analyzeComponents(ctx, fs, opt, comp, nc)
-		}
+	if comp, nc := fs.Components(); nc > 1 {
+		return analyzeComponents(ctx, fs, opt, comp, nc)
 	}
 	return newAnalyzer(fs, opt).AnalyzeContext(ctx)
 }

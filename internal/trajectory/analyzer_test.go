@@ -1,6 +1,8 @@
 package trajectory
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -290,7 +292,7 @@ func TestAddingInterfererMonotone(t *testing.T) {
 // traversal time.
 func TestBoundAtLeastMinTraversal(t *testing.T) {
 	fs := model.PaperExample()
-	for _, opt := range []Options{{}, {Smax: SmaxGlobalTail}, {Smax: SmaxNoQueue}} {
+	for _, opt := range []Options{{}, {Smax: SmaxNoQueue}} {
 		res := mustAnalyze(t, fs, opt)
 		for i, f := range fs.Flows {
 			if res.Bounds[i] < f.MinTraversal(fs.Net.Lmin) {
@@ -298,41 +300,6 @@ func TestBoundAtLeastMinTraversal(t *testing.T) {
 					opt.Smax, i, res.Bounds[i], f.MinTraversal(fs.Net.Lmin))
 			}
 		}
-	}
-}
-
-// TestGlobalTailDominatesPrefix: the certified-from-above global-tail
-// mode is never tighter than the prefix fixpoint on the example (it
-// trades precision for a fully compositional soundness argument).
-func TestGlobalTailDominatesPrefix(t *testing.T) {
-	fs := model.PaperExample()
-	prefix := mustAnalyze(t, fs, Options{Smax: SmaxPrefixFixpoint})
-	tail := mustAnalyze(t, fs, Options{Smax: SmaxGlobalTail})
-	for i := range fs.Flows {
-		if tail.Bounds[i] < prefix.Bounds[i] {
-			t.Errorf("flow %d: global-tail %d < prefix %d", i, tail.Bounds[i], prefix.Bounds[i])
-		}
-	}
-}
-
-// TestGlobalTailSeededWithHolisticImproves: seeding the global-tail
-// iteration with tighter valid bounds can only help; with the
-// trajectory's own prefix results as seed it must reproduce bounds at
-// least as tight as the unseeded run.
-func TestGlobalTailSeeds(t *testing.T) {
-	fs := model.PaperExample()
-	unseeded := mustAnalyze(t, fs, Options{Smax: SmaxGlobalTail})
-	seeded := mustAnalyze(t, fs, Options{
-		Smax:       SmaxGlobalTail,
-		SeedBounds: mustAnalyze(t, fs, Options{}).Bounds,
-	})
-	for i := range fs.Flows {
-		if seeded.Bounds[i] > unseeded.Bounds[i] {
-			t.Errorf("flow %d: seeded %d > unseeded %d", i, seeded.Bounds[i], unseeded.Bounds[i])
-		}
-	}
-	if _, err := Analyze(fs, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{1}}); err == nil {
-		t.Error("wrong-length seed accepted")
 	}
 }
 
@@ -366,6 +333,40 @@ func TestDetails(t *testing.T) {
 	}
 }
 
+// TestBslowUnstableNamesLoad: on a fan-in set whose nodes all stay at
+// utilisation 0.4, the busy-period equation of the flow every
+// interferer meets has load 1/10 + 4·3/10 = 1.3 and diverges. The
+// error, from the engine's grouped fold and the reference's
+// per-interferer fold alike, reports that load and claims no node
+// utilisation of 1.
+func TestBslowUnstableNamesLoad(t *testing.T) {
+	flows := []*model.Flow{model.UniformFlow("victim", 10, 0, 0, 1, 0, 1, 2, 3)}
+	for k := 0; k < 4; k++ {
+		flows = append(flows, model.UniformFlow(fmt.Sprintf("in%d", k), 10, 0, 0, 3, model.NodeID(10+k), model.NodeID(k)))
+	}
+	fs := model.MustNewFlowSet(model.UnitDelayNetwork(), flows)
+	for _, h := range fs.Nodes() {
+		if u := fs.TotalUtilizationAt(h); u >= 1 {
+			t.Fatalf("node %d utilisation %.3f, want every node below 1", h, u)
+		}
+	}
+	_, gotErr := Analyze(fs, Options{})
+	_, wantErr := referenceAnalyze(fs, Options{})
+	for _, err := range []error{gotErr, wantErr} {
+		if !errors.Is(err, model.ErrUnstable) {
+			t.Fatalf("err %v, want ErrUnstable", err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, `flow "victim"`) || !strings.Contains(msg, "Bslow load") ||
+			!strings.Contains(msg, "= 1.300") || strings.Contains(msg, "utilization ≥ 1") {
+			t.Errorf("message %q: want the victim's Bslow load 1.300 and no node-utilisation claim", msg)
+		}
+	}
+	if gotErr.Error() != wantErr.Error() {
+		t.Errorf("engine err %q, reference err %q", gotErr, wantErr)
+	}
+}
+
 // TestUnknownSmaxMode: a bogus mode is an error, not a silent default.
 func TestUnknownSmaxMode(t *testing.T) {
 	fs := model.PaperExample()
@@ -376,7 +377,6 @@ func TestUnknownSmaxMode(t *testing.T) {
 		t.Error("unknown mode name")
 	}
 	if SmaxPrefixFixpoint.String() != "prefix-fixpoint" ||
-		SmaxGlobalTail.String() != "global-tail" ||
 		SmaxNoQueue.String() != "no-queue" {
 		t.Error("mode names broken")
 	}

@@ -19,8 +19,6 @@ func TestCalibrationPaperExample(t *testing.T) {
 		{"prefix-fixpoint", Options{Smax: SmaxPrefixFixpoint}},
 		{"prefix-fixpoint/strict", Options{Smax: SmaxPrefixFixpoint, StrictWindow: true}},
 		{"prefix-fixpoint/no-scan", Options{Smax: SmaxPrefixFixpoint, DisableTScan: true}},
-		{"global-tail", Options{Smax: SmaxGlobalTail}},
-		{"global-tail/strict", Options{Smax: SmaxGlobalTail, StrictWindow: true}},
 		{"no-queue", Options{Smax: SmaxNoQueue}},
 	} {
 		res, err := Analyze(fs, tc.opt)

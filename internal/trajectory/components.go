@@ -57,7 +57,7 @@ func analyzeComponents(ctx context.Context, fs *model.FlowSet, opt Options, comp
 		if err != nil {
 			return nil, err
 		}
-		cr, err := newAnalyzer(sub, componentOptions(opt, idx)).analyze(ctx)
+		cr, err := newAnalyzer(sub, opt).analyze(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -76,15 +76,4 @@ func analyzeComponents(ctx context.Context, fs *model.FlowSet, opt Options, comp
 		res.SmaxConverged = res.SmaxConverged && cr.SmaxConverged
 	}
 	return res, nil
-}
-
-// componentOptions slices SeedBounds down to the flows idx.
-func componentOptions(opt Options, idx []int) Options {
-	if sb := opt.SeedBounds; sb != nil {
-		opt.SeedBounds = make([]model.Time, len(idx))
-		for l, g := range idx {
-			opt.SeedBounds[l] = sb[g]
-		}
-	}
-	return opt
 }

@@ -63,34 +63,24 @@ func podFlows(t testing.TB, seed int64, pods int, extra ...*model.Flow) *model.F
 }
 
 // componentOptionMatrix covers every Smax estimator, Property 3's
-// non-preemption blocking, caller seed bounds for the global-tail
-// estimator, and serial and parallel sweeps.
+// non-preemption blocking, and serial and parallel sweeps.
 func componentOptionMatrix(t *testing.T, fs *model.FlowSet) []engineCase {
 	np := cyclicBlocking(fs)
 	for i := 3; i < len(np); i += 4 {
 		np[i] = nil // a nil row is "no blocking" for that flow
 	}
 	blocked := withBlocking(t, fs, np)
-	seed, err := BusyPeriodSeed(fs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seed {
-		seed[i] += model.Time(i % 5)
-	}
 	var cases []engineCase
 	for _, par := range []int{1, 8} {
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail, SmaxNoQueue} {
+		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
 			cases = append(cases,
 				engineCase{fs, Options{Smax: mode, Parallelism: par}},
 				engineCase{blocked, Options{Smax: mode, Parallelism: par}},
 			)
 		}
 		cases = append(cases,
-			engineCase{fs, Options{Smax: SmaxGlobalTail, Parallelism: par, SeedBounds: seed}},
 			engineCase{fs, Options{Smax: SmaxPrefixFixpoint, Parallelism: par, MaxIterations: 2}},
 			engineCase{fs, Options{Smax: SmaxPrefixFixpoint, Parallelism: par, MaxIterations: 4}},
-			engineCase{fs, Options{Smax: SmaxGlobalTail, Parallelism: par, SeedBounds: seed, MaxIterations: 3}},
 		)
 	}
 	return cases
@@ -133,7 +123,7 @@ func TestComponentAnalysisUnstable(t *testing.T) {
 		model.UniformFlow("hog2", 5, 0, 0, 3, 1, 2, 3),
 	}
 	fs := podFlows(t, 7, 3, hog...)
-	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail, SmaxNoQueue} {
+	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
 		opt := Options{Smax: mode}
 		a, err := NewAnalyzer(fs, opt)
 		if err != nil {

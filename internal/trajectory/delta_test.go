@@ -24,7 +24,6 @@ func deltaOptionMatrix() []Options {
 		{Parallelism: 3},
 		{StrictWindow: true},
 		{DisableTScan: true},
-		{Smax: SmaxGlobalTail},
 		{Smax: SmaxNoQueue},
 	}
 }

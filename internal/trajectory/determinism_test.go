@@ -84,46 +84,44 @@ func schedulerGrid(t *testing.T, fn func(t *testing.T, procs, workers int)) {
 // TestColdAnalyzeDeterminism pins the tentpole's determinism contract:
 // a cold Analyze must produce a byte-identical obs trace log and a
 // deeply equal Result across every GOMAXPROCS × worker-count
-// combination, for both Smax estimators. The colored parallel sweeps
+// combination of the prefix fixed point. The colored parallel sweeps
 // make this non-trivial — workers race on wall-clock, so the property
 // holds only because slot evaluation is Jacobi (reads the immutable
 // previous iterate), commits happen post-barrier in slot order, and
 // every trace event is emitted from the serial sweep driver.
 func TestColdAnalyzeDeterminism(t *testing.T) {
 	for si, fs := range determinismSets(t) {
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail} {
-			var refLog []byte
-			var refRes *Result
-			var refErr string
-			first := true
-			schedulerGrid(t, func(t *testing.T, procs, workers int) {
-				var buf bytes.Buffer
-				res, err := Analyze(fs, Options{
-					Smax: mode, Parallelism: workers, Tracer: obs.NewJSONTracer(&buf),
-				})
-				errStr := ""
-				if err != nil {
-					errStr = err.Error()
-				}
-				if first {
-					refLog, refRes, refErr = buf.Bytes(), res, errStr
-					first = false
-					return
-				}
-				if errStr != refErr {
-					t.Fatalf("set %d mode %v procs %d workers %d: error %q ≠ baseline %q",
-						si, mode, procs, workers, errStr, refErr)
-				}
-				if !bytes.Equal(buf.Bytes(), refLog) {
-					t.Errorf("set %d mode %v procs %d workers %d: trace log diverges (%d vs %d bytes)",
-						si, mode, procs, workers, buf.Len(), len(refLog))
-				}
-				if !reflect.DeepEqual(res, refRes) {
-					t.Errorf("set %d mode %v procs %d workers %d: Result diverges",
-						si, mode, procs, workers)
-				}
+		var refLog []byte
+		var refRes *Result
+		var refErr string
+		first := true
+		schedulerGrid(t, func(t *testing.T, procs, workers int) {
+			var buf bytes.Buffer
+			res, err := Analyze(fs, Options{
+				Parallelism: workers, Tracer: obs.NewJSONTracer(&buf),
 			})
-		}
+			errStr := ""
+			if err != nil {
+				errStr = err.Error()
+			}
+			if first {
+				refLog, refRes, refErr = buf.Bytes(), res, errStr
+				first = false
+				return
+			}
+			if errStr != refErr {
+				t.Fatalf("set %d procs %d workers %d: error %q ≠ baseline %q",
+					si, procs, workers, errStr, refErr)
+			}
+			if !bytes.Equal(buf.Bytes(), refLog) {
+				t.Errorf("set %d procs %d workers %d: trace log diverges (%d vs %d bytes)",
+					si, procs, workers, buf.Len(), len(refLog))
+			}
+			if !reflect.DeepEqual(res, refRes) {
+				t.Errorf("set %d procs %d workers %d: Result diverges",
+					si, procs, workers)
+			}
+		})
 	}
 }
 
@@ -188,17 +186,15 @@ func TestWarmDeltaDeterminism(t *testing.T) {
 // (bounds, details, sweep counts) and identical error strings.
 func TestUntracedMatchesTraced(t *testing.T) {
 	for si, fs := range determinismSets(t) {
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail} {
-			plain, plainErr := Analyze(fs, Options{Smax: mode})
-			var buf bytes.Buffer
-			traced, tracedErr := Analyze(fs, Options{Smax: mode, Tracer: obs.NewJSONTracer(&buf)})
-			if (plainErr == nil) != (tracedErr == nil) ||
-				(plainErr != nil && plainErr.Error() != tracedErr.Error()) {
-				t.Fatalf("set %d mode %v: untraced err %v ≠ traced err %v", si, mode, plainErr, tracedErr)
-			}
-			if !reflect.DeepEqual(plain, traced) {
-				t.Errorf("set %d mode %v: untraced Result ≠ traced Result", si, mode)
-			}
+		plain, plainErr := Analyze(fs, Options{})
+		var buf bytes.Buffer
+		traced, tracedErr := Analyze(fs, Options{Tracer: obs.NewJSONTracer(&buf)})
+		if (plainErr == nil) != (tracedErr == nil) ||
+			(plainErr != nil && plainErr.Error() != tracedErr.Error()) {
+			t.Fatalf("set %d: untraced err %v ≠ traced err %v", si, plainErr, tracedErr)
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("set %d: untraced Result ≠ traced Result", si)
 		}
 	}
 }

@@ -453,15 +453,6 @@ func (a *Analyzer) ensureSmax(ctx context.Context) error {
 			tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "cold",
 				Sweep: a.sweeps, Outcome: smaxOutcome(err, a.converged)})
 		}
-	case SmaxGlobalTail:
-		if tr != nil {
-			tr.Emit(obs.Event{Type: obs.EvSmaxSeed, Op: "cold", Dirty: a.fs.N()})
-		}
-		a.smax, a.smaxFlat, a.sweeps, a.converged, err = a.engineGlobalTail(ctx)
-		if tr != nil {
-			tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "cold",
-				Sweep: a.sweeps, Outcome: smaxOutcome(err, a.converged)})
-		}
 	default:
 		err = model.Errorf(model.ErrInvalidConfig, "trajectory: unknown Smax mode %d", a.opt.Smax)
 	}
@@ -1092,11 +1083,11 @@ func (vc *viewCache) eval(opt Options, flat []model.Time, sc *evalScratch) (mode
 	}
 }
 
-// fixScratch is the per-Analyzer working state of the fixed-point
-// drivers: slot lists, job/result buffers, the packed reverse
-// dependency index and the global-tail iteration vectors. Reused across
-// ensureSmax runs so warm delta re-analysis (admission churn) allocates
-// only the fresh flat table per run.
+// fixScratch is the per-Analyzer working state of the prefix fixed
+// point: slot lists, job/result buffers and the packed reverse
+// dependency index. Reused across ensureSmax runs so warm delta
+// re-analysis (admission churn) allocates only the fresh flat table
+// per run.
 type fixScratch struct {
 	slotI        []int32
 	slotK        []int32
@@ -1117,13 +1108,6 @@ type fixScratch struct {
 	todo   []int32
 	pre    []prebuilt
 	events []obs.Event
-
-	// global-tail only:
-	tails    []model.Time
-	prevFlat []model.Time
-	next     []model.Time
-	bounds   []model.Time
-	best     []model.Time
 }
 
 // buildReverse maps every Smax entry id to the positions (in views) of
@@ -1204,8 +1188,7 @@ func (a *Analyzer) enginePrefixFixpoint(ctx context.Context, seed smaxTable, dir
 	fx.slotI = fx.slotI[:0]
 	fx.slotK = fx.slotK[:0]
 	fx.views = fx.views[:0]
-	// One-hop flows have no prefix slot: their views stay lazy.
-	a.prebuildViews(2)
+	a.prebuildViews()
 	defer a.endPrebuild()
 	for i, f := range fs.Flows {
 		for k := 1; k < len(f.Path); k++ {
@@ -1304,123 +1287,5 @@ func (a *Analyzer) enginePrefixFixpoint(ctx context.Context, seed smaxTable, dir
 		}
 	}
 	fx.changed = changed
-	return t, flat, opt.maxIterations(), false, nil
-}
-
-// engineGlobalTail is the incremental counterpart of globalTail: full
-// views are cached once, and a view is re-evaluated only when
-// fillFromBounds changed one of the Smax entries it reads (clean views
-// keep the previous sweep's bound, which is exact for unchanged
-// inputs).
-func (a *Analyzer) engineGlobalTail(ctx context.Context) (smaxTable, []model.Time, int, bool, error) {
-	fs, opt := a.fs, a.opt
-	tr := opt.Tracer
-	n := fs.N()
-	fx := &a.fix
-	fx.bounds = growTimes(fx.bounds, n)
-	bounds := fx.bounds
-	if opt.SeedBounds != nil {
-		if len(opt.SeedBounds) != n {
-			return nil, nil, 0, false, model.Errorf(model.ErrInvalidConfig,
-				"trajectory: %d seed bounds for %d flows", len(opt.SeedBounds), n)
-		}
-		copy(bounds, opt.SeedBounds)
-	} else {
-		seed, err := busyPeriodSeed(ctx, fs, opt)
-		if err != nil {
-			return nil, nil, 0, false, err
-		}
-		copy(bounds, seed)
-	}
-
-	fx.views = fx.views[:0]
-	a.prebuildViews(1)
-	defer a.endPrebuild()
-	for i := range fs.Flows {
-		vc, err := a.fullCache(i)
-		if err != nil {
-			return nil, nil, 1, false, err
-		}
-		fx.views = append(fx.views, vc)
-	}
-	rev := a.buildReverse(fx.views)
-
-	fx.best = growTimes(fx.best, n)
-	best := fx.best
-	copy(best, bounds)
-	t, flat := newSmaxTableFlat(fs)
-	fx.prevFlat = growTimes(fx.prevFlat, len(flat))
-	prevFlat := fx.prevFlat
-	fx.next = growTimes(fx.next, n)
-	next := fx.next
-	if cap(fx.dirty) < n {
-		fx.dirty = make([]bool, n)
-	}
-	dirty := fx.dirty[:n]
-	for m := range dirty {
-		dirty[m] = true
-	}
-
-	for sweep := 1; sweep <= opt.maxIterations(); sweep++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, nil, sweep, false, err
-		}
-		fx.tails = t.fillFromBoundsScratch(fs, bounds, fx.tails)
-		if sweep > 1 {
-			for m := range dirty {
-				dirty[m] = false
-			}
-			for e := range flat {
-				if flat[e] != prevFlat[e] {
-					for _, m := range rev[e] {
-						dirty[m] = true
-					}
-				}
-			}
-		}
-		copy(prevFlat, flat)
-		jobs := fx.jobs[:0]
-		for m := range fx.views {
-			if dirty[m] {
-				jobs = append(jobs, engineJob{fx.views[m], &next[m], int32(m)})
-			}
-		}
-		fx.jobs = jobs
-		if err := a.runJobs(ctx, jobs, flat); err != nil {
-			return nil, nil, sweep, false, err
-		}
-		for i, r := range next {
-			if r < best[i] {
-				best[i] = r
-			}
-		}
-		same := true
-		if tr != nil {
-			// The sweep event wants the exact changed count, so the
-			// early-break comparison runs to completion when tracing.
-			nc := 0
-			for i := range next {
-				if next[i] != bounds[i] {
-					nc++
-				}
-			}
-			same = nc == 0
-			tr.Emit(obs.Event{Type: obs.EvSmaxSweep, Sweep: sweep,
-				Evaluated: len(jobs), Changed: nc})
-		} else {
-			for i := range next {
-				if next[i] != bounds[i] {
-					same = false
-					break
-				}
-			}
-		}
-		copy(bounds, next)
-		if same {
-			fx.tails = t.fillFromBoundsScratch(fs, best, fx.tails)
-			return t, flat, sweep, true, nil
-		}
-	}
-	fx.tails = t.fillFromBoundsScratch(fs, best, fx.tails)
 	return t, flat, opt.maxIterations(), false, nil
 }

@@ -76,13 +76,13 @@ type engineCase struct {
 }
 
 // engineOptionMatrix enumerates the settings the differential tests
-// cover: all three Smax estimators crossed with the window and scan
+// cover: both Smax estimators crossed with the window and scan
 // variants, serial and parallel sweeps, and Property 3's non-preemption
 // penalty (the set with cyclicBlocking).
 func engineOptionMatrix(t testing.TB, fs *model.FlowSet) []engineCase {
 	blocked := withBlocking(t, fs, cyclicBlocking(fs))
 	var cases []engineCase
-	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail, SmaxNoQueue} {
+	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
 		cases = append(cases,
 			engineCase{fs, Options{Smax: mode}},
 			engineCase{fs, Options{Smax: mode, StrictWindow: true}},
@@ -144,7 +144,7 @@ func TestEngineMatchesReferencePaperExample(t *testing.T) {
 // point against its reference, including the out-of-range error.
 func TestEngineAnalyzeFlowMatchesReference(t *testing.T) {
 	for si, fs := range fuzzedSets(t, 8) {
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail, SmaxNoQueue} {
+		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
 			opt := Options{Smax: mode}
 			for i := 0; i < fs.N(); i++ {
 				want, wantErr := referenceAnalyzeFlow(fs, opt, i)
@@ -196,18 +196,12 @@ func longTandem(t *testing.T, hops int) *model.FlowSet {
 
 // TestEngineMatchesReferenceLongPaths extends the differential past 64
 // hops, where the view builder's per-view read dedup spans several
-// words, under every Smax estimator. The global tail starts from the
-// prefix fixpoint's bounds: its default holistic seed diverges on
-// paths this long.
+// words, under every Smax estimator.
 func TestEngineMatchesReferenceLongPaths(t *testing.T) {
 	for _, hops := range []int{70, 130} {
 		fs := longTandem(t, hops)
-		var seed []model.Time
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail, SmaxNoQueue} {
+		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
 			opt := Options{Smax: mode}
-			if mode == SmaxGlobalTail {
-				opt.SeedBounds = seed
-			}
 			want, wantErr := referenceAnalyze(fs, opt)
 			got, gotErr := Analyze(fs, opt)
 			if wantErr != nil || gotErr != nil {
@@ -217,16 +211,13 @@ func TestEngineMatchesReferenceLongPaths(t *testing.T) {
 				t.Errorf("%d hops mode %v: engine Result diverges from the reference\nreference bounds %v\nengine bounds    %v",
 					hops, mode, want.Bounds, got.Bounds)
 			}
-			if mode == SmaxPrefixFixpoint {
-				seed = got.Bounds
-			}
 		}
 	}
 }
 
 // TestEngineErrorParity: failure modes must surface identically —
-// overload divergence, unknown mode, malformed seeds and malformed
-// non-preemption vectors.
+// overload divergence, unknown mode and malformed non-preemption
+// vectors.
 //
 // In the later-view sets the overload sits at node 3, which only the
 // longer views of "a" reach: the first request builds all of a's
@@ -264,22 +255,17 @@ func TestEngineErrorParity(t *testing.T) {
 		opt  Options
 	}{
 		{"overload prefix", over, Options{Smax: SmaxPrefixFixpoint}},
-		{"overload global", over, Options{Smax: SmaxGlobalTail}},
 		{"overload noqueue", over, Options{Smax: SmaxNoQueue}},
 		{"later view prefix", later, Options{Smax: SmaxPrefixFixpoint}},
-		{"later view global", later, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{100, 100}}},
 		{"later view noqueue", later, Options{Smax: SmaxNoQueue}},
 		{"later view traced", later, Options{Tracer: &obs.Collector{}}},
 		{"full view only prefix", fullOnly, Options{Smax: SmaxPrefixFixpoint}},
 		{"full view only noqueue", fullOnly, Options{Smax: SmaxNoQueue}},
 		{"prebuilt later view prefix workers 4", later, Options{Smax: SmaxPrefixFixpoint, Parallelism: 4}},
-		{"prebuilt later view global workers 4", later, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{100, 100}, Parallelism: 4}},
 		{"prebuilt later view traced workers 4", later, Options{Tracer: &obs.Collector{}, Parallelism: 4}},
 		{"prebuilt full view only workers 4", fullOnly, Options{Smax: SmaxPrefixFixpoint, Parallelism: 4}},
 		{"prebuilt middle prefix workers 4", middle, Options{Smax: SmaxPrefixFixpoint, Parallelism: 4}},
-		{"prebuilt middle global workers 4", middle, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{100, 100, 100, 100, 100}, Parallelism: 4}},
 		{"unknown mode", ok, Options{Smax: SmaxMode(99)}},
-		{"bad seed length", ok, Options{Smax: SmaxGlobalTail, SeedBounds: []model.Time{1}}},
 	}
 	for _, c := range cases {
 		_, wantErr := referenceAnalyze(c.fs, c.opt)
@@ -298,46 +284,44 @@ func TestEngineErrorParity(t *testing.T) {
 // return exactly what a fresh one-shot analysis returns.
 func TestAnalyzerReuse(t *testing.T) {
 	for _, fs := range fuzzedSets(t, 6) {
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail} {
-			a, err := NewAnalyzer(fs, Options{Smax: mode})
+		a, err := NewAnalyzer(fs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := a.Analyze()
+		if err != nil {
+			// Some fuzzed sets diverge; the error must at least be
+			// stable.
+			if _, err2 := a.Analyze(); err2 == nil || err2.Error() != err.Error() {
+				t.Fatalf("unstable error: %v then %v", err, err2)
+			}
+			continue
+		}
+		second, err := a.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatal("repeated Analyze() diverged")
+		}
+		bounds, err := a.Bounds()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bounds, first.Bounds) {
+			t.Fatalf("Bounds() %v != Analyze().Bounds %v", bounds, first.Bounds)
+		}
+		for i := range fs.Flows {
+			r, err := a.AnalyzeFlow(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, err := a.Analyze()
-			if err != nil {
-				// Some fuzzed sets defeat the holistic busy-period seed
-				// (jitter growth); the error must at least be stable.
-				if _, err2 := a.Analyze(); err2 == nil || err2.Error() != err.Error() {
-					t.Fatalf("unstable error: %v then %v", err, err2)
-				}
-				continue
+			if r != first.Bounds[i] {
+				t.Fatalf("AnalyzeFlow(%d) = %d, Analyze %d", i, r, first.Bounds[i])
 			}
-			second, err := a.Analyze()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(first, second) {
-				t.Fatal("repeated Analyze() diverged")
-			}
-			bounds, err := a.Bounds()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(bounds, first.Bounds) {
-				t.Fatalf("Bounds() %v != Analyze().Bounds %v", bounds, first.Bounds)
-			}
-			for i := range fs.Flows {
-				r, err := a.AnalyzeFlow(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r != first.Bounds[i] {
-					t.Fatalf("AnalyzeFlow(%d) = %d, Analyze %d", i, r, first.Bounds[i])
-				}
-			}
-			if _, err := a.AnalyzeFlow(fs.N()); err == nil {
-				t.Error("out-of-range index accepted")
-			}
+		}
+		if _, err := a.AnalyzeFlow(fs.N()); err == nil {
+			t.Error("out-of-range index accepted")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package trajectory
 
 import (
 	"context"
+	"math/big"
 
 	"trajan/internal/model"
 	"trajan/internal/obs"
@@ -22,9 +23,10 @@ import (
 //
 // (the flow itself included) by fixed-point iteration from the
 // one-packet-per-flow floor, with saturating arithmetic. A saturated
-// iterate is ErrOverflow; an iterate past the horizon is ErrUnstable
-// (the slowest node is overloaded); exhausting the iteration cap
-// without convergence is ErrUnstable as well.
+// iterate is ErrOverflow; an iterate past the horizon is ErrUnstable,
+// reported with the equation's load (see bslowLoad), which can reach 1
+// while every node is below it; exhausting the iteration cap without
+// convergence is ErrUnstable as well.
 func bslowFixpoint(name string, opt Options, selfPeriod, selfSlow model.Time, periods, charges []model.Time) (model.Time, error) {
 	var sat bool
 	b := selfSlow
@@ -50,9 +52,7 @@ func bslowFixpoint(name string, opt Options, selfPeriod, selfSlow model.Time, pe
 			return b, nil
 		}
 		if nb > horizon {
-			return 0, model.Errorf(model.ErrUnstable,
-				"trajectory: busy period of flow %q diverges past horizon %d (slowest-node utilization ≥ 1)",
-				name, horizon)
+			return 0, bslowUnstable(name, horizon, bslowLoad(selfPeriod, selfSlow, periods, charges, nil))
 		}
 		b = nb
 	}
@@ -105,15 +105,39 @@ func bslowFixpointGrouped(name string, opt Options, selfPeriod, selfSlow model.T
 			return b, nil
 		}
 		if nb > horizon {
-			return 0, model.Errorf(model.ErrUnstable,
-				"trajectory: busy period of flow %q diverges past horizon %d (slowest-node utilization ≥ 1)",
-				name, horizon)
+			return 0, bslowUnstable(name, horizon, bslowLoad(selfPeriod, selfSlow, periods, charges, mults))
 		}
 		b = nb
 	}
 	return 0, model.Errorf(model.ErrUnstable,
 		"trajectory: busy period of flow %q did not converge in %d iterations",
 		name, opt.maxIterations())
+}
+
+// bslowLoad is the load of the busy-period equation,
+// Σ_j C^{slow_{j,i}}_j / Tj with the flow itself included: every flow
+// that meets τi charged at its slowest shared node. It is summed as an
+// exact rational, so the grouped (mults non-nil, mults[g] copies of a
+// term) and per-interferer folds give the same value.
+func bslowLoad(selfPeriod, selfSlow model.Time, periods, charges, mults []model.Time) float64 {
+	load := big.NewRat(int64(selfSlow), int64(selfPeriod))
+	var term big.Rat
+	for x := range periods {
+		term.SetFrac64(int64(charges[x]), int64(periods[x]))
+		if mults != nil {
+			term.Mul(&term, new(big.Rat).SetInt64(int64(mults[x])))
+		}
+		load.Add(load, &term)
+	}
+	f, _ := load.Float64()
+	return f
+}
+
+// bslowUnstable is the divergence error of both busy-period folds.
+func bslowUnstable(name string, horizon model.Time, load float64) error {
+	return model.Errorf(model.ErrUnstable,
+		"trajectory: busy period of flow %q diverges past horizon %d (Bslow load Σ C^slow_j/T_j = %.3f over the flows meeting it, the flow included)",
+		name, horizon, load)
 }
 
 // rTopSat computes, with saturating arithmetic, the upper envelope of

@@ -49,7 +49,7 @@ func TestNilTracerHotPathAllocFree(t *testing.T) {
 // every estimator.
 func TestTracerPreservesResults(t *testing.T) {
 	fs := model.PaperExample()
-	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail, SmaxNoQueue} {
+	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
 		plain, err := Analyze(fs, Options{Smax: mode})
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +85,6 @@ func TestFlowBoundDecompSumsToBound(t *testing.T) {
 		"non-preemption": {withBlocking(t, paper, np), Options{}},
 		"strict-window":  {paper, Options{StrictWindow: true}},
 		"no-tscan":       {paper, Options{DisableTScan: true}},
-		"global-tail":    {paper, Options{Smax: SmaxGlobalTail}},
 		"no-queue":       {paper, Options{Smax: SmaxNoQueue}},
 	} {
 		fs, opt := tc.fs, tc.opt

@@ -22,9 +22,9 @@
 //
 // The A_{i,j} terms depend on Smax^h (worst-case source→node times),
 // which the paper uses but never shows how to compute; this package
-// provides three estimators (see SmaxMode) and documents their
-// soundness arguments. See EXPERIMENTS.md for the calibration against
-// the paper's Table 2.
+// provides the prefix fixed point and an unsound no-queue floor (see
+// SmaxMode) and documents their soundness arguments. See EXPERIMENTS.md
+// for the calibration against the paper's Table 2.
 package trajectory
 
 import (
@@ -43,22 +43,11 @@ const (
 	// SmaxPrefixFixpoint bounds Smax^h_i by the trajectory bound of the
 	// flow restricted to its prefix path ending just before h, plus
 	// Lmax, iterated over all flows and nodes to a fixed point. This is
-	// the tightest of the estimators and the package default. The fixed
+	// the only sound estimator and the package default. The fixed
 	// point is reached from below (seeded with SmaxNoQueue); its bounds
 	// are cross-validated against exhaustive simulation in this
 	// repository's test suite.
 	SmaxPrefixFixpoint SmaxMode = iota
-
-	// SmaxGlobalTail bounds Smax^h_i = Ri − tailmin(i,h), where tailmin
-	// is the minimum residual time from arrival at h to delivery. Seeded
-	// with a per-node busy-period bound (or caller-provided
-	// Options.SeedBounds, e.g. holistic results) and iterated downward:
-	// since the Property-2 operator maps valid bound vectors to valid
-	// bound vectors and is monotone, every iterate after the first is a
-	// sound bound, and the component-wise minimum over iterates is
-	// returned. Use this mode when a certified chain of reasoning from
-	// a sound seed is required.
-	SmaxGlobalTail
 
 	// SmaxNoQueue uses the queueing-free traversal time with Lmax links.
 	// It is NOT sound in general (a packet can be queued upstream); it
@@ -72,8 +61,6 @@ func (m SmaxMode) String() string {
 	switch m {
 	case SmaxPrefixFixpoint:
 		return "prefix-fixpoint"
-	case SmaxGlobalTail:
-		return "global-tail"
 	case SmaxNoQueue:
 		return "no-queue"
 	default:
@@ -81,14 +68,12 @@ func (m SmaxMode) String() string {
 	}
 }
 
-// ParseSmaxMode maps a -smax flag value (prefix|tail|noqueue) onto a
+// ParseSmaxMode maps a -smax flag value (prefix|noqueue) onto a
 // mode; anything else is ErrInvalidConfig.
 func ParseSmaxMode(s string) (SmaxMode, error) {
 	switch s {
 	case "prefix":
 		return SmaxPrefixFixpoint, nil
-	case "tail":
-		return SmaxGlobalTail, nil
 	case "noqueue":
 		return SmaxNoQueue, nil
 	}
@@ -101,11 +86,6 @@ func ParseSmaxMode(s string) (SmaxMode, error) {
 type Options struct {
 	// Smax selects the Smax^h estimator.
 	Smax SmaxMode
-
-	// SeedBounds optionally provides sound initial per-flow response
-	// bounds for SmaxGlobalTail (e.g. from the holistic analysis). When
-	// nil, a per-node busy-period seed is computed internally.
-	SeedBounds []model.Time
 
 	// MaxIterations caps fixed-point iterations (both the Smax tables
 	// and the Bslow busy-period equation). Zero selects the default 256.

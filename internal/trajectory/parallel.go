@@ -226,8 +226,9 @@ var builderPool = sync.Pool{New: func() any { return new(viewBuilder) }}
 
 // prebuildViews builds, on up to Options.Workers() goroutines, the
 // views of every flow whose views are all missing and whose path has at
-// least minLen nodes: the flows the caller's serial loop is
-// about to request. The Analyzer afterwards holds exactly the views
+// least two nodes: the flows the prefix fixed point's serial slot loop
+// is about to request (one-hop flows have no prefix slot, so their
+// views stay lazy). The Analyzer afterwards holds exactly the views
 // that loop would have built, with two differences it repairs as the
 // loop runs:
 //
@@ -242,7 +243,7 @@ var builderPool = sync.Pool{New: func() any { return new(viewBuilder) }}
 // build that panics leaves the flow unbuilt, and the serial request
 // meets the same panic. With one worker, or fewer than two such flows,
 // nothing is prebuilt and the loop builds every view itself.
-func (a *Analyzer) prebuildViews(minLen int) {
+func (a *Analyzer) prebuildViews() {
 	workers := a.opt.Workers()
 	if workers <= 1 {
 		return
@@ -250,7 +251,7 @@ func (a *Analyzer) prebuildViews(minLen int) {
 	fx := &a.fix
 	todo := fx.todo[:0]
 	for i, f := range a.fs.Flows {
-		if len(f.Path) >= minLen && a.full[i] == nil && a.prefix[i] == nil {
+		if len(f.Path) >= 2 && a.full[i] == nil && a.prefix[i] == nil {
 			todo = append(todo, int32(i))
 		}
 	}

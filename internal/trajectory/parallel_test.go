@@ -25,23 +25,21 @@ func TestParallelMatchesSerial(t *testing.T) {
 		sets = append(sets, fs)
 	}
 	for si, fs := range sets {
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail} {
-			serial, err := Analyze(fs, Options{Smax: mode, Parallelism: 1})
+		serial, err := Analyze(fs, Options{Parallelism: 1})
+		if err != nil {
+			continue
+		}
+		for _, workers := range []int{2, 4, 8} {
+			par, err := Analyze(fs, Options{Parallelism: workers})
 			if err != nil {
-				continue
+				t.Fatalf("set %d workers %d: %v", si, workers, err)
 			}
-			for _, workers := range []int{2, 4, 8} {
-				par, err := Analyze(fs, Options{Smax: mode, Parallelism: workers})
-				if err != nil {
-					t.Fatalf("set %d mode %v workers %d: %v", si, mode, workers, err)
-				}
-				if !reflect.DeepEqual(par.Bounds, serial.Bounds) {
-					t.Errorf("set %d mode %v workers %d: %v ≠ serial %v",
-						si, mode, workers, par.Bounds, serial.Bounds)
-				}
-				if par.SmaxSweeps != serial.SmaxSweeps {
-					t.Errorf("set %d mode %v workers %d: sweep count differs", si, mode, workers)
-				}
+			if !reflect.DeepEqual(par.Bounds, serial.Bounds) {
+				t.Errorf("set %d workers %d: %v ≠ serial %v",
+					si, workers, par.Bounds, serial.Bounds)
+			}
+			if par.SmaxSweeps != serial.SmaxSweeps {
+				t.Errorf("set %d workers %d: sweep count differs", si, workers)
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package trajectory
 
-import (
-	"context"
-
-	"trajan/internal/model"
-)
+import "trajan/internal/model"
 
 // smaxTable holds Smax^h_i estimates: smax[i][k] bounds the time from
 // the GENERATION of a packet of flow i to its arrival at the k-th node
@@ -89,59 +85,6 @@ func (t smaxTable) fillNoQueueRow(fs *model.FlowSet, i int) {
 	}
 }
 
-// fillFromBounds sets the global-tail estimate from per-flow end-to-end
-// bounds R: Smax^h_i = Ri - tailmin(i,h), where tailmin is the minimum
-// residual time from arrival at h to delivery (processing at h and all
-// later nodes, Lmin per link). A packet arriving at h later than that
-// would necessarily miss the bound Ri, so the estimate is sound
-// whenever R is. Values are clamped below by the no-queue minimum
-// arrival (Smin), which is always a valid floor.
-func (t smaxTable) fillFromBounds(fs *model.FlowSet, bounds []model.Time) {
-	for i, f := range fs.Flows {
-		var tail model.Time
-		var sat bool
-		// tailmin accumulated from the back.
-		tails := make([]model.Time, len(f.Path))
-		for k := len(f.Path) - 1; k >= 0; k-- {
-			tail = model.AddSat(tail, f.Cost[k], &sat)
-			tails[k] = tail
-			tail = model.AddSat(tail, fs.Net.Lmin, &sat)
-		}
-		for k := range f.Path {
-			v := model.SubSat(bounds[i], tails[k], &sat)
-			if smin := fs.SminAt(i, k); v < smin {
-				v = smin
-			}
-			t[i][k] = v
-		}
-	}
-}
-
-// fillFromBoundsScratch is fillFromBounds with a caller-owned tails
-// buffer (grown as needed, returned for reuse) so the engine's
-// per-sweep global-tail refill allocates nothing. Values are identical
-// to fillFromBounds — only the tails buffer's lifetime differs.
-func (t smaxTable) fillFromBoundsScratch(fs *model.FlowSet, bounds []model.Time, scratch []model.Time) []model.Time {
-	for i, f := range fs.Flows {
-		var tail model.Time
-		var sat bool
-		scratch = growTimes(scratch, len(f.Path))
-		for k := len(f.Path) - 1; k >= 0; k-- {
-			tail = model.AddSat(tail, f.Cost[k], &sat)
-			scratch[k] = tail
-			tail = model.AddSat(tail, fs.Net.Lmin, &sat)
-		}
-		for k := range f.Path {
-			v := model.SubSat(bounds[i], scratch[k], &sat)
-			if smin := fs.SminAt(i, k); v < smin {
-				v = smin
-			}
-			t[i][k] = v
-		}
-	}
-	return scratch
-}
-
 // computeSmax builds the Smax table for the requested mode. It returns
 // the table, the number of fixed-point sweeps used, and whether the
 // iteration converged (always true for the non-iterative mode).
@@ -154,9 +97,6 @@ func computeSmax(fs *model.FlowSet, opt Options) (smaxTable, int, bool, error) {
 
 	case SmaxPrefixFixpoint:
 		return prefixFixpoint(fs, opt)
-
-	case SmaxGlobalTail:
-		return globalTail(fs, opt)
 
 	default:
 		return nil, 0, false, model.Errorf(model.ErrInvalidConfig, "trajectory: unknown Smax mode %d", opt.Smax)
@@ -221,171 +161,4 @@ func prefixFixpoint(fs *model.FlowSet, opt Options) (smaxTable, int, bool, error
 		t = next
 	}
 	return t, opt.maxIterations(), false, nil
-}
-
-// globalTail iterates the full Property-2 operator on bound vectors,
-// deriving Smax from each iterate via fillFromBounds. The seed is
-// Options.SeedBounds when provided (must itself be sound, e.g. holistic
-// results) or the per-node busy-period bound otherwise. Because the
-// operator maps sound bound vectors to sound bound vectors, every
-// iterate is sound; the component-wise minimum over iterates is kept.
-func globalTail(fs *model.FlowSet, opt Options) (smaxTable, int, bool, error) {
-	bounds := append([]model.Time(nil), opt.SeedBounds...)
-	if bounds == nil {
-		var err error
-		bounds, err = BusyPeriodSeed(fs, opt)
-		if err != nil {
-			return nil, 0, false, err
-		}
-	} else if len(bounds) != fs.N() {
-		return nil, 0, false, model.Errorf(model.ErrInvalidConfig,
-			"trajectory: %d seed bounds for %d flows", len(bounds), fs.N())
-	}
-
-	best := append([]model.Time(nil), bounds...)
-	t := newSmaxTable(fs)
-	for sweep := 1; sweep <= opt.maxIterations(); sweep++ {
-		t.fillFromBounds(fs, bounds)
-		next := make([]model.Time, fs.N())
-		jobs := make([]viewJob, fs.N())
-		for i := range fs.Flows {
-			jobs[i] = viewJob{view: fullView(fs, i), dst: &next[i]}
-		}
-		if err := runViews(fs, opt, t, jobs); err != nil {
-			return nil, sweep, false, err
-		}
-		for i, r := range next {
-			if r < best[i] {
-				best[i] = r
-			}
-		}
-		same := true
-		for i := range next {
-			if next[i] != bounds[i] {
-				same = false
-				break
-			}
-		}
-		bounds = next
-		if same {
-			t.fillFromBounds(fs, best)
-			return t, sweep, true, nil
-		}
-	}
-	t.fillFromBounds(fs, best)
-	return t, opt.maxIterations(), false, nil
-}
-
-// BusyPeriodSeed returns a crude but sound per-flow response-time
-// bound, used to seed SmaxGlobalTail and as the "node busy period"
-// baseline in the experiment suite.
-//
-// The argument is the classical holistic one: a packet arriving at a
-// FIFO node inside an aggregate busy period leaves by the end of that
-// busy period, so its sojourn is at most the busy-period length; the
-// busy-period length at node h is the least fixed point of
-//
-//	bp_h = Σ_{j: h∈Pj} (1 + ⌊(bp_h + jit^h_j)/Tj⌋) · C^h_j
-//
-// where jit^h_j is the width of flow j's arrival window at h (release
-// jitter plus accumulated upstream response variability). Since busy
-// periods and jitters feed each other across nodes, the whole system is
-// iterated to a global fixed point from below; every quantity grows
-// monotonically, so the iteration either converges or exceeds the
-// horizon (overload).
-func BusyPeriodSeed(fs *model.FlowSet, opt Options) ([]model.Time, error) {
-	return busyPeriodSeed(context.Background(), fs, opt)
-}
-
-// busyPeriodSeed is BusyPeriodSeed with cancellation (checked once per
-// global sweep) and saturating arithmetic: a busy period that leaves
-// the finite time domain is ErrOverflow, divergence past the horizon is
-// ErrUnstable.
-func busyPeriodSeed(ctx context.Context, fs *model.FlowSet, opt Options) ([]model.Time, error) {
-	horizon := opt.horizon()
-	n := fs.N()
-
-	// jit[i][k]: arrival-window width of flow i at its k-th node.
-	jit := make([][]model.Time, n)
-	for i, f := range fs.Flows {
-		jit[i] = make([]model.Time, len(f.Path))
-		for k := range jit[i] {
-			jit[i][k] = f.Jitter
-		}
-	}
-
-	var sat bool
-	nodeBP := make(map[model.NodeID]model.Time)
-	for iter := 0; iter < opt.maxIterations(); iter++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		// Busy period per node under current jitters.
-		for _, h := range fs.Nodes() {
-			var b model.Time
-			for _, j := range fs.FlowsAt(h) {
-				b = model.AddSat(b, fs.Flows[j].CostAt(h), &sat)
-			}
-			for sub := 0; sub < opt.maxIterations(); sub++ {
-				var nb model.Time
-				for _, j := range fs.FlowsAt(h) {
-					fj := fs.Flows[j]
-					jh := jit[j][fj.Path.Index(h)]
-					nb = model.AddSat(nb,
-						model.MulSat(model.OnePlusFloorPosSat(model.AddSat(b, jh, &sat), fj.Period, &sat),
-							fj.CostAt(h), &sat), &sat)
-				}
-				if sat {
-					return nil, model.Errorf(model.ErrOverflow,
-						"trajectory: node %d busy period overflows the time domain", h)
-				}
-				if nb == b {
-					break
-				}
-				if nb > horizon {
-					return nil, model.Errorf(model.ErrUnstable,
-						"trajectory: node %d busy period diverges (utilization %.3f)",
-						h, fs.TotalUtilizationAt(h))
-				}
-				b = nb
-			}
-			nodeBP[h] = b
-		}
-		// Propagate jitter: max arrival at node k+1 is max arrival at k
-		// plus the node-k busy period plus Lmax; min arrival adds only
-		// processing and Lmin.
-		changed := false
-		for i, f := range fs.Flows {
-			maxArr, minArr := f.Jitter, model.Time(0)
-			for k := range f.Path {
-				if w := model.SubSat(maxArr, minArr, &sat); w > jit[i][k] {
-					jit[i][k] = w
-					changed = true
-				}
-				maxArr = model.AddSat(maxArr, model.AddSat(nodeBP[f.Path[k]], fs.Net.Lmax, &sat), &sat)
-				minArr = model.AddSat(minArr, model.AddSat(f.Cost[k], fs.Net.Lmin, &sat), &sat)
-			}
-		}
-		if sat {
-			return nil, model.Errorf(model.ErrOverflow,
-				"trajectory: busy-period seed overflows the time domain")
-		}
-		if !changed {
-			out := make([]model.Time, n)
-			for i, f := range fs.Flows {
-				r := model.AddSat(f.Jitter, model.MulSat(model.Time(len(f.Path)-1), fs.Net.Lmax, &sat), &sat)
-				for _, h := range f.Path {
-					r = model.AddSat(r, nodeBP[h], &sat)
-				}
-				out[i] = r
-			}
-			if sat {
-				return nil, model.Errorf(model.ErrOverflow,
-					"trajectory: busy-period seed overflows the time domain")
-			}
-			return out, nil
-		}
-	}
-	return nil, model.Errorf(model.ErrUnstable,
-		"trajectory: busy-period seed did not converge in %d sweeps", opt.maxIterations())
 }

@@ -2,6 +2,7 @@ package trajectory
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -88,86 +89,6 @@ func TestPrefixFixpointValues(t *testing.T) {
 	}
 }
 
-// TestFillFromBounds: the global-tail table is R − tailmin clamped at
-// Smin.
-func TestFillFromBounds(t *testing.T) {
-	fs := model.PaperExample()
-	tab := newSmaxTable(fs)
-	bounds := []model.Time{31, 43, 53, 53, 44}
-	tab.fillFromBounds(fs, bounds)
-	// τ1 at node 3: tailmin = 4 + (1+4) + (1+4) = 14 → 31−14 = 17.
-	if got, _ := tab.at(fs, 0, 3); got != 17 {
-		t.Errorf("tail Smax(τ1,3) = %d, want 17", got)
-	}
-	// τ3 at node 10: tailmin = 4 + (1+4) = 9 → 53−9 = 44.
-	if got, _ := tab.at(fs, 2, 10); got != 44 {
-		t.Errorf("tail Smax(τ3,10) = %d, want 44", got)
-	}
-	// Clamping: with a tiny bound, Smax falls back to Smin.
-	tab.fillFromBounds(fs, []model.Time{1, 1, 1, 1, 1})
-	smin, err := fs.Smin(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := tab.at(fs, 0, 3); got != smin {
-		t.Errorf("clamped Smax = %d, want Smin %d", got, smin)
-	}
-}
-
-// TestBusyPeriodSeedSound: on the example, the seed must dominate the
-// trajectory bounds (it is the crudest of the sound analyses) and be
-// finite.
-func TestBusyPeriodSeedSound(t *testing.T) {
-	fs := model.PaperExample()
-	seed, err := BusyPeriodSeed(fs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj := mustAnalyze(t, fs, Options{})
-	for i := range fs.Flows {
-		if seed[i] < traj.Bounds[i] {
-			t.Errorf("flow %d: seed %d below trajectory bound %d", i, seed[i], traj.Bounds[i])
-		}
-	}
-}
-
-// TestBusyPeriodSeedSingleFlow: for a lone flow the seed equals the
-// per-node costs plus links (each node's busy period is one packet).
-func TestBusyPeriodSeedSingleFlow(t *testing.T) {
-	f := model.UniformFlow("f", 100, 3, 0, 4, 1, 2, 3)
-	fs := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{f})
-	seed, err := BusyPeriodSeed(fs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := model.Time(3 + 3*4 + 2*1); seed[0] != want {
-		t.Errorf("seed = %d, want %d", seed[0], want)
-	}
-}
-
-// TestBusyPeriodSeedOverload: utilization ≥ 1 must be reported.
-func TestBusyPeriodSeedOverload(t *testing.T) {
-	f1 := model.UniformFlow("f1", 4, 0, 0, 3, 1)
-	f2 := model.UniformFlow("f2", 4, 0, 0, 3, 1)
-	fs := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{f1, f2})
-	if _, err := BusyPeriodSeed(fs, Options{}); err == nil {
-		t.Error("overloaded seed accepted")
-	}
-}
-
-// TestGlobalTailConvergence: the iteration reaches a fixed point and
-// reports it.
-func TestGlobalTailConvergence(t *testing.T) {
-	fs := model.PaperExample()
-	_, sweeps, converged, err := globalTail(fs, Options{Smax: SmaxGlobalTail})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !converged {
-		t.Errorf("global tail did not converge in %d sweeps", sweeps)
-	}
-}
-
 // TestSmaxTableCloneEqual: table utilities used by the fixpoints.
 func TestSmaxTableCloneEqual(t *testing.T) {
 	fs := model.PaperExample()
@@ -186,15 +107,15 @@ func TestSmaxTableCloneEqual(t *testing.T) {
 	}
 }
 
-// TestParseSmaxMode: the three -smax spellings map onto their modes;
-// anything else is a configuration error naming the value.
+// TestParseSmaxMode: the two -smax spellings map onto their modes;
+// anything else, including the removed "tail", is a configuration error
+// naming the value.
 func TestParseSmaxMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want SmaxMode
 	}{
 		{"prefix", SmaxPrefixFixpoint},
-		{"tail", SmaxGlobalTail},
 		{"noqueue", SmaxNoQueue},
 	} {
 		got, err := ParseSmaxMode(tc.in)
@@ -202,8 +123,10 @@ func TestParseSmaxMode(t *testing.T) {
 			t.Errorf("ParseSmaxMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	_, err := ParseSmaxMode("bogus")
-	if !errors.Is(err, model.ErrInvalidConfig) || !strings.Contains(err.Error(), `unknown -smax "bogus"`) {
-		t.Errorf("ParseSmaxMode(bogus) error %v, want ErrInvalidConfig naming the value", err)
+	for _, in := range []string{"bogus", "tail"} {
+		_, err := ParseSmaxMode(in)
+		if !errors.Is(err, model.ErrInvalidConfig) || !strings.Contains(err.Error(), fmt.Sprintf("unknown -smax %q", in)) {
+			t.Errorf("ParseSmaxMode(%q) error %v, want ErrInvalidConfig naming the value", in, err)
+		}
 	}
 }
