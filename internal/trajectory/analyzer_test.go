@@ -337,8 +337,9 @@ func TestDetails(t *testing.T) {
 // utilisation 0.4, the busy-period equation of the flow every
 // interferer meets has load 1/10 + 4·3/10 = 1.3 and diverges. The
 // error, from the engine's grouped fold and the reference's
-// per-interferer fold alike, reports that load and claims no node
-// utilisation of 1.
+// per-interferer fold alike, reports that load and the highest node
+// utilisation on the flow's path, 0.4, and claims no node utilisation
+// of 1.
 func TestBslowUnstableNamesLoad(t *testing.T) {
 	flows := []*model.Flow{model.UniformFlow("victim", 10, 0, 0, 1, 0, 1, 2, 3)}
 	for k := 0; k < 4; k++ {
@@ -358,8 +359,9 @@ func TestBslowUnstableNamesLoad(t *testing.T) {
 		}
 		msg := err.Error()
 		if !strings.Contains(msg, `flow "victim"`) || !strings.Contains(msg, "Bslow load") ||
-			!strings.Contains(msg, "= 1.300") || strings.Contains(msg, "utilization ≥ 1") {
-			t.Errorf("message %q: want the victim's Bslow load 1.300 and no node-utilisation claim", msg)
+			!strings.Contains(msg, "= 1.300") || strings.Contains(msg, "utilization ≥ 1") ||
+			!strings.Contains(msg, "highest node utilisation on its path 0.400") {
+			t.Errorf("message %q: want the victim's Bslow load 1.300, its path's highest node utilisation 0.400 and no claim of a node at 1", msg)
 		}
 	}
 	if gotErr.Error() != wantErr.Error() {

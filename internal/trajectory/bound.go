@@ -163,7 +163,7 @@ func (c *boundCtx) computeBslow() error {
 		periods[x] = c.fs.Flows[in.j].Period
 		charges[x] = in.rel.CSlowJI
 	}
-	b, err := bslowFixpoint(c.fs.Flows[c.view.flow].Name, c.opt, c.period, selfSlow, periods, charges)
+	b, err := bslowFixpoint(c.fs, c.view.flow, len(c.view.path), c.opt, c.period, selfSlow, periods, charges)
 	if err != nil {
 		return err
 	}

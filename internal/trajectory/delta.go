@@ -12,7 +12,10 @@ import (
 //  1. derives the new flow set copy-on-write (model delta constructors),
 //  2. keeps every cached view whose interferer set the change cannot
 //     touch (flows whose paths do not intersect the changed flow) and
-//     drops only the reachable ones, and
+//     drops only the reachable ones; after an add, buildViews extends a
+//     dropped view from its counterpart in the newest undo snapshot
+//     that holds it, sweeping only the appended flows, while a removal
+//     or update rebuilds it, and
 //  3. leaves a warm-start seed for the Smax prefix fixed point: the
 //     previously converged rows for untouched flows, the no-queue floor
 //     for the flows whose equations changed.
@@ -288,9 +291,12 @@ func (a *Analyzer) restore(s *undoSnap) {
 
 // AddFlow admits a copy of f into the analyzer's flow set and returns
 // its index (always N()-1). Views of flows that do not intersect f are
-// kept; the Smax fixed point warm-starts from the previous converged
-// table, which remains a valid under-seed because an added flow only
-// grows the interference operator. On a validation error (invalid flow,
+// kept; the views of flows that do are extended on their next request:
+// f is their last interferer, so each is the pre-add view (from the
+// snapshot this call pushes) with f's entry appended. The Smax fixed
+// point warm-starts from the previous converged table, which remains a
+// valid under-seed because an added flow only grows the interference
+// operator. On a validation error (invalid flow,
 // duplicate name, Assumption-1 violation — the exact errors NewFlowSet
 // would report) the analyzer is unchanged and remains usable. When the
 // last WhatIf batch kept a fork for this very add, its converged state
@@ -321,7 +327,7 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 	prefix := make([][]*viewCache, nOld+1)
 	for j := 0; j < nOld; j++ {
 		if nbr[j] {
-			continue // rebuilt lazily with the new interferer
+			continue // extended lazily with the new interferer (buildViews)
 		}
 		// Entry ids of existing flows are unchanged (the new flow's
 		// entries append at the end), so untouched views carry over

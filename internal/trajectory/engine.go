@@ -129,6 +129,11 @@ type Analyzer struct {
 	// any in-place patch (the base Analyzer and sibling forks alias them).
 	cow bool
 
+	// extendable marks an Analyzer from NewAnalyzer (and its forks): its
+	// views keep the build state an extension resumes from (viewCache.sd).
+	// The package-level cold analyses never mutate, so they skip it.
+	extendable bool
+
 	scratch evalScratch // serial evaluation scratch
 }
 
@@ -142,10 +147,13 @@ func (a *Analyzer) FlowSet() *model.FlowSet { return a.fs }
 // Analyze/AnalyzeFlow/Bounds call, in the same order the reference
 // implementation would perform it.
 func NewAnalyzer(fs *model.FlowSet, opt Options) (*Analyzer, error) {
-	return newAnalyzer(fs, opt), nil
+	a := newAnalyzer(fs, opt)
+	a.extendable = true
+	return a, nil
 }
 
-// newAnalyzer is NewAnalyzer without the error return.
+// newAnalyzer is NewAnalyzer without the error return, for one-shot
+// analyses: its views are not extendable.
 func newAnalyzer(fs *model.FlowSet, opt Options) *Analyzer {
 	a := &Analyzer{
 		fs:        fs,
@@ -555,8 +563,14 @@ type viewCache struct {
 	maxCharge model.Time
 	// sat is the sticky saturation flag of the build-time constants; the
 	// flag expressions mirror boundCtx's exactly (see harden.go). eval
-	// seeds its per-sweep flag from it.
-	sat bool
+	// seeds its per-sweep flag from it. sweepSat is the flag as the
+	// interferer sweep left it, before finishView: the state an
+	// extension of the view resumes from (buildViews).
+	sat      bool
+	sweepSat bool
+	// sd holds the sweep's final same-direction cost extrema, minSD then
+	// maxSD (buildScratch), on the views of an extendable Analyzer.
+	sd []model.Time
 }
 
 // finishView runs the interferer-independent tail of a view build
@@ -568,7 +582,7 @@ type viewCache struct {
 // majorant constants.
 func (a *Analyzer) finishView(vc *viewCache, opt Options, path model.Path, cost []model.Time, sc *buildScratch) error {
 	fs := a.fs
-	b, err := bslowFixpointGrouped(fs.Flows[vc.flow].Name, opt, vc.period, vc.maxCost(fs), sc.gPer, sc.gChg, sc.gMul)
+	b, err := bslowFixpointGrouped(fs, vc.flow, vc.plen, opt, vc.period, vc.maxCost(fs), sc.gPer, sc.gChg, sc.gMul)
 	if err != nil {
 		return err
 	}
@@ -624,6 +638,15 @@ func (vc *viewCache) maxCost(fs *model.FlowSet) model.Time {
 // it and returns the identical error, at the slot the reference
 // evaluation order reaches first.
 //
+// When an undo snapshot still holds every missing view (extendBase),
+// the sweep resumes from those views instead of starting over: the
+// snapshot's set is the current one minus flows appended after it,
+// which carry the highest indexes, so the ascending-j sweep meets them
+// last. Each base view's interferer entries are therefore exact
+// entries of the new view, and its build state after them is restored
+// (resumeView); passes 1 and 2 then visit only the appended flows, and
+// finishView runs as on a rebuild.
+//
 // The build state is the caller's: ms and ar are the working state and
 // the arena the views are carved from, and tr receives the busy-period
 // events. The serial path passes the Analyzer's own; prebuildViews
@@ -643,13 +666,18 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 	n := fs.N()
 	posI := tp.pos[i]
 	dpi := tp.dpath[i]
+	base := a.extendBase(i, L)
+	j0 := 0 // the first interferer the sweep visits
+	if base != nil {
+		j0 = base.fs.N()
+	}
 
 	// Pass 1: each interferer's activation index, histogrammed so every
 	// view's interferer count is a prefix sum.
 	ms.minKi = growN(ms.minKi, n)
 	ms.hist = growN(ms.hist, L)
 	clear(ms.hist)
-	for j := 0; j < n; j++ {
+	for j := j0; j < n; j++ {
 		if j == i {
 			ms.minKi[j] = -1
 			continue
@@ -671,14 +699,27 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 	ms.vcs = growN(ms.vcs, L)
 	ms.xs = growN(ms.xs, L)
 	ms.st = growN(ms.st, L)
+	ms.words = (L + 63) / 64
+	ms.seen = growN(ms.seen, L*ms.words)
+	clear(ms.seen)
+	ms.idxAt = growN(ms.idxAt, L)
+	ms.maxAt = growN(ms.maxAt, L)
+	ms.crow = growN(ms.crow, L)
+	baseI := int32(a.entryBase[i])
 	top, cum := 0, 0
 	for p := 1; p <= L; p++ {
 		cum += int(ms.hist[p-1])
-		if (p == L && a.full[i] != nil) || (p < L && a.prefix[i][p] != nil) {
+		if viewAt(a.full, a.prefix, i, p, L) != nil {
 			ms.vcs[p-1] = nil
 			continue
 		}
 		top = p
+		ni := cum
+		var bv *viewCache
+		if base != nil {
+			bv = viewAt(base.full, base.prefix, i, p, L)
+			ni += len(bv.jflow)
+		}
 		vc := ar.newView()
 		vc.flow = i
 		vc.plen = p
@@ -686,7 +727,6 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 		vc.jitter = f.Jitter
 		vc.clast = f.Cost[p-1]
 		vc.delta = f.BlockingOver(p, &vc.sat)
-		ni := cum
 		vc.jflow = arenaSlice(&ar.ints, ni)
 		vc.iEnt = arenaSlice(&ar.ints, ni)
 		vc.jEnt = arenaSlice(&ar.ints, ni)
@@ -697,20 +737,16 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 		ms.vcs[p-1] = vc
 		ms.xs[p-1] = 0
 		ms.st[p-1].reset(p, f.Cost[:p])
+		if bv != nil {
+			ms.resumeView(vc, bv, &ms.st[p-1], baseI)
+		}
 	}
-	ms.words = (L + 63) / 64
-	ms.seen = growN(ms.seen, L*ms.words)
-	clear(ms.seen)
 
 	// Pass 2: one bucket computation per pair, then an ascending-plen
 	// combine that maintains the prefix anchors incrementally and fills
 	// each missing view's next SoA slot.
 	lmin := fs.Net.Lmin
-	baseI := int32(a.entryBase[i])
-	ms.idxAt = growN(ms.idxAt, L)
-	ms.maxAt = growN(ms.maxAt, L)
-	ms.crow = growN(ms.crow, L)
-	for j := 0; j < n; j++ {
+	for j := j0; j < n; j++ {
 		mk := ms.minKi[j]
 		if mk < 0 || int(mk) >= top {
 			continue
@@ -809,6 +845,12 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 		st := &ms.st[p-1]
 		vc.readIDs = arenaSlice(&ar.ints, len(st.reads))
 		copy(vc.readIDs, st.reads)
+		vc.sweepSat = vc.sat
+		if a.extendable {
+			vc.sd = arenaSlice(&ar.times, 2*p)
+			copy(vc.sd, st.minSD)
+			copy(vc.sd[p:], st.maxSD)
+		}
 		if ferr := a.finishView(vc, opt, f.Path[:p], f.Cost[:p], st); ferr != nil {
 			if p == want {
 				err = ferr
@@ -824,10 +866,73 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 	if err != nil {
 		return nil, err
 	}
-	if want == L {
-		return a.full[i], nil
+	return viewAt(a.full, a.prefix, i, want, L), nil
+}
+
+// extendBase returns the newest undo snapshot holding every view of
+// flow i (path length L) that the current state misses, or nil when no
+// snapshot does, the Analyzer is not extendable or testNoExtend is set.
+// Every snapshot on the chain is a pre-AddFlow state — any other
+// mutation clears the chain — so its flow set is a prefix of the
+// current one with unchanged entry ids, and older snapshots hold fewer
+// flows: the walk stops at the first one without flow i.
+func (a *Analyzer) extendBase(i, L int) *undoSnap {
+	if testNoExtend || !a.extendable {
+		return nil
 	}
-	return a.prefix[i][want], nil
+next:
+	for s := a.undo; s != nil && i < s.fs.N(); s = s.prev {
+		for p := 1; p <= L; p++ {
+			if viewAt(a.full, a.prefix, i, p, L) == nil && viewAt(s.full, s.prefix, i, p, L) == nil {
+				continue next
+			}
+		}
+		return s
+	}
+	return nil
+}
+
+// resumeView starts vc's build from bv, the same view over a flow set
+// whose flows are a prefix of the current ones. bv's interferer entries
+// become vc's first entries, and the build state takes the values the
+// sweep held after visiting them: the busy-period groups replayed
+// through addGroup, the same-direction extrema, the read set with its
+// dedup bits, and the pre-finish saturation flag.
+func (ms *multiScratch) resumeView(vc, bv *viewCache, st *buildScratch, baseI int32) {
+	copy(vc.jflow, bv.jflow)
+	copy(vc.iEnt, bv.iEnt)
+	copy(vc.jEnt, bv.jEnt)
+	copy(vc.aConst, bv.aConst)
+	copy(vc.csj, bv.csj)
+	copy(vc.iperiods, bv.iperiods)
+	copy(vc.sameDir, bv.sameDir)
+	vc.sat = bv.sweepSat
+	for x := range bv.jflow {
+		st.addGroup(bv.iperiods[x], bv.csj[x])
+	}
+	p := vc.plen
+	copy(st.minSD, bv.sd[:p])
+	copy(st.maxSD, bv.sd[p:])
+	st.reads = append(st.reads, bv.readIDs...)
+	L := int32(len(ms.vcs)) // the flow's path length
+	for _, e := range bv.readIDs {
+		if fji := e - baseI; fji >= 0 && fji < L {
+			ms.seen[int(fji)*ms.words+(p-1)/64] |= 1 << uint((p-1)%64)
+		}
+	}
+	ms.xs[p-1] = int32(len(bv.jflow))
+}
+
+// viewAt returns the length-p view of flow i (path length L) in a
+// state's view arrays, or nil when it is not built.
+func viewAt(full []*viewCache, prefix [][]*viewCache, i, p, L int) *viewCache {
+	if p == L {
+		return full[i]
+	}
+	if prefix[i] == nil {
+		return nil
+	}
+	return prefix[i][p]
 }
 
 // finishSlow mirrors boundCtx.chooseSlow over the build scratch's

@@ -22,12 +22,15 @@ import (
 //	Bslow_i = Σ_{j} ⌈Bslow_i/Tj⌉ · C^{slow_{j,i}}_j
 //
 // (the flow itself included) by fixed-point iteration from the
-// one-packet-per-flow floor, with saturating arithmetic. A saturated
-// iterate is ErrOverflow; an iterate past the horizon is ErrUnstable,
-// reported with the equation's load (see bslowLoad), which can reach 1
-// while every node is below it; exhausting the iteration cap without
-// convergence is ErrUnstable as well.
-func bslowFixpoint(name string, opt Options, selfPeriod, selfSlow model.Time, periods, charges []model.Time) (model.Time, error) {
+// one-packet-per-flow floor, with saturating arithmetic, for the view
+// of flow i over its first plen nodes. A saturated iterate is
+// ErrOverflow; an iterate past the horizon is ErrUnstable, reported
+// with the equation's load (see bslowLoad), which can reach 1 while
+// every node is below it, and the highest node utilisation on the
+// view's path; exhausting the iteration cap without convergence is
+// ErrUnstable as well.
+func bslowFixpoint(fs *model.FlowSet, i, plen int, opt Options, selfPeriod, selfSlow model.Time, periods, charges []model.Time) (model.Time, error) {
+	name := fs.Flows[i].Name
 	var sat bool
 	b := selfSlow
 	for _, c := range charges {
@@ -52,7 +55,7 @@ func bslowFixpoint(name string, opt Options, selfPeriod, selfSlow model.Time, pe
 			return b, nil
 		}
 		if nb > horizon {
-			return 0, bslowUnstable(name, horizon, bslowLoad(selfPeriod, selfSlow, periods, charges, nil))
+			return 0, bslowUnstable(fs, i, plen, horizon, bslowLoad(selfPeriod, selfSlow, periods, charges, nil))
 		}
 		b = nb
 	}
@@ -82,7 +85,8 @@ func bslowFixpoint(name string, opt Options, selfPeriod, selfSlow model.Time, pe
 // Convergence, horizon and overflow checks therefore fire on identical
 // iterates in identical iterations, producing identical error strings
 // and EvBslow trace events.
-func bslowFixpointGrouped(name string, opt Options, selfPeriod, selfSlow model.Time, periods, charges, mults []model.Time) (model.Time, error) {
+func bslowFixpointGrouped(fs *model.FlowSet, i, plen int, opt Options, selfPeriod, selfSlow model.Time, periods, charges, mults []model.Time) (model.Time, error) {
+	name := fs.Flows[i].Name
 	var sat bool
 	b := selfSlow
 	for g := range charges {
@@ -105,7 +109,7 @@ func bslowFixpointGrouped(name string, opt Options, selfPeriod, selfSlow model.T
 			return b, nil
 		}
 		if nb > horizon {
-			return 0, bslowUnstable(name, horizon, bslowLoad(selfPeriod, selfSlow, periods, charges, mults))
+			return 0, bslowUnstable(fs, i, plen, horizon, bslowLoad(selfPeriod, selfSlow, periods, charges, mults))
 		}
 		b = nb
 	}
@@ -133,11 +137,31 @@ func bslowLoad(selfPeriod, selfSlow model.Time, periods, charges, mults []model.
 	return f
 }
 
-// bslowUnstable is the divergence error of both busy-period folds.
-func bslowUnstable(name string, horizon model.Time, load float64) error {
+// bslowUnstable is the divergence error of both busy-period folds for
+// the view of flow i over its first plen nodes.
+func bslowUnstable(fs *model.FlowSet, i, plen int, horizon model.Time, load float64) error {
 	return model.Errorf(model.ErrUnstable,
-		"trajectory: busy period of flow %q diverges past horizon %d (Bslow load Σ C^slow_j/T_j = %.3f over the flows meeting it, the flow included)",
-		name, horizon, load)
+		"trajectory: busy period of flow %q diverges past horizon %d (Bslow load Σ C^slow_j/T_j = %.3f over the flows meeting it, the flow included; highest node utilisation on its path %.3f)",
+		fs.Flows[i].Name, horizon, load, maxPathUtil(fs, fs.Flows[i].Path[:plen]))
+}
+
+// maxPathUtil is the highest node utilisation Σ_j C^h_j/Tj over the
+// nodes h of path, every flow visiting h included, summed as an exact
+// rational like bslowLoad.
+func maxPathUtil(fs *model.FlowSet, path model.Path) float64 {
+	var best, u, term big.Rat
+	for _, h := range path {
+		u.SetInt64(0)
+		for _, j := range fs.FlowsAt(h) {
+			term.SetFrac64(int64(fs.CostOf(j, h)), int64(fs.Flows[j].Period))
+			u.Add(&u, &term)
+		}
+		if u.Cmp(&best) > 0 {
+			best.Set(&u)
+		}
+	}
+	f, _ := best.Float64()
+	return f
 }
 
 // rTopSat computes, with saturating arithmetic, the upper envelope of
@@ -182,6 +206,12 @@ func ctxErr(ctx context.Context) error {
 // evaluation (engine and reference alike). Tests inject panics through
 // it to exercise the recovery paths; it is nil in production.
 var testPanicHook func(flow, plen int)
+
+// testNoExtend, when set, makes buildViews rebuild every missing view
+// instead of extending it from an undo snapshot: the twin that tests
+// and guards compare an extending Analyzer against. It is false in
+// production.
+var testNoExtend bool
 
 // internalPanicError converts a recovered panic value into the
 // taxonomy's ErrInternal, identifying the view being evaluated.

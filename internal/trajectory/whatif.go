@@ -245,6 +245,7 @@ func (a *Analyzer) fork() *Analyzer {
 		// mutations replace (never write through) these references.
 		pendingSeed:  a.pendingSeed,
 		pendingDirty: a.pendingDirty,
+		extendable:   a.extendable,
 	}
 	f.opt.Parallelism = 1
 	f.opt.Tracer = nil
