@@ -58,8 +58,9 @@
 //	0  every analysed flow meets its deadline
 //	1  the analysis succeeded but some flow misses its deadline
 //	2  the configuration is invalid (bad JSON, malformed flow set, bad flags)
-//	3  no verdict: the analysis diverged (utilization ≥ 1), overflowed the
-//	   time domain, or was cut off by -timeout
+//	3  no verdict: the analysis diverged (for the trajectory analysis, a
+//	   busy period's Bslow load ≥ 1, possible with every node below 1),
+//	   overflowed the time domain, or was cut off by -timeout
 //	4  internal error (a bug in the analyser, not in the input)
 package main
 
@@ -546,11 +547,7 @@ func runAdmit(ctx context.Context, path string, opt trajectory.Options, backend 
 		if d.MinSlack < model.TimeInfinity && d.Reason != "no feasible route" {
 			slack = fmt.Sprint(d.MinSlack)
 		}
-		flows := 0
-		if fs := c.FlowSet(); fs != nil {
-			flows = fs.N()
-		}
-		tab.AddRow(k, ev.Op, d.Flow, row, flows, slack)
+		tab.AddRow(k, ev.Op, d.Flow, row, c.FlowSet().N(), slack)
 	}
 	if err := tab.Render(out); err != nil {
 		return false, err

@@ -29,8 +29,8 @@ type Decision struct {
 	// Bounds, AllFeasible and MinSlack are the verdict of the judged
 	// set: the committed set after a commit, the refused hypothetical
 	// set on a deadline miss. Bounds is nil when no set was analysed
-	// (an empty set, a divergence, a route refusal); MinSlack is
-	// TimeInfinity when no flow has a deadline.
+	// (a divergence, a route refusal); MinSlack is TimeInfinity when no
+	// flow has a deadline.
 	Bounds      []model.Time
 	AllFeasible bool
 	MinSlack    model.Time
@@ -97,21 +97,22 @@ func (d *Decision) Emit(tr obs.Tracer, tenant string) {
 //
 // A Controller is not safe for concurrent use.
 type Controller struct {
-	net     model.Network
 	opt     trajectory.Options
 	backend Backend
 	topo    *model.Topology
 	routeK  int
 
-	// a is the warm engine over fs; nil when the set is empty or when a
-	// failed undo left it untrustworthy (warm rebuilds it cold).
+	// a is the warm engine over fs; nil until the first call, after
+	// Restore, and when a failed undo left it untrustworthy (warm
+	// rebuilds it cold).
 	a *trajectory.Analyzer
-	// fs is the last committed flow set, nil when empty. It is never
-	// mutated: every decision builds a new set.
+	// fs is the last committed flow set, possibly empty, never nil. It
+	// is never mutated: every decision builds a new set.
 	fs *model.FlowSet
 }
 
-// NewController starts an empty controller. backend selects the
+// NewController starts a controller over the empty set: its first
+// admission is a warm add like any other. backend selects the
 // analysis every verdict is judged on (empty means trajectory; any
 // other backend analyses the whole set cold per decision, while the
 // warm engine still drives route scoring). A non-nil topo validates
@@ -119,7 +120,8 @@ type Controller struct {
 // routeK candidate paths (0 selects DefaultRouteK). The unsound
 // SmaxNoQueue estimator is refused as ErrInvalidConfig.
 func NewController(net model.Network, opt trajectory.Options, backend Backend, topo *model.Topology, routeK int) (*Controller, error) {
-	if err := net.Validate(); err != nil {
+	fs, err := model.NewFlowSet(net, nil)
+	if err != nil {
 		return nil, err
 	}
 	if opt.Smax == trajectory.SmaxNoQueue {
@@ -133,17 +135,14 @@ func NewController(net model.Network, opt trajectory.Options, backend Backend, t
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{net: net, opt: opt, backend: b, topo: topo, routeK: routeK}, nil
+	return &Controller{opt: opt, backend: b, topo: topo, routeK: routeK, fs: fs}, nil
 }
 
-// FlowSet returns the committed flow set (nil when empty).
+// FlowSet returns the committed flow set, possibly empty.
 func (c *Controller) FlowSet() *model.FlowSet { return c.fs }
 
 // Index returns the committed index of the named flow, or -1.
 func (c *Controller) Index(name string) int {
-	if c.fs == nil {
-		return -1
-	}
 	for i, f := range c.fs.Flows {
 		if f.Name == name {
 			return i
@@ -152,20 +151,15 @@ func (c *Controller) Index(name string) int {
 	return -1
 }
 
-// Analyzer returns the warm engine over the committed set (nil when
-// the set is empty), for what-if batches. Callers must not mutate it.
+// Analyzer returns the warm engine over the committed set, for what-if
+// batches. Callers must not mutate it.
 func (c *Controller) Analyzer() (*trajectory.Analyzer, error) { return c.warm() }
 
-// Restore replaces the committed set with fs (nil for the empty set)
+// Restore replaces the committed set with fs (non-nil, possibly empty)
 // and drops the warm engine, which the next call rebuilds cold: the
 // preload path, and the roll-back when a caller could not make a
 // decision durable.
-func (c *Controller) Restore(fs *model.FlowSet) {
-	if fs != nil && fs.N() == 0 {
-		fs = nil
-	}
-	c.fs, c.a = fs, nil
-}
+func (c *Controller) Restore(fs *model.FlowSet) { c.fs, c.a = fs, nil }
 
 // Judge returns the verdict of the committed set.
 func (c *Controller) Judge(ctx context.Context) (Decision, error) {
@@ -231,14 +225,10 @@ func (c *Controller) Release(ctx context.Context, name string) (Decision, error)
 	if err != nil {
 		return d, err
 	}
-	if c.fs.N() == 1 {
-		c.a, c.fs = nil, nil
-	} else {
-		if err := a.RemoveFlow(i); err != nil {
-			return d, err
-		}
-		c.fs = a.FlowSet()
+	if err := a.RemoveFlow(i); err != nil {
+		return d, err
 	}
+	c.fs = a.FlowSet()
 	d.Outcome = "released"
 	return d, c.judge(ctx, &d)
 }
@@ -255,7 +245,7 @@ func isRefusal(err error) bool {
 // warm returns the engine over the committed set, rebuilding it cold
 // when it was dropped.
 func (c *Controller) warm() (*trajectory.Analyzer, error) {
-	if c.a == nil && c.fs != nil {
+	if c.a == nil {
 		a, err := trajectory.NewAnalyzer(c.fs, c.opt)
 		if err != nil {
 			return nil, err
@@ -266,18 +256,13 @@ func (c *Controller) warm() (*trajectory.Analyzer, error) {
 }
 
 // verdict fills d's verdict from the engine's current set: warm bounds
-// for the trajectory backend, a cold AnalyzeBackend run otherwise. The
-// empty set is trivially feasible.
+// for the trajectory backend, a cold AnalyzeBackend run otherwise.
 //
 // The backend run is untraced, because the set may be a trial that is
 // refused: its provenance records would overwrite the resident flows'
 // gauges. Callers pass the returned result (nil for the trajectory
 // backend) to commitVerdict once the set is committed.
 func (c *Controller) verdict(ctx context.Context, d *Decision) (*BackendResult, error) {
-	if c.a == nil {
-		d.AllFeasible, d.MinSlack = true, model.TimeInfinity
-		return nil, nil
-	}
 	fs := c.a.FlowSet()
 	var res *BackendResult
 	if c.backend == BackendTrajectory {
@@ -339,16 +324,6 @@ func (c *Controller) admit(ctx context.Context, d Decision, f *model.Flow) (Deci
 	if err != nil {
 		return d, err
 	}
-	if a == nil {
-		fs, err := model.NewFlowSet(c.net, []*model.Flow{f})
-		if err != nil {
-			return d, model.Classify(model.ErrInvalidConfig, err)
-		}
-		if c.a, err = trajectory.NewAnalyzer(fs, c.opt); err != nil {
-			return d, err
-		}
-		return c.decide(ctx, d, "admitted", func() error { c.a = nil; return nil })
-	}
 	idx, err := a.AddFlow(f)
 	if err != nil {
 		return d, model.Classify(model.ErrInvalidConfig, err)
@@ -373,9 +348,7 @@ func (c *Controller) renegotiate(ctx context.Context, d Decision, i int, f *mode
 
 // routed is route=auto: score the candidate paths of f as adds
 // (updateIdx -1) or as updates of the admitted flow at updateIdx, then
-// commit the winner through the manual path. Against the empty set the
-// candidates are scored cold, which is ScoreRoutesCold's oracle by
-// construction.
+// commit the winner through the manual path.
 func (c *Controller) routed(ctx context.Context, d Decision, f *model.Flow, updateIdx int) (Decision, error) {
 	if c.topo == nil {
 		return d, errNoTopology
@@ -388,11 +361,7 @@ func (c *Controller) routed(ctx context.Context, d Decision, f *model.Flow, upda
 	if err != nil {
 		return d, err
 	}
-	if a == nil {
-		d.Cands = ScoreRoutesCold(ctx, c.net, c.opt, nil, cfs)
-	} else {
-		d.Cands = ScoreRoutesWhatIf(ctx, a, cfs, updateIdx)
-	}
+	d.Cands = ScoreRoutesWhatIf(ctx, a, cfs, updateIdx)
 	d.Winner = ChooseRoute(d.Cands)
 	if d.Winner < 0 {
 		d.Outcome, d.Reason = "rejected", "no feasible route"

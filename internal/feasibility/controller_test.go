@@ -28,9 +28,6 @@ type coldOracle struct {
 // analyse is the cold verdict of one hypothetical set: trajectory.
 // AnalyzeContext (AnalyzeBackend for other backends) and SetVerdict.
 func (o *coldOracle) analyse(flows []*model.Flow) (bounds []model.Time, ok bool, minSlack model.Time, err error) {
-	if len(flows) == 0 {
-		return nil, true, model.TimeInfinity, nil
-	}
 	fs, err := model.NewFlowSet(o.net, flows)
 	if err != nil {
 		return nil, false, 0, model.Classify(model.ErrInvalidConfig, err)
@@ -188,10 +185,8 @@ func (o *coldOracle) check(step string, c *Controller, got Decision, gotErr erro
 		}
 	}
 	var names []string
-	if fs := c.FlowSet(); fs != nil {
-		for _, f := range fs.Flows {
-			names = append(names, fmt.Sprintf("%s%v/%d/%d", f.Name, f.Path, f.Period, f.Deadline))
-		}
+	for _, f := range c.FlowSet().Flows {
+		names = append(names, fmt.Sprintf("%s%v/%d/%d", f.Name, f.Path, f.Period, f.Deadline))
 	}
 	var wantNames []string
 	for _, f := range o.flows {
@@ -260,6 +255,18 @@ func TestControllerDifferential(t *testing.T) {
 				steps = 25
 			}
 			decided := map[string]int{}
+			record := func(step string, got Decision, gotErr error, want Decision, wantErr error) {
+				o.check(step, c, got, gotErr, want, wantErr)
+				if got.Cands != nil && got.Winner >= 0 && got.Outcome != "rejected" {
+					// A route=auto commit adopted the winner's fork.
+					a, err := c.Analyzer()
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireEngineMatchesCold(t, step, a, trajectory.Options{})
+				}
+				decided[got.Op+" "+got.Outcome]++
+			}
 			for k := 0; k < steps; k++ {
 				var got, want Decision
 				var gotErr, wantErr error
@@ -291,17 +298,41 @@ func TestControllerDifferential(t *testing.T) {
 					want, wantErr = o.release(name)
 					got, gotErr = c.Release(ctx, name)
 				}
-				o.check(step, c, got, gotErr, want, wantErr)
-				if got.Cands != nil && got.Winner >= 0 && got.Outcome != "rejected" {
-					// A route=auto commit adopted the winner's fork.
-					a, err := c.Analyzer()
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireEngineMatchesCold(t, step, a, trajectory.Options{})
-				}
-				decided[got.Op+" "+got.Outcome]++
+				record(step, got, gotErr, want, wantErr)
 			}
+			// Drain and refill: release every flow, admit from the empty
+			// set by route=auto, drain again, admit manually from empty,
+			// route once more onto the one-flow set, and drain last. The
+			// first admission and the last release are judged like any
+			// other decision.
+			drain := func(phase string) {
+				for len(o.flows) > 0 {
+					name := o.flows[0].Name
+					want, wantErr := o.release(name)
+					got, gotErr := c.Release(ctx, name)
+					record(fmt.Sprintf("seed %d %s %s release %s", seed, backend, phase, name), got, gotErr, want, wantErr)
+				}
+			}
+			for k, route := range []bool{true, false, true} {
+				if k < 2 {
+					drain(fmt.Sprintf("drain %d", k))
+				}
+				f := mk(fmt.Sprintf("g%d", k))
+				var want Decision
+				var wantErr error
+				if route {
+					want, wantErr = o.route("admit", f)
+				} else {
+					want, wantErr = o.admit(f)
+				}
+				got, gotErr := c.Admit(ctx, f, route)
+				step := fmt.Sprintf("seed %d %s refill %d", seed, backend, k)
+				record(step, got, gotErr, want, wantErr)
+				if got.Outcome != "admitted" {
+					t.Fatalf("%s: %s (%s), want a refill admitted", step, got.Outcome, got.Reason)
+				}
+			}
+			drain("final drain")
 			t.Logf("seed %d %s: %v", seed, backend, decided)
 			if backend == BackendTrajectory && (decided["admit admitted"] == 0 || decided["admit rejected"] == 0 ||
 				decided["renegotiate renegotiated"] == 0 || decided["release released"] == 0) {

@@ -84,14 +84,11 @@ func (fs *FlowSet) WithFlowAdded(f *Flow) (*FlowSet, error) {
 
 // WithFlowRemoved returns a new FlowSet without the flow at index i.
 // Removing a flow only deletes ordered pairs, so a valid set stays
-// valid and no re-validation is needed; removing the last flow is
-// rejected like an empty NewFlowSet.
+// valid and no re-validation is needed; removing the last flow gives
+// the empty set.
 func (fs *FlowSet) WithFlowRemoved(i int) (*FlowSet, error) {
 	if i < 0 || i >= len(fs.Flows) {
 		return nil, Errorf(ErrInvalidConfig, "flowset: flow index %d out of range [0,%d)", i, len(fs.Flows))
-	}
-	if len(fs.Flows) == 1 {
-		return nil, Errorf(ErrInvalidConfig, "flowset: no flows")
 	}
 	n := len(fs.Flows) - 1
 	out := &FlowSet{Net: fs.Net, Flows: make([]*Flow, n)}

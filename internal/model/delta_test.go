@@ -100,9 +100,11 @@ func TestWithFlowRemovedMatchesCold(t *testing.T) {
 		t.Errorf("past-end index: %v", err)
 	}
 	one := MustNewFlowSet(UnitDelayNetwork(), []*Flow{flowOn("solo", 1, 2)})
-	if _, err := one.WithFlowRemoved(0); err == nil || err.Error() != "flowset: no flows" {
-		t.Errorf("removing the last flow: %v", err)
+	got, err := one.WithFlowRemoved(0)
+	if err != nil {
+		t.Fatalf("removing the last flow: %v", err)
 	}
+	equalFlowSets(t, got, MustNewFlowSet(UnitDelayNetwork(), nil))
 }
 
 func TestSubsetMatchesCold(t *testing.T) {

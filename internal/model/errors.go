@@ -19,8 +19,9 @@ import (
 //     mismatched option vectors). Fix the configuration.
 //   - ErrUnstable: the configuration is well-formed but the analysis
 //     diverges — a busy period or bound grows past Options.Horizon,
-//     typically because some node's utilization is ≥ 1. The flow set is
-//     not schedulable as given.
+//     because some busy period's load is ≥ 1 (for the trajectory
+//     analysis, its Bslow load, which can reach 1 while every node's
+//     utilization is below 1). The flow set is not schedulable as given.
 //   - ErrOverflow: a fixed point left the finite time domain entirely
 //     (saturated at TimeInfinity). Like ErrUnstable this is a sound,
 //     conservative refusal — no wrapped finite number is ever reported.

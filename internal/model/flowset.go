@@ -143,13 +143,12 @@ func (fs *FlowSet) ensureNodes() {
 // NewFlowSet validates the network and flows, verifies Assumption 1
 // (returning an error listing the violations if it fails — call
 // EnforceAssumption1 first to split offenders), checks name uniqueness,
-// and precomputes all pairwise relations.
+// and precomputes all pairwise relations. A set may be empty: it is the
+// state of an admission controller before its first admission and after
+// its last release.
 func NewFlowSet(net Network, flows []*Flow) (*FlowSet, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
-	}
-	if len(flows) == 0 {
-		return nil, Errorf(ErrInvalidConfig, "flowset: no flows")
 	}
 	names := make(map[string]struct{}, len(flows))
 	for _, f := range flows {

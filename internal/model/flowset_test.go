@@ -13,11 +13,13 @@ import (
 
 func TestNewFlowSetValidation(t *testing.T) {
 	net := UnitDelayNetwork()
-	if _, err := NewFlowSet(net, nil); err == nil {
-		t.Error("empty flow set accepted")
+	if fs, err := NewFlowSet(net, nil); err != nil || fs.N() != 0 {
+		t.Errorf("empty flow set: %v", err)
 	}
-	if _, err := NewFlowSet(Network{Lmin: 2, Lmax: 1}, []*Flow{flowOn("a", 1, 2)}); err == nil {
-		t.Error("Lmax < Lmin accepted")
+	for _, flows := range [][]*Flow{nil, {flowOn("a", 1, 2)}} {
+		if _, err := NewFlowSet(Network{Lmin: 2, Lmax: 1}, flows); err == nil {
+			t.Errorf("Lmax < Lmin accepted with %d flows", len(flows))
+		}
 	}
 	dup := []*Flow{flowOn("a", 1, 2), flowOn("a", 3, 4)}
 	if _, err := NewFlowSet(net, dup); err == nil || !strings.Contains(err.Error(), "duplicate") {
@@ -296,5 +298,5 @@ func TestMustNewFlowSetPanics(t *testing.T) {
 			t.Error("MustNewFlowSet did not panic on invalid input")
 		}
 	}()
-	MustNewFlowSet(UnitDelayNetwork(), nil)
+	MustNewFlowSet(UnitDelayNetwork(), []*Flow{flowOn("a", 1, 2), flowOn("a", 3, 4)})
 }

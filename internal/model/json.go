@@ -65,7 +65,9 @@ func (cfg *FlowSetConfig) Build() (*FlowSet, error) {
 }
 
 // BuildWithOriginals converts the configuration and also returns the
-// pre-split flows.
+// pre-split flows. A configuration with no flows is refused: a flow-set
+// file describes something to analyse, even though a FlowSet may be
+// empty.
 func (cfg *FlowSetConfig) BuildWithOriginals() (*FlowSet, []*Flow, error) {
 	net := Network{Lmin: cfg.Network.Lmin, Lmax: cfg.Network.Lmax}
 	flows := make([]*Flow, 0, len(cfg.Flows))
@@ -80,6 +82,9 @@ func (cfg *FlowSetConfig) BuildWithOriginals() (*FlowSet, []*Flow, error) {
 	fs, err := NewFlowSet(net, split)
 	if err != nil {
 		return nil, nil, err
+	}
+	if fs.N() == 0 {
+		return nil, nil, Errorf(ErrInvalidConfig, "flowset: no flows")
 	}
 	return fs, flows, nil
 }

@@ -484,16 +484,14 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		ms := sn.MinSlack
 		resp.MinSlack = &ms
 	}
-	if sn.FS != nil {
-		for i, f := range sn.FS.Flows {
-			resp.Verdicts = append(resp.Verdicts, FlowVerdict{
-				Flow:      f.Name,
-				Bound:     sn.Bounds[i],
-				Unbounded: model.IsUnbounded(sn.Bounds[i]),
-				Deadline:  f.Deadline,
-				Feasible:  f.Deadline <= 0 || sn.Bounds[i] <= f.Deadline,
-			})
-		}
+	for i, f := range sn.FS.Flows {
+		resp.Verdicts = append(resp.Verdicts, FlowVerdict{
+			Flow:      f.Name,
+			Bound:     sn.Bounds[i],
+			Unbounded: model.IsUnbounded(sn.Bounds[i]),
+			Deadline:  f.Deadline,
+			Feasible:  f.Deadline <= 0 || sn.Bounds[i] <= f.Deadline,
+		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -501,18 +499,16 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	sn := s.snap.Load()
 	resp := FlowsResponse{Seq: sn.Seq}
-	if sn.FS != nil {
-		for _, f := range sn.FS.Flows {
-			resp.Flows = append(resp.Flows, FlowInfo{
-				Name:     f.Name,
-				Period:   f.Period,
-				Jitter:   f.Jitter,
-				Deadline: f.Deadline,
-				Class:    f.Class.String(),
-				Path:     f.Path,
-				Cost:     f.Cost,
-			})
-		}
+	for _, f := range sn.FS.Flows {
+		resp.Flows = append(resp.Flows, FlowInfo{
+			Name:     f.Name,
+			Period:   f.Period,
+			Jitter:   f.Jitter,
+			Deadline: f.Deadline,
+			Class:    f.Class.String(),
+			Path:     f.Path,
+			Cost:     f.Cost,
+		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

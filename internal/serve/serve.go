@@ -168,9 +168,9 @@ func (c Config) checkpointEvery() int {
 type Snapshot struct {
 	// Seq counts committed mutations (preload is seq 1 when present).
 	Seq int64
-	// FS is the admitted flow set; nil when no flow is admitted. The
-	// set is copy-on-write — later mutations build new sets — so this
-	// reference stays valid and immutable.
+	// FS is the admitted flow set, empty (never nil) when no flow is
+	// admitted. The set is copy-on-write — later mutations build new
+	// sets — so this reference stays valid and immutable.
 	FS *model.FlowSet
 	// Bounds[i] is the worst-case end-to-end response-time bound of
 	// FS.Flows[i] under the committed set.
@@ -184,7 +184,7 @@ type Snapshot struct {
 
 // N returns the number of admitted flows.
 func (s *Snapshot) N() int {
-	if s == nil || s.FS == nil {
+	if s == nil {
 		return 0
 	}
 	return s.FS.N()
@@ -284,17 +284,15 @@ func New(cfg Config) (*Server, error) {
 		// recovered sequence, so readers observe a seamless continuation.
 		st.seq = cfg.restoreSeq - 1
 	}
-	if len(cfg.Preload) > 0 {
-		flows := make([]*model.Flow, len(cfg.Preload))
-		for i, f := range cfg.Preload {
-			flows[i] = f.Clone()
-		}
-		fs, err := model.NewFlowSet(cfg.Network, flows)
-		if err != nil {
-			return nil, err
-		}
-		c.Restore(fs)
+	flows := make([]*model.Flow, len(cfg.Preload))
+	for i, f := range cfg.Preload {
+		flows[i] = f.Clone()
 	}
+	fs, err := model.NewFlowSet(cfg.Network, flows)
+	if err != nil {
+		return nil, err
+	}
+	c.Restore(fs)
 	d, err := c.Judge(context.Background())
 	if err != nil {
 		return nil, err
@@ -606,10 +604,8 @@ func checkpointOf(net model.Network, sn *Snapshot) journal.Checkpoint {
 		Seq:     sn.Seq,
 		Network: model.NetworkConfig{Lmin: net.Lmin, Lmax: net.Lmax},
 	}
-	if sn.FS != nil {
-		for _, f := range sn.FS.Flows {
-			cp.Flows = append(cp.Flows, model.ConfigOfFlow(f))
-		}
+	for _, f := range sn.FS.Flows {
+		cp.Flows = append(cp.Flows, model.ConfigOfFlow(f))
 	}
 	return cp
 }
@@ -697,8 +693,8 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 	}
 
 	// Resolve every candidate against the committed set. Unresolvable
-	// candidates (unknown names, empty-set removes) fail individually
-	// without poisoning the batch.
+	// candidates (unknown names) fail individually without poisoning
+	// the batch.
 	type slot struct {
 		probe *whatifProbe // reply destination
 		cand  trajectory.Candidate
@@ -715,23 +711,11 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 			}
 			switch c.op {
 			case "add":
-				if a == nil {
-					// Probe against the empty set: a cold single-flow
-					// analysis, outside the fork batch.
-					*p = st.probeEmptyAdd(ctx, c.flow)
-					continue
-				}
 				slots = append(slots, slot{p, trajectory.Candidate{Add: c.flow}})
 			case "remove":
 				i := st.c.Index(c.name)
 				if i < 0 {
 					p.Err = model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, c.name)
-					continue
-				}
-				if a.FlowSet().N() == 1 {
-					// Removing the only flow leaves the trivially
-					// feasible empty set.
-					p.AllFeasible, p.MinSlack = true, model.TimeInfinity
 					continue
 				}
 				slots = append(slots, slot{p, trajectory.Candidate{Remove: true, Index: i}})
@@ -765,28 +749,6 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 	for b, w := range batch {
 		w.reply <- whatifReply{probes: replies[b], snap: sn}
 	}
-}
-
-// probeEmptyAdd evaluates an "add" probe when no flow is admitted.
-func (st *loopState) probeEmptyAdd(ctx context.Context, f *model.Flow) whatifProbe {
-	p := whatifProbe{Op: "add", Target: f.Name}
-	fs, err := model.NewFlowSet(st.s.cfg.Network, []*model.Flow{f.Clone()})
-	if err != nil {
-		p.Err = model.Classify(model.ErrInvalidConfig, err)
-		return p
-	}
-	a, err := trajectory.NewAnalyzer(fs, st.s.opt)
-	if err != nil {
-		p.Err = err
-		return p
-	}
-	bounds, err := a.BoundsContext(ctx)
-	if err != nil {
-		p.Err = err
-		return p
-	}
-	fillProbe(&p, fs.Flows, bounds)
-	return p
 }
 
 // probeFromOutcome converts one WhatIf outcome into the wire probe:

@@ -403,15 +403,29 @@ func TestDeltaMutationErrorsLeaveAnalyzerUsable(t *testing.T) {
 		!strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range update: %v", err)
 	}
-	// Removing every flow but one, then the last, must refuse like an
-	// empty NewFlowSet.
-	b, err := NewAnalyzer(model.MustNewFlowSet(model.UnitDelayNetwork(),
-		[]*model.Flow{model.UniformFlow("solo", 40, 0, 0, 2, 1, 2)}), Options{})
+	// Removing the last flow leaves the empty set, and adding it back
+	// equals a cold analysis of that one flow.
+	solo := model.UniformFlow("solo", 40, 0, 0, 2, 1, 2)
+	one := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{solo})
+	b, err := NewAnalyzer(one, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RemoveFlow(0); err == nil || err.Error() != "flowset: no flows" {
-		t.Errorf("removing the last flow: %v", err)
+	if err := b.RemoveFlow(0); err != nil {
+		t.Fatalf("removing the last flow: %v", err)
+	}
+	if bounds, err := b.Bounds(); b.FlowSet().N() != 0 || err != nil || !reflect.DeepEqual(bounds, []model.Time{}) {
+		t.Fatalf("emptied analyzer: N %d, bounds %v, err %v", b.FlowSet().N(), bounds, err)
+	}
+	if _, err := b.AddFlow(solo); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Analyze(one, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Analyze(); err != nil || !reflect.DeepEqual(cold, got) {
+		t.Fatalf("re-added flow: err %v, got %+v, cold %+v", err, got, cold)
 	}
 
 	got, err := a.Analyze()

@@ -92,8 +92,9 @@ type Options struct {
 	MaxIterations int
 
 	// Horizon aborts the analysis when a busy period or bound exceeds
-	// it, which signals an unstable (utilization ≥ 1) configuration.
-	// Zero selects the default 1<<40 ticks.
+	// it, which signals an unstable configuration: a busy period whose
+	// Bslow load is ≥ 1, which can happen while every node's
+	// utilization is below 1. Zero selects the default 1<<40 ticks.
 	Horizon model.Time
 
 	// DisableTScan restricts the maximization of Property 2 to
