@@ -231,6 +231,142 @@ func TestBenchGuardCombinedCores(t *testing.T) {
 	}
 }
 
+// TestBenchGuardWarmFanout holds the engine's fan-out floor from both
+// sides at GOMAXPROCS 2, on the churn step of a pinned-spine Clos
+// tenant: release the oldest flow and re-admit it, with Bounds after
+// each.
+//
+//   - The served 50-flow tenant's warm deltas stay below the floor, so
+//     Parallelism 0 may cost at most 1.1x Parallelism 1: the median of
+//     7 samples, each alternating 20 steps of the two. When every
+//     schedule fanned out, the ratio read 1.04–1.10 on 2 vCPU.
+//   - A 400-flow tenant's warm deltas are above it, so Parallelism 0
+//     must be at least 1.25x faster than Parallelism 1, in the median
+//     of 7 samples that each had two free cores (freeCores, as in
+//     TestBenchGuardCombinedCores); it skips when seven such samples
+//     do not come within 45 seconds.
+func TestBenchGuardWarmFanout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark guard skipped in -short mode")
+	}
+	if runtime.NumCPU() < 2 {
+		t.Skip("needs two CPUs")
+	}
+	if raceEnabled {
+		t.Skip("time ratio not checked under the race detector, which serializes much of the parallel work")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	pair := func(n int) (par, ser *trajectory.Analyzer) {
+		fs := pinnedClosSet(t, n)
+		return warmAnalyzer(t, fs, trajectory.Options{}), warmAnalyzer(t, fs, trajectory.Options{Parallelism: 1})
+	}
+	timed := func(a *trajectory.Analyzer) time.Duration {
+		start := time.Now()
+		releaseReadmit(t, a)
+		return time.Since(start)
+	}
+
+	par, ser := pair(50)
+	timed(par) // warm-up
+	timed(ser)
+	small := make([]float64, 7)
+	for s := range small {
+		var p, q time.Duration
+		for k := 0; k < 20; k++ {
+			p += timed(par)
+			q += timed(ser)
+		}
+		small[s] = float64(p) / float64(q)
+	}
+	med, mad := medianMAD(small)
+	if med > 1.1 {
+		t.Errorf("50-flow warm churn at Parallelism 0 costs %.2fx Parallelism 1 (median of %d, MAD %.2f, samples %.2f), want <= 1.10x",
+			med, len(small), mad, small)
+	} else {
+		t.Logf("50-flow warm churn at Parallelism 0 costs %.2fx Parallelism 1 (MAD %.2f)", med, mad)
+	}
+
+	par, ser = pair(400)
+	timed(par)
+	timed(ser)
+	var ratios, busy []float64
+	for deadline := time.Now().Add(45 * time.Second); len(ratios) < 7 && time.Now().Before(deadline); {
+		c := freeCores()
+		var p, q time.Duration
+		for r := 0; r < 2; r++ {
+			p += timed(par)
+			c = min(c, freeCores())
+			q += timed(ser)
+			c = min(c, freeCores())
+		}
+		if c < 1.6 {
+			busy = append(busy, c)
+			time.Sleep(100 * time.Millisecond)
+			continue
+		}
+		ratios = append(ratios, float64(q)/float64(p))
+	}
+	if len(ratios) < 7 {
+		t.Skipf("only %d of %d 400-flow samples had two free cores (spin ratios of the others %.2f)",
+			len(ratios), len(ratios)+len(busy), busy)
+	}
+	med, mad = medianMAD(ratios)
+	if med < 1.25 {
+		t.Errorf("400-flow warm churn at Parallelism 0 only %.2fx faster than Parallelism 1 (median of %d, MAD %.2f, samples %.2f), want >= 1.25x",
+			med, len(ratios), mad, ratios)
+	} else {
+		t.Logf("400-flow warm churn at Parallelism 0 %.2fx faster than Parallelism 1 (MAD %.2f, %d busy samples dropped)",
+			med, mad, len(busy))
+	}
+}
+
+// pinnedClosSet draws n flows on a Clos(4,8,4) fabric the way the
+// served workloads route them: host, leaf, the spine pinned to the leaf
+// pair, leaf, host. Costs are 1–3 and periods 150–300 stretched n/50
+// times, so each node carries the load of the served 50-flow tenant.
+func pinnedClosSet(tb testing.TB, n int) *model.FlowSet {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	var pin [8][8]int
+	for a := range pin {
+		for b := a + 1; b < len(pin); b++ {
+			pin[a][b] = rng.Intn(4)
+		}
+	}
+	scale := model.Time(max(1, n/50))
+	flows := make([]*model.Flow, n)
+	for k := range flows {
+		sl := rng.Intn(8)
+		dl := (sl + 1 + rng.Intn(7)) % 8
+		flows[k] = model.UniformFlow(fmt.Sprintf("f%d", k), scale*model.Time(150+rng.Intn(151)), 0, 0, model.Time(1+rng.Intn(3)),
+			workload.ClosHost(sl, rng.Intn(4)), workload.ClosLeaf(sl), workload.ClosSpine(pin[min(sl, dl)][max(sl, dl)]),
+			workload.ClosLeaf(dl), workload.ClosHost(dl, rng.Intn(4)))
+	}
+	fs, err := model.NewFlowSet(model.UnitDelayNetwork(), flows)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fs
+}
+
+// releaseReadmit is the churn step of TestBenchGuardWarmFanout: release
+// the oldest flow and re-admit it, with Bounds after each.
+func releaseReadmit(tb testing.TB, a *trajectory.Analyzer) {
+	f := a.FlowSet().Flows[0]
+	if err := a.RemoveFlow(0); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := a.Bounds(); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := a.AddFlow(f); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := a.Bounds(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // freeCores estimates how many cores this process gets right now, up
 // to GOMAXPROCS 2: the time of one goroutine spinning twice over the
 // time of two goroutines spinning once each, about 2 on an idle
@@ -290,8 +426,9 @@ func medianMAD(xs []float64) (med, mad float64) {
 // BenchmarkAdmissionChurn/flows64 with tracing disabled and fails if
 // allocs/op drift more than 5% above the recorded baseline — the
 // zero-overhead-when-disabled contract of the obs layer. It runs at
-// GOMAXPROCS 1, where the baseline was recorded: the colored parallel
-// sweeps allocate per worker, so the count depends on the worker count.
+// GOMAXPROCS 1, where the baseline was recorded: a sweep or prebuild
+// that fans out allocates per worker, so the count would depend on the
+// worker count if churn64 ever crossed the fan-out floor.
 func TestBenchGuardAdmissionChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")

@@ -109,7 +109,7 @@ func runDaemon(ctx context.Context, args []string, out io.Writer) (retErr error)
 		topoSpec    = fl.String("topology", "", "daemon topology: a spec (line:N|ring:N|star:N|grid:RxC|clos:SxLxH|paper) or a topology JSON file; enables manual-path validation and route=auto admission")
 		routeK      = fl.Int("route-k", 0, "route=auto candidate-path fan-out (0 = 4; needs -topology)")
 		backendName = fl.String("backend", "", "analysis backend the admission verdicts follow: trajectory|holistic|netcalc|combined (empty = warm trajectory; see docs/BACKENDS.md)")
-		workers     = fl.Int("workers", 0, "analysis and what-if parallelism (0 = GOMAXPROCS)")
+		workers     = fl.Int("workers", 0, "what-if and combined-backend parallelism, and the cap for analyses large enough to fan out (0 = GOMAXPROCS)")
 		queue       = fl.Int("queue", 0, "mutation/what-if queue depth before 429 backpressure (0 = 64)")
 		reqTimeout  = fl.Duration("request-timeout", 5*time.Second, "per-decision analysis budget (0 disables)")
 		drain       = fl.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")

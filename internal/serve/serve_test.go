@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -71,13 +72,13 @@ func postJSON(t *testing.T, client *http.Client, url string, body, out any) int 
 		t.Fatal(err)
 	}
 	if resp.StatusCode < 300 && out != nil {
-		if err := json.Unmarshal(payload, out); err != nil {
-			t.Fatalf("decoding %s response %q: %v", url, payload, err)
-		}
+		decodeFresh(t, url, payload, out)
 	}
 	return resp.StatusCode
 }
 
+// getJSON gets url and decodes the response into out (when the status
+// is 2xx), returning the status code.
 func getJSON(t *testing.T, client *http.Client, url string, out any) int {
 	t.Helper()
 	resp, err := client.Get(url)
@@ -90,11 +91,20 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) int {
 		t.Fatal(err)
 	}
 	if resp.StatusCode < 300 && out != nil {
-		if err := json.Unmarshal(payload, out); err != nil {
-			t.Fatalf("decoding %s response %q: %v", url, payload, err)
-		}
+		decodeFresh(t, url, payload, out)
 	}
 	return resp.StatusCode
+}
+
+// decodeFresh zeroes *out and decodes payload into it: tests reuse one
+// response struct across calls, and json.Unmarshal would leave a field
+// the payload omits at the earlier response's value.
+func decodeFresh(t *testing.T, url string, payload []byte, out any) {
+	t.Helper()
+	reflect.ValueOf(out).Elem().SetZero()
+	if err := json.Unmarshal(payload, out); err != nil {
+		t.Fatalf("decoding %s response %q: %v", url, payload, err)
+	}
 }
 
 // TestServeAdmitUntilSaturation drives the HTTP API through the

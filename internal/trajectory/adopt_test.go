@@ -115,6 +115,7 @@ func eventsNoSeq(c *obs.Collector) []obs.Event {
 // O(1) undo of an adopted add, a mutation no candidate matches, and the
 // next batch.
 func TestWhatIfKeepAdoptionMatchesTwin(t *testing.T) {
+	lowerFanoutFloor(t)
 	for si, base := range fuzzedSets(t, 8) {
 		for _, par := range []int{1, 4} {
 			rng := rand.New(rand.NewSource(int64(700 + si)))

@@ -92,7 +92,10 @@ func AnalyzeContext(ctx context.Context, fs *model.FlowSet, opt Options) (*Resul
 	if comp, nc := fs.Components(); nc > 1 {
 		return analyzeComponents(ctx, fs, opt, comp, nc)
 	}
-	return newAnalyzer(fs, opt).AnalyzeContext(ctx)
+	a := newAnalyzer(fs, opt)
+	giveBack := a.borrowBuilder()
+	defer giveBack()
+	return a.AnalyzeContext(ctx)
 }
 
 // AnalyzeFlow computes the bound of a single flow (index i) without

@@ -57,7 +57,10 @@ func analyzeComponents(ctx context.Context, fs *model.FlowSet, opt Options, comp
 		if err != nil {
 			return nil, err
 		}
-		cr, err := newAnalyzer(sub, opt).analyze(ctx)
+		a := newAnalyzer(sub, opt)
+		giveBack := a.borrowBuilder()
+		cr, err := a.analyze(ctx)
+		giveBack()
 		if err != nil {
 			return nil, err
 		}

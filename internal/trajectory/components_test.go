@@ -91,6 +91,7 @@ func componentOptionMatrix(t *testing.T, fs *model.FlowSet) []engineCase {
 // per component, returns exactly the Result of one whole-set Analyzer
 // under every option setting.
 func TestComponentAnalysisMatchesWholeSet(t *testing.T) {
+	lowerFanoutFloor(t)
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
 		set := podFlows(t, seed, 3+int(seed))

@@ -53,9 +53,7 @@ type undoSnap struct {
 	entryBase []int
 	nEntries  int
 
-	topo    *denseTopo
-	colors  []int32
-	nColors int32
+	topo *denseTopo
 
 	smax      smaxTable
 	smaxFlat  []model.Time
@@ -212,8 +210,7 @@ func (a *Analyzer) remapPrefixRow(row []*viewCache, removed int, entryBase []int
 
 // resetSmaxState drops the cached fixed point and its error latches: a
 // mutation gives the analyzer a new flow set, and a previously latched
-// divergence verdict no longer describes it. The interference coloring
-// is topology-dependent, so it drops too.
+// divergence verdict no longer describes it.
 func (a *Analyzer) resetSmaxState() {
 	a.smax = nil
 	a.smaxFlat = nil
@@ -222,8 +219,6 @@ func (a *Analyzer) resetSmaxState() {
 	a.smaxDone = false
 	a.smaxErr = nil
 	a.bounds = nil
-	a.colors = nil
-	a.nColors = 0
 }
 
 // snapshot captures the current state (prev unset).
@@ -235,9 +230,7 @@ func (a *Analyzer) snapshot() *undoSnap {
 		entryBase: a.entryBase,
 		nEntries:  a.nEntries,
 
-		topo:    a.topo,
-		colors:  a.colors,
-		nColors: a.nColors,
+		topo: a.topo,
 
 		smax:      a.smax,
 		smaxFlat:  a.smaxFlat,
@@ -259,7 +252,7 @@ func (a *Analyzer) snapshot() *undoSnap {
 func (a *Analyzer) install(s *undoSnap) {
 	a.fs, a.full, a.prefix = s.fs, s.full, s.prefix
 	a.entryBase, a.nEntries = s.entryBase, s.nEntries
-	a.topo, a.colors, a.nColors = s.topo, s.colors, s.nColors
+	a.topo = s.topo
 	a.smax, a.smaxFlat = s.smax, s.smaxFlat
 	a.sweeps, a.converged = s.sweeps, s.converged
 	a.smaxDone, a.smaxErr, a.bounds = s.smaxDone, s.smaxErr, s.bounds

@@ -158,6 +158,7 @@ func requireWarmMatchesCold(t *testing.T, tag string, warm *Analyzer, opt Option
 // fuzzed set whose flows carry random Blocking, comparing against a
 // cold rebuild after each step.
 func TestDeltaScriptedMutationsMatchCold(t *testing.T) {
+	lowerFanoutFloor(t)
 	for si, set := range fuzzedSets(t, 12) {
 		for oi, opt := range deltaOptionMatrix() {
 			rng := rand.New(rand.NewSource(int64(si*31 + oi)))
@@ -231,6 +232,7 @@ func TestDeltaScriptedMutationsMatchCold(t *testing.T) {
 // compared to a cold rebuild after every step, with a goroutine-leak
 // assertion at the end.
 func TestDeltaChurnPropertyWarmVsCold(t *testing.T) {
+	lowerFanoutFloor(t)
 	before := runtime.NumGoroutine()
 	sets := fuzzedSets(t, 6)
 	for si, base := range sets {

@@ -67,10 +67,12 @@ func closPods(t *testing.T, rng *rand.Rand, pods, perPod int) *model.FlowSet {
 }
 
 // schedulerGrid runs fn under every GOMAXPROCS × Options.Parallelism
-// combination the determinism properties quantify over, restoring the
-// previous GOMAXPROCS afterwards.
+// combination the determinism properties quantify over, with the
+// fan-out floor lowered so the parallel schedules run on these small
+// sets, restoring the previous GOMAXPROCS afterwards.
 func schedulerGrid(t *testing.T, fn func(t *testing.T, procs, workers int)) {
 	t.Helper()
+	lowerFanoutFloor(t)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 2, 8} {
@@ -84,9 +86,9 @@ func schedulerGrid(t *testing.T, fn func(t *testing.T, procs, workers int)) {
 // TestColdAnalyzeDeterminism pins the tentpole's determinism contract:
 // a cold Analyze must produce a byte-identical obs trace log and a
 // deeply equal Result across every GOMAXPROCS × worker-count
-// combination of the prefix fixed point. The colored parallel sweeps
-// make this non-trivial — workers race on wall-clock, so the property
-// holds only because slot evaluation is Jacobi (reads the immutable
+// combination of the prefix fixed point. The parallel sweeps make
+// this non-trivial — workers race on wall-clock, so the property holds
+// only because slot evaluation is Jacobi (reads the immutable
 // previous iterate), commits happen post-barrier in slot order, and
 // every trace event is emitted from the serial sweep driver.
 func TestColdAnalyzeDeterminism(t *testing.T) {

@@ -24,10 +24,11 @@ import (
 // structure-of-arrays form: every view's interferer arrays are carved
 // from a per-Analyzer chunked arena (slab.go), the Smax tables are flat
 // slices indexed by precomputed global entry ids, and view construction
-// runs on a dense map-free topology mirror. Sweep parallelism is
-// scheduled by greedy-coloring the interference graph; bit-identity is
-// guaranteed by the Jacobi structure itself (evaluations read an
-// immutable table, commits happen post-barrier in slot order).
+// runs on a dense map-free topology mirror. Sweeps and view builds fan
+// out only when they hold enough work to pay for a second core
+// (fanoutFloor); bit-identity is guaranteed by the Jacobi structure
+// itself (evaluations read an immutable table, commits happen
+// post-barrier in slot order).
 //
 // The engine returns bit-identical Results to the straight-line
 // reference implementation in reference.go; engine_test.go enforces
@@ -77,16 +78,13 @@ type Analyzer struct {
 	nEntries  int
 
 	// topo is the dense topology mirror (slab.go), built lazily and
-	// maintained copy-on-write across mutations; colors is the greedy
-	// coloring of the interference graph that schedules parallel
-	// sweeps, invalidated by any mutation.
-	topo    *denseTopo
-	colors  []int32
-	nColors int32
+	// maintained copy-on-write across mutations.
+	topo *denseTopo
 
 	// arena backs the SoA slices of the views built serially; multi is
 	// the serial view builder's working state (buildViews) and fix the
-	// fixed-point scratch.
+	// fixed-point scratch. A one-shot analysis borrows arena and multi
+	// from builderPool (borrowBuilder).
 	arena slabArena
 	multi multiScratch
 	fix   fixScratch
@@ -179,44 +177,6 @@ func (a *Analyzer) ensureTopo() *denseTopo {
 		a.topo = buildTopo(a.fs)
 	}
 	return a.topo
-}
-
-// ensureColors returns the greedy coloring of the interference graph:
-// flows are colored in index order, each taking the smallest color not
-// used by an already-colored flow whose path intersects its own. The
-// coloring is a pure function of the topology, so it is deterministic;
-// mutations invalidate it (delta.go).
-func (a *Analyzer) ensureColors() []int32 {
-	if a.colors != nil {
-		return a.colors
-	}
-	tp := a.ensureTopo()
-	n := a.fs.N()
-	colors := make([]int32, n)
-	used := make([]bool, n+1)
-	a.nColors = 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			if tp.intersect(i, j) {
-				used[colors[j]] = true
-			}
-		}
-		c := int32(0)
-		for used[c] {
-			c++
-		}
-		colors[i] = c
-		if c+1 > a.nColors {
-			a.nColors = c + 1
-		}
-		for j := 0; j < i; j++ {
-			if tp.intersect(i, j) {
-				used[colors[j]] = false
-			}
-		}
-	}
-	a.colors = colors
-	return colors
 }
 
 // Analyze computes the full Result (bounds, jitters, details, arrival
@@ -1200,17 +1160,17 @@ type fixScratch struct {
 	results      []model.Time
 	dirty        []bool
 	jobs         []engineJob
-	sorted       []engineJob
-	colorCount   []int32
 	entryChanged []bool
 	changed      []int32
 	revCounts    []int32
 	revBack      []int32
 	rev          [][]int32
 
-	// prebuildViews: the flows to build, the per-flow state a.pre
-	// aliases, and the backing of the per-flow event buffers.
+	// prebuildViews: the flows to build, buildEntries' per-flow marks,
+	// the per-flow state a.pre aliases, and the backing of the per-flow
+	// event buffers.
 	todo   []int32
+	seen   []int32
 	pre    []prebuilt
 	events []obs.Event
 }
@@ -1333,7 +1293,7 @@ func (a *Analyzer) enginePrefixFixpoint(ctx context.Context, seed smaxTable, dir
 		jobs := fx.jobs[:0]
 		for m := range fx.views {
 			if dirty[m] {
-				jobs = append(jobs, engineJob{fx.views[m], &fx.results[m], int32(m)})
+				jobs = append(jobs, engineJob{fx.views[m], &fx.results[m]})
 			}
 		}
 		fx.jobs = jobs

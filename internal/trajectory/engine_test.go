@@ -99,6 +99,7 @@ func engineOptionMatrix(t testing.TB, fs *model.FlowSet) []engineCase {
 // straight-line reference implementation for every fuzzed flow set at
 // every Options setting.
 func TestEngineMatchesReferenceFuzzed(t *testing.T) {
+	lowerFanoutFloor(t)
 	for si, set := range fuzzedSets(t, 24) {
 		for oi, c := range engineOptionMatrix(t, set) {
 			fs, opt := c.fs, c.opt
@@ -124,6 +125,7 @@ func TestEngineMatchesReferenceFuzzed(t *testing.T) {
 // TestEngineMatchesReferencePaperExample pins the differential on the
 // paper's Section-5 example, where the golden bounds are known.
 func TestEngineMatchesReferencePaperExample(t *testing.T) {
+	lowerFanoutFloor(t)
 	for oi, c := range engineOptionMatrix(t, model.PaperExample()) {
 		fs, opt := c.fs, c.opt
 		want, err := referenceAnalyze(fs, opt)
@@ -226,6 +228,7 @@ func TestEngineMatchesReferenceLongPaths(t *testing.T) {
 // view; in "fullOnly" only a's full view fails, so the prefix fixed
 // point must report b's error, not a's.
 func TestEngineErrorParity(t *testing.T) {
+	lowerFanoutFloor(t)
 	over := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{
 		model.UniformFlow("f1", 5, 0, 0, 3, 1, 2),
 		model.UniformFlow("f2", 5, 0, 0, 3, 1, 2),

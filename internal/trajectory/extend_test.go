@@ -158,6 +158,7 @@ func (p *addChainPair) bounds(tag string) {
 // Steps 3 and 4 clear the undo chain; steps 1 leave snapshots whose
 // views are missing, which a later extension walks past.
 func FuzzDeltaAddChain(f *testing.F) {
+	lowerFanoutFloor(f)
 	f.Add([]byte{0, 8, 0, 1, 0, 0, 2, 0, 1, 0, 2, 2, 5, 0, 4, 0})
 	f.Add([]byte{1, 12, 0, 2, 1, 1, 0, 2, 0, 5, 2, 3, 0, 1, 0})
 	f.Add([]byte{2, 5, 0, 3, 0, 1, 1, 0, 2, 2, 0, 4, 1, 0})

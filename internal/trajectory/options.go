@@ -109,15 +109,19 @@ type Options struct {
 	// variant exists for the Table-2 calibration study.
 	StrictWindow bool
 
-	// Parallelism bounds the worker count for the fixed-point sweeps
-	// (each sweep's per-view bounds are independent given the previous
-	// table, so they fan out safely), for the view builds ahead of a
-	// fixed point's first sweep (one flow per job), and, in
+	// Parallelism bounds the worker count, the calling goroutine
+	// included, for the fixed-point sweeps (each sweep's per-view
+	// bounds are independent given the previous table, so they fan out
+	// safely), for the view builds ahead of a fixed point's first sweep
+	// (one flow per job), for WhatIf's candidates, and, in
 	// feasibility's combined backend, for how many of the three
-	// backends run at once. 0 selects GOMAXPROCS; 1 forces serial
-	// execution. Results, errors and trace events are identical at any
-	// setting — the sweeps are pure functions of the previous iterate,
-	// and views and backends are merged in serial order.
+	// backends run at once. A sweep or a view prebuild uses one worker
+	// per 16384 interferer entries of work, up to this bound, so a
+	// served-size warm delta runs on the caller at any setting. 0
+	// selects GOMAXPROCS; 1 forces serial execution. Results, errors
+	// and trace events are identical at any setting — the sweeps are
+	// pure functions of the previous iterate, and views and backends
+	// are merged in serial order.
 	Parallelism int
 
 	// Tracer receives structured observability events: Smax fixed-point

@@ -13,10 +13,13 @@ import (
 //
 //   - runViews: the reference path's serial loop over straight-line
 //     boundForView computations (pathView jobs).
-//   - runJobs/colorSort: the engine's colored scheduler over cached SoA
-//     views against a flat Smax table.
+//   - runJobs: the engine's sweep over cached SoA views against a flat
+//     Smax table.
 //   - prebuildViews: the engine's view builds, one flow per job, ahead
 //     of a fixed point's serial request loop.
+//   - fanOut: the one parallel loop both run on, and WhatIf's
+//     candidates too, with the calling goroutine as one of the workers.
+//     The two engine schedules fan out only above fanoutFloor.
 //
 // The engine's parallel schedules produce results identical to serial
 // execution — each job writes only its own slot and the first error in
@@ -58,13 +61,11 @@ func runViews(fs *model.FlowSet, opt Options, smax smaxTable, jobs []viewJob) er
 	return nil
 }
 
-// engineJob pairs a cached view with its result slot for a sweep; ord
-// is the job's slot order, the tie-break for error selection under the
-// colored parallel schedule.
+// engineJob pairs a cached view with its result slot for a sweep; a
+// sweep lists its jobs in slot order.
 type engineJob struct {
 	vc  *viewCache
 	dst *model.Time
-	ord int32
 }
 
 // scratchPool recycles evaluation scratches across parallel sweeps and
@@ -87,62 +88,72 @@ var (
 // allocated because the pool was empty (process-wide, monotone).
 func ScratchPoolNews() int64 { return scratchPoolNews.Load() }
 
-// colorSort returns the jobs grouped by the interference-graph color of
-// their flow (stable within a color, so slot order is preserved per
-// class) — the colored parallel schedule. Workers drain the classes in
-// order, so concurrently claimed jobs overwhelmingly belong to one
-// class of pairwise NON-interfering flows: their A-offset gathers hit
-// disjoint regions of the flat table instead of all workers chasing the
-// same hot rows. Correctness never depends on the schedule — every
-// evaluation reads the immutable previous table (Jacobi iteration) and
-// commits happen post-barrier in slot order — so results stay
-// bit-identical for every worker count; the determinism property test
-// pins this.
-func (a *Analyzer) colorSort(jobs []engineJob) []engineJob {
-	colors := a.ensureColors()
-	nc := int(a.nColors)
-	if nc <= 1 {
-		return jobs
+// fanoutFloor is the work, in interferer entries, each goroutine of a
+// sweep or a view prebuild must get for a second core to pay: a
+// schedule of e entries runs on min(Options.Workers(), e/fanoutFloor)
+// goroutines, so below 2·fanoutFloor it stays on the caller. Two
+// workers first beat one on a sweep of about 10 000 entries; DESIGN.md
+// §6.2 records the measurement.
+const fanoutFloor = 16384
+
+// testFanoutFloor, when positive, replaces fanoutFloor, so tests of the
+// parallel schedules fan out on small sets. It is 0 in production.
+var testFanoutFloor int
+
+// fanoutWorkers returns the goroutine count, the caller included, of a
+// schedule of entries interferer entries under a cap of workers.
+func fanoutWorkers(workers, entries int) int {
+	floor := fanoutFloor
+	if testFanoutFloor > 0 {
+		floor = testFanoutFloor
 	}
-	fx := &a.fix
-	if cap(fx.colorCount) < nc+1 {
-		fx.colorCount = make([]int32, nc+1)
-	}
-	cnt := fx.colorCount[:nc+1]
-	for c := range cnt {
-		cnt[c] = 0
-	}
-	for k := range jobs {
-		cnt[colors[jobs[k].vc.flow]+1]++
-	}
-	for c := 1; c <= nc; c++ {
-		cnt[c] += cnt[c-1]
-	}
-	if cap(fx.sorted) < len(jobs) {
-		fx.sorted = make([]engineJob, len(jobs))
-	}
-	sorted := fx.sorted[:len(jobs)]
-	for k := range jobs {
-		c := colors[jobs[k].vc.flow]
-		sorted[cnt[c]] = jobs[k]
-		cnt[c]++
-	}
-	return sorted
+	return max(1, min(workers, entries/floor))
 }
 
-// runJobs evaluates the jobs against an immutable flat Smax table,
-// fanning out across Options.Workers() goroutines with pooled
-// per-worker scratches under the colored schedule. Every worker checks
-// the context before claiming a job (so a cancellation drains the pool
-// within one sweep) and evaluates through safeEval, which contains
-// panics as ErrInternal. All goroutines are always joined before
-// returning — a failure leaks nothing. The first error in SLOT order is
-// returned (matching the serial path and the reference, independent of
-// the colored claim order).
+// fanoutSpawns counts the goroutines fanOut has started, so tests can
+// tell a schedule that fanned out from one that stayed on the caller.
+var fanoutSpawns atomic.Int64
+
+// fanOut runs job(k) for every k < n on up to workers goroutines, the
+// calling one among them, each claiming the next unclaimed k; it
+// returns once every goroutine has finished. Jobs must contain their
+// own panics.
+func fanOut(workers, n int, job func(k int)) {
+	var next atomic.Int64
+	drain := func() {
+		for k := next.Add(1) - 1; k < int64(n); k = next.Add(1) - 1 {
+			job(int(k))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		fanoutSpawns.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
+}
+
+// runJobs evaluates the jobs against an immutable flat Smax table. A
+// sweep of fewer than two fanoutFloors of interferer entries runs on
+// the caller with the Analyzer's own scratch and stops at the first
+// error; a larger one fans out (fanOut) with a pooled scratch per job.
+// Every job checks the context first (so a cancellation drains the
+// sweep) and evaluates through safeEval, which contains panics as
+// ErrInternal. The first error in SLOT order is returned, matching the
+// serial path and the reference whatever order the jobs ran in.
 func (a *Analyzer) runJobs(ctx context.Context, jobs []engineJob, flat []model.Time) error {
 	workers := a.opt.Workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > 1 {
+		entries := 0
+		for k := range jobs {
+			entries += len(jobs[k].vc.jflow) + 1
+		}
+		workers = fanoutWorkers(workers, entries)
 	}
 	if workers <= 1 {
 		for k := range jobs {
@@ -157,45 +168,29 @@ func (a *Analyzer) runJobs(ctx context.Context, jobs []engineJob, flat []model.T
 		}
 		return nil
 	}
-	sorted := a.colorSort(jobs)
-	errs := make([]error, len(sorted))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := scratchPool.Get().(*evalScratch)
-			defer scratchPool.Put(sc)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				k := next.Add(1) - 1
-				if k >= int64(len(sorted)) {
-					return
-				}
-				r, _, err := a.safeEval(sorted[k].vc, flat, sc)
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				*sorted[k].dst = r
-			}
-		}()
-	}
-	wg.Wait()
+	errs := make([]error, len(jobs))
+	fanOut(workers, len(jobs), func(k int) {
+		if ctx.Err() != nil {
+			return
+		}
+		sc := scratchPool.Get().(*evalScratch)
+		r, _, err := a.safeEval(jobs[k].vc, flat, sc)
+		scratchPool.Put(sc)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		*jobs[k].dst = r
+	})
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	var first error
-	bestOrd := int32(-1)
-	for k := range errs {
-		if errs[k] != nil && (bestOrd < 0 || sorted[k].ord < bestOrd) {
-			first, bestOrd = errs[k], sorted[k].ord
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
 
 // prebuilt is one flow's state between prebuildViews and the serial
@@ -213,10 +208,11 @@ type eventBuffer []obs.Event
 
 func (b *eventBuffer) Emit(e obs.Event) { *b = append(*b, e) }
 
-// viewBuilder is one prebuild worker's view-build state: buildViews'
-// working state and the arena its views are carved from. Pooled across
-// prebuilds and Analyzers, so a warm mutation's small prebuild carves
-// from a partly used chunk instead of opening fresh ones.
+// viewBuilder is one view-build state: buildViews' working state and
+// the arena its views are carved from. Pooled across prebuilds and
+// Analyzers, so a warm mutation's small prebuild, or a cold analysis of
+// one small component after another, carves from a partly used chunk
+// instead of opening fresh ones.
 type viewBuilder struct {
 	multi multiScratch
 	arena slabArena
@@ -224,13 +220,25 @@ type viewBuilder struct {
 
 var builderPool = sync.Pool{New: func() any { return new(viewBuilder) }}
 
-// prebuildViews builds, on up to Options.Workers() goroutines, the
-// views of every flow whose views are all missing and whose path has at
-// least two nodes: the flows the prefix fixed point's serial slot loop
-// is about to request (one-hop flows have no prefix slot, so their
-// views stay lazy). The Analyzer afterwards holds exactly the views
-// that loop would have built, with two differences it repairs as the
-// loop runs:
+// borrowBuilder makes a one-shot Analyzer's serial view builds use a
+// pooled viewBuilder; the returned function gives it back once the
+// analysis is done. Views carved from the builder's chunks stay valid
+// after it moves on: an arena only carves past what it handed out.
+func (a *Analyzer) borrowBuilder() (giveBack func()) {
+	b := builderPool.Get().(*viewBuilder)
+	a.multi, a.arena = b.multi, b.arena
+	return func() {
+		b.multi, b.arena = a.multi, a.arena
+		builderPool.Put(b)
+	}
+}
+
+// prebuildViews builds, on the goroutines fanOut runs, the views of
+// every flow whose views are all missing and whose path has at least
+// two nodes: the flows the prefix fixed point's serial slot loop is
+// about to request (one-hop flows have no prefix slot, so their views
+// stay lazy). The Analyzer afterwards holds exactly the views that loop
+// would have built, with two differences it repairs as the loop runs:
 //
 //   - The busy-period events of a flow's build are buffered and
 //     replayed at the loop's first request for the flow (claimPrebuilt),
@@ -241,64 +249,79 @@ var builderPool = sync.Pool{New: func() any { return new(viewBuilder) }}
 // A view whose busy period fails stays nil, so the serial request
 // rebuilds it and returns the identical error at the identical slot; a
 // build that panics leaves the flow unbuilt, and the serial request
-// meets the same panic. With one worker, or fewer than two such flows,
-// nothing is prebuilt and the loop builds every view itself.
+// meets the same panic. When the builds (buildEntries) do not reach two
+// fanoutFloors, nothing is prebuilt and the loop builds every view
+// itself.
 func (a *Analyzer) prebuildViews() {
 	workers := a.opt.Workers()
 	if workers <= 1 {
 		return
 	}
-	fx := &a.fix
+	fs, fx := a.fs, &a.fix
 	todo := fx.todo[:0]
-	for i, f := range a.fs.Flows {
+	hops := 0
+	for i, f := range fs.Flows {
 		if len(f.Path) >= 2 && a.full[i] == nil && a.prefix[i] == nil {
 			todo = append(todo, int32(i))
+			hops += len(f.Path)
 		}
 	}
 	fx.todo = todo
-	if len(todo) < 2 {
+	workers = min(workers, len(todo))
+	// hops·N bounds buildEntries from above: a set it keeps on the
+	// caller never builds the node→flows index, which the fresh flow
+	// set of a warm delta does not have yet.
+	if fanoutWorkers(workers, hops*fs.N()) <= 1 {
 		return
 	}
-	workers = min(workers, len(todo))
+	if workers = fanoutWorkers(workers, a.buildEntries(todo)); workers <= 1 {
+		return
+	}
 	a.ensureTopo() // buildViews only reads it from here on
-	fx.pre = growN(fx.pre, a.fs.N())
+	fx.pre = growN(fx.pre, fs.N())
 	clear(fx.pre)
 	a.pre = fx.pre
 	if a.opt.Tracer != nil {
 		// A flow's build emits at most one event per view, and it has
 		// len(Path) views: its buffer is carved at that capacity.
-		total := 0
-		for _, i := range todo {
-			total += len(a.fs.Flows[i].Path)
-		}
-		fx.events = growN(fx.events, total)
+		fx.events = growN(fx.events, hops)
 		off := 0
 		for _, i := range todo {
-			end := off + len(a.fs.Flows[i].Path)
+			end := off + len(fs.Flows[i].Path)
 			a.pre[i].events = fx.events[off:off:end]
 			off = end
 		}
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := builderPool.Get().(*viewBuilder)
-			for {
-				k := next.Add(1) - 1
-				if k >= int64(len(todo)) {
-					break
-				}
-				if !a.prebuildFlow(int(todo[k]), b) {
-					b = new(viewBuilder) // a panicked build's state is not reused
+	fanOut(workers, len(todo), func(k int) {
+		// A panicked build's state is not reused.
+		if b := builderPool.Get().(*viewBuilder); a.prebuildFlow(int(todo[k]), b) {
+			builderPool.Put(b)
+		}
+	})
+}
+
+// buildEntries estimates the work of building the todo flows' views in
+// interferer entries: per flow, its path length times the flows that
+// share a node with its path, read from the flow set's node→flows
+// index.
+func (a *Analyzer) buildEntries(todo []int32) int {
+	fs, fx := a.fs, &a.fix
+	fx.seen = growN(fx.seen, fs.N())
+	clear(fx.seen)
+	entries := 0
+	for _, i := range todo {
+		sharing := 0
+		for _, h := range fs.Flows[i].Path {
+			for _, j := range fs.FlowsAt(h) {
+				if fx.seen[j] != i+1 {
+					fx.seen[j] = i + 1
+					sharing++
 				}
 			}
-			builderPool.Put(b)
-		}()
+		}
+		entries += len(fs.Flows[i].Path) * sharing
 	}
-	wg.Wait()
+	return entries
 }
 
 // prebuildFlow builds all of flow i's views with b's state, reporting

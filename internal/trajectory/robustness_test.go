@@ -144,6 +144,7 @@ func (c *countdownCtx) Err() error {
 // the exact uncanceled result (a canceled Smax table must not be
 // latched).
 func TestCanceledMidFixpoint(t *testing.T) {
+	lowerFanoutFloor(t)
 	fs := model.PaperExample()
 	want, err := Analyze(fs, Options{})
 	if err != nil {
@@ -209,12 +210,15 @@ func TestCanceledBeforeStart(t *testing.T) {
 // identical error strings on the engine and reference paths, and must
 // not crash the process.
 func TestWorkerPanicContainment(t *testing.T) {
+	lowerFanoutFloor(t)
 	fs := model.PaperExample()
-	// Panic on a PREFIX view so both the engine sweep and the reference
-	// computeSmax sweep hit it: flow 2 (tau3) at prefix length 5.
-	target, plen := 2, len(fs.Flows[2].Path)-1
+	// Panic on PREFIX views so both the engine sweep and the reference
+	// computeSmax sweep hit them: flows 2 and 3 (tau3, tau4) one node
+	// short of their full paths. Both fail in the first sweep, so a
+	// parallel sweep must report the first in slot order, as the
+	// reference does.
 	testPanicHook = func(flow, l int) {
-		if flow == target && l == plen {
+		if (flow == 2 || flow == 3) && l == len(fs.Flows[flow].Path)-1 {
 			panic("boom")
 		}
 	}

@@ -135,19 +135,6 @@ func (tp *denseTopo) withFlowUpdated(i int, path model.Path) *denseTopo {
 	return nt
 }
 
-// intersect reports whether the paths of flows i and j share a node —
-// the adjacency relation of the interference graph the colored sweeps
-// partition.
-func (tp *denseTopo) intersect(i, j int) bool {
-	posI := tp.pos[i]
-	for _, d := range tp.dpath[j] {
-		if posI[d] >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func growN[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)

@@ -2,8 +2,6 @@ package trajectory
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"trajan/internal/model"
 	"trajan/internal/obs"
@@ -181,28 +179,7 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 			tr.Emit(obs.Event{Type: obs.EvWhatIfCand, Index: k + 1, Op: op, Outcome: outcome})
 		}
 	}
-	if workers <= 1 {
-		for k := range cands {
-			run(k)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := next.Add(1) - 1
-					if k >= int64(len(cands)) {
-						return
-					}
-					run(int(k))
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanOut(workers, len(cands), run)
 	for _, kf := range kept {
 		if kf != nil {
 			a.kept = append(a.kept, kf)
