@@ -6,7 +6,7 @@
 // Usage:
 //
 //	trajan -config flows.json [-backend all|trajectory|holistic|netcalc|combined]
-//	       [-smax prefix|noqueue] [-ef] [-detail] [-explain flow]
+//	       [-ef] [-detail] [-explain flow]
 //	       [-sensitivity] [-timeout 30s] [-workers N]
 //	       [-trace events.json] [-metrics-addr :9090] [-metrics-dump]
 //	       [-cpuprofile f] [-memprofile f]
@@ -38,8 +38,7 @@
 // over -topology are scored as one parallel what-if batch and the flow
 // is admitted on the feasible path with the widest post-admission
 // slack; update paths are validated against -topology. -admit is
-// exclusive with -ef and with -backend all, and refuses -smax noqueue
-// (unsound; kept for sensitivity studies without -admit).
+// exclusive with -ef and with -backend all.
 //
 // Observability (see docs/OBSERVABILITY.md): -trace streams a
 // replayable JSON event log of the analysis — fixed-point sweeps,
@@ -128,7 +127,6 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 	var (
 		configPath  = fl.String("config", "", "flow-set JSON (default: the paper's example)")
 		backendName = fl.String("backend", "all", "analysis backend: all|trajectory|holistic|netcalc|combined; all tabulates the three concrete backends with the verdict following trajectory, any other value prints that backend's bounds with per-flow provenance and makes the verdict follow it (see docs/BACKENDS.md)")
-		smaxMode    = fl.String("smax", "prefix", "Smax estimator: prefix|noqueue")
 		useEF       = fl.Bool("ef", false, "EF-class analysis (Property 3): analyse EF flows, charge AF/BE as non-preemption blocking")
 		detail      = fl.Bool("detail", false, "print the per-flow interference breakdown")
 		explainFlow = fl.String("explain", "", "print the full bound derivation for this flow name")
@@ -189,11 +187,7 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 		}()
 	}
 
-	smax, err := trajectory.ParseSmaxMode(*smaxMode)
-	if err != nil {
-		return false, err
-	}
-	opt := trajectory.Options{Smax: smax, Parallelism: *workers}
+	opt := trajectory.Options{Parallelism: *workers}
 
 	var tracers []obs.Tracer
 	if *tracePath != "" {

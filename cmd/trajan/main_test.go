@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -81,25 +80,19 @@ func TestSensitivityFlag(t *testing.T) {
 	}
 }
 
-// TestSmaxModes: both estimators run; bogus ones and the removed
-// global-tail spelling are the typed unknown -smax error, and the
-// unsound no-queue estimator is refused for admission.
+// TestSmaxModes: the prefix fixed point is the only Smax mode, so
+// -smax is no flag — with or without -admit it is a bad-flag error
+// (exit 2), as in trajand's TestBadFlags.
 func TestSmaxModes(t *testing.T) {
-	for _, m := range []string{"prefix", "noqueue"} {
-		runCLI(t, "-backend", "trajectory", "-smax", m)
-	}
 	for _, args := range [][]string{
-		{"-smax", "bogus"},
-		{"-smax", "tail"},
+		{"-smax", "prefix"},
+		{"-smax", "noqueue"},
 		{"-admit", "testdata/churn.json", "-smax", "noqueue"},
 	} {
 		var b strings.Builder
 		code, err := run(args, &b)
-		if err == nil || code != 2 {
-			t.Errorf("%v: code %d, err %v; want code 2 with error", args, code, err)
-		}
-		if args[0] == "-smax" && (!errors.Is(err, model.ErrInvalidConfig) || !strings.Contains(err.Error(), fmt.Sprintf("unknown -smax %q", args[1]))) {
-			t.Errorf("%v: err %v; want ErrInvalidConfig naming the value", args, err)
+		if code != 2 || !errors.Is(err, model.ErrInvalidConfig) {
+			t.Errorf("%v: code %d, err %v; want code 2 with ErrInvalidConfig", args, code, err)
 		}
 	}
 }

@@ -128,7 +128,7 @@ func runDaemon(ctx context.Context, args []string, out io.Writer) (retErr error)
 		return runLoadgen(ctx, *loadgenPath, *target, *clients, *repeat, *tenants, out)
 	}
 
-	opt := trajectory.Options{Smax: trajectory.SmaxPrefixFixpoint, Parallelism: *workers}
+	opt := trajectory.Options{Parallelism: *workers}
 	if *workers < 0 {
 		return model.Errorf(model.ErrInvalidConfig, "-workers must be >= 0")
 	}

@@ -117,16 +117,11 @@ type Controller struct {
 // other backend analyses the whole set cold per decision, while the
 // warm engine still drives route scoring). A non-nil topo validates
 // manual paths edge by edge and enables route=auto, which scores up to
-// routeK candidate paths (0 selects DefaultRouteK). The unsound
-// SmaxNoQueue estimator is refused as ErrInvalidConfig.
+// routeK candidate paths (0 selects DefaultRouteK).
 func NewController(net model.Network, opt trajectory.Options, backend Backend, topo *model.Topology, routeK int) (*Controller, error) {
 	fs, err := model.NewFlowSet(net, nil)
 	if err != nil {
 		return nil, err
-	}
-	if opt.Smax == trajectory.SmaxNoQueue {
-		return nil, model.Errorf(model.ErrInvalidConfig,
-			"feasibility: the no-queue Smax estimator is not sound; admission needs -smax prefix")
 	}
 	if backend == "" {
 		backend = BackendTrajectory

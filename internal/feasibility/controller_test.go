@@ -341,15 +341,3 @@ func TestControllerDifferential(t *testing.T) {
 		}
 	}
 }
-
-// TestControllerRefusesNoQueue: the no-queue Smax estimator is not
-// sound, so the admission core refuses to decide on it.
-func TestControllerRefusesNoQueue(t *testing.T) {
-	_, err := NewController(model.UnitDelayNetwork(), trajectory.Options{Smax: trajectory.SmaxNoQueue}, "", nil, 0)
-	if !errors.Is(err, model.ErrInvalidConfig) {
-		t.Fatalf("NewController(SmaxNoQueue) = %v, want ErrInvalidConfig", err)
-	}
-	if _, err := NewController(model.UnitDelayNetwork(), trajectory.Options{Smax: trajectory.SmaxPrefixFixpoint}, "", nil, 0); err != nil {
-		t.Errorf("NewController(SmaxPrefixFixpoint): %v", err)
-	}
-}

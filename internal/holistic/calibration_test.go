@@ -7,7 +7,8 @@ import (
 )
 
 // TestCalibrationPaperExample compares the holistic bounds on the
-// paper's Section-5 example with Table 2's published holistic row.
+// paper's Section-5 example with Table 2's published holistic row
+// (EXPERIMENTS.md E1).
 func TestCalibrationPaperExample(t *testing.T) {
 	fs := model.PaperExample()
 	res, err := Analyze(fs, Options{})
@@ -18,14 +19,5 @@ func TestCalibrationPaperExample(t *testing.T) {
 		res.Bounds, res.Sweeps, model.PaperHolisticBounds)
 	for i, f := range fs.Flows {
 		t.Logf("  %s per-node=%v jitter-at-node=%v", f.Name, res.NodeResponse[i], res.ArrivalJitter[i])
-	}
-	ci, err := Analyze(fs, Options{CriticalInstantOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("holistic/critical-instant bounds=%v sweeps=%d (paper: %v)",
-		ci.Bounds, ci.Sweeps, model.PaperHolisticBounds)
-	for i, f := range fs.Flows {
-		t.Logf("  %s per-node=%v jitter-at-node=%v", f.Name, ci.NodeResponse[i], ci.ArrivalJitter[i])
 	}
 }

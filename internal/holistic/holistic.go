@@ -27,14 +27,6 @@ type Options struct {
 	// so the default is a deliberately modest 1<<20 ticks; raise it for
 	// systems whose genuine busy periods are longer.
 	Horizon model.Time
-	// CriticalInstantOnly evaluates each node's sojourn only at the
-	// start of the aggregate busy period (x = 0), the classical
-	// simultaneous-release critical instant, instead of scanning the
-	// whole busy period. This is the lighter variant found in early
-	// holistic papers; it is NOT sound for FIFO with large jitters
-	// (a later arrival inside the busy period can fare worse) and
-	// exists for the Table-2 calibration study.
-	CriticalInstantOnly bool
 }
 
 func (o Options) maxIterations() int {
@@ -232,9 +224,6 @@ func nodeSojourn(fs *model.FlowSet, h model.NodeID, i int, at []int, jit [][]mod
 	best := work(0)
 	if sat {
 		return model.TimeInfinity
-	}
-	if opt.CriticalInstantOnly {
-		return best
 	}
 	limit := bp
 	if nu := fs.TotalUtilizationAt(h); nu < 1 {

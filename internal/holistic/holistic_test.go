@@ -121,19 +121,6 @@ func TestNonPreemptionAdds(t *testing.T) {
 	}
 }
 
-// TestCriticalInstantOnlyNeverWorse: skipping the busy-period scan can
-// only lower per-node responses.
-func TestCriticalInstantOnlyNeverWorse(t *testing.T) {
-	fs := model.PaperExample()
-	full := mustAnalyze(t, fs, Options{})
-	ci := mustAnalyze(t, fs, Options{CriticalInstantOnly: true})
-	for i := range fs.Flows {
-		if ci.Bounds[i] > full.Bounds[i] {
-			t.Errorf("flow %d: critical-instant %d > full %d", i, ci.Bounds[i], full.Bounds[i])
-		}
-	}
-}
-
 // TestArrivalJitterMonotoneAlongPath: accumulated variability can only
 // grow along a path.
 func TestArrivalJitterMonotoneAlongPath(t *testing.T) {

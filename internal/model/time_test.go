@@ -65,6 +65,11 @@ func TestOnePlusFloorPos(t *testing.T) {
 		{35, 36, 1},
 		{36, 36, 2},
 		{100, 36, 3},
+		{29, 10, 3},
+		{30, 10, 4}, // exact multiple: the packet at the window edge counts
+		{31, 10, 4},
+		{0, 1, 1}, // unit period: every tick is a multiple
+		{7, 1, 8},
 	}
 	for _, c := range cases {
 		if got := OnePlusFloorPos(c.a, c.b); got != c.want {

@@ -187,10 +187,11 @@ func TestAnalyzeFlowMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestNonPreemptionShiftsBound: with a fixed Smax table (no-queue
-// mode), Property 3 adds exactly δi = Σ per-node blocking to each
-// bound; under the prefix estimator the shift is at least δi (upstream
-// blocking also widens the A windows).
+// TestNonPreemptionShiftsBound: with a fixed Smax table (the
+// queueing-free floor, which blocking does not enter), Property 3 adds
+// exactly δi = Σ per-node blocking to each bound; under the prefix
+// estimator the shift is at least δi (upstream blocking also widens the
+// A windows).
 func TestNonPreemptionShiftsBound(t *testing.T) {
 	fs := model.PaperExample()
 	delta := cyclicBlocking(fs)
@@ -201,12 +202,19 @@ func TestNonPreemptionShiftsBound(t *testing.T) {
 		}
 	}
 	blocked := withBlocking(t, fs, delta)
-	baseNQ := mustAnalyze(t, fs, Options{Smax: SmaxNoQueue})
-	shiftNQ := mustAnalyze(t, blocked, Options{Smax: SmaxNoQueue})
+	fixedBound := func(set *model.FlowSet, i int) model.Time {
+		smax := newSmaxTable(set)
+		smax.fillNoQueue(set)
+		c, err := newBoundCtx(set, Options{}, fullView(set, i), smax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := c.bound()
+		return r
+	}
 	for i := range fs.Flows {
-		if shiftNQ.Bounds[i] != baseNQ.Bounds[i]+total[i] {
-			t.Errorf("no-queue flow %d: %d + δ%d ≠ %d",
-				i, baseNQ.Bounds[i], total[i], shiftNQ.Bounds[i])
+		if b, s := fixedBound(fs, i), fixedBound(blocked, i); s != b+total[i] {
+			t.Errorf("fixed-table flow %d: %d + δ%d ≠ %d", i, b, total[i], s)
 		}
 	}
 	base := mustAnalyze(t, fs, Options{})
@@ -215,31 +223,6 @@ func TestNonPreemptionShiftsBound(t *testing.T) {
 		if shifted.Bounds[i] < base.Bounds[i]+total[i] {
 			t.Errorf("prefix flow %d: shifted %d < base %d + δ%d",
 				i, shifted.Bounds[i], base.Bounds[i], total[i])
-		}
-	}
-}
-
-// TestScanDominatesNoScan: the full critical-instant scan can only
-// raise the bound over the t=-Ji evaluation.
-func TestScanDominatesNoScan(t *testing.T) {
-	fs := model.PaperExample()
-	full := mustAnalyze(t, fs, Options{})
-	noScan := mustAnalyze(t, fs, Options{DisableTScan: true})
-	for i := range fs.Flows {
-		if full.Bounds[i] < noScan.Bounds[i] {
-			t.Errorf("flow %d: scan %d < no-scan %d", i, full.Bounds[i], noScan.Bounds[i])
-		}
-	}
-}
-
-// TestStrictWindowTightens: half-open windows never count more packets.
-func TestStrictWindowTightens(t *testing.T) {
-	fs := model.PaperExample()
-	closed := mustAnalyze(t, fs, Options{})
-	strict := mustAnalyze(t, fs, Options{StrictWindow: true})
-	for i := range fs.Flows {
-		if strict.Bounds[i] > closed.Bounds[i] {
-			t.Errorf("flow %d: strict %d > closed %d", i, strict.Bounds[i], closed.Bounds[i])
 		}
 	}
 }
@@ -292,13 +275,11 @@ func TestAddingInterfererMonotone(t *testing.T) {
 // traversal time.
 func TestBoundAtLeastMinTraversal(t *testing.T) {
 	fs := model.PaperExample()
-	for _, opt := range []Options{{}, {Smax: SmaxNoQueue}} {
-		res := mustAnalyze(t, fs, opt)
-		for i, f := range fs.Flows {
-			if res.Bounds[i] < f.MinTraversal(fs.Net.Lmin) {
-				t.Errorf("mode %v flow %d: bound %d below floor %d",
-					opt.Smax, i, res.Bounds[i], f.MinTraversal(fs.Net.Lmin))
-			}
+	res := mustAnalyze(t, fs, Options{})
+	for i, f := range fs.Flows {
+		if res.Bounds[i] < f.MinTraversal(fs.Net.Lmin) {
+			t.Errorf("flow %d: bound %d below floor %d",
+				i, res.Bounds[i], f.MinTraversal(fs.Net.Lmin))
 		}
 	}
 }
@@ -378,8 +359,7 @@ func TestUnknownSmaxMode(t *testing.T) {
 	if SmaxMode(99).String() != "unknown" {
 		t.Error("unknown mode name")
 	}
-	if SmaxPrefixFixpoint.String() != "prefix-fixpoint" ||
-		SmaxNoQueue.String() != "no-queue" {
-		t.Error("mode names broken")
+	if SmaxPrefixFixpoint.String() != "prefix-fixpoint" {
+		t.Error("mode name broken")
 	}
 }

@@ -224,9 +224,9 @@ func (c *boundCtx) chooseSlow() {
 // time t (Property 1 / Property 3 when δ ≠ 0).
 func (c *boundCtx) latestStart(t model.Time) model.Time {
 	w := c.fixed
-	w += c.opt.count(t+c.jitter, c.period) * c.cslow
+	w += model.OnePlusFloorPos(t+c.jitter, c.period) * c.cslow
 	for _, in := range c.inter {
-		w += c.opt.count(t+in.a, c.fs.Flows[in.j].Period) * in.rel.CSlowJI
+		w += model.OnePlusFloorPos(t+in.a, c.fs.Flows[in.j].Period) * in.rel.CSlowJI
 	}
 	return w
 }
@@ -240,20 +240,12 @@ func (c *boundCtx) criticalInstants() []model.Time {
 	lo := -c.jitter
 	hi := lo + c.bslow
 	ts := []model.Time{lo}
-	if c.opt.DisableTScan {
-		return ts
-	}
 	add := func(offset, period model.Time) {
 		// Jump where (t + offset) ≡ 0 (mod period): the closed-window
-		// count increments exactly at t = k·period - offset. The strict
-		// variant shifts jumps one tick later.
-		shift := model.Time(0)
-		if c.opt.StrictWindow {
-			shift = 1
-		}
-		kLo := model.CeilDiv(lo+offset-shift, period)
+		// count increments exactly at t = k·period - offset.
+		kLo := model.CeilDiv(lo+offset, period)
 		for k := kLo; ; k++ {
-			t := k*period - offset + shift
+			t := k*period - offset
 			if t >= hi {
 				return
 			}
@@ -294,7 +286,7 @@ func (c *boundCtx) bound() (model.Time, model.Time) {
 		iperiods[x] = c.fs.Flows[in.j].Period
 		icharges[x] = in.rel.CSlowJI
 	}
-	if _, saturated := rTopSat(c.opt, c.sat, c.fixed, c.jitter, c.period, c.cslow, c.clast,
+	if _, saturated := rTopSat(c.sat, c.fixed, c.jitter, c.period, c.cslow, c.clast,
 		lo, hi, as, iperiods, icharges); saturated {
 		return model.TimeInfinity, 0
 	}

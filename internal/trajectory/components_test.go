@@ -62,8 +62,8 @@ func podFlows(t testing.TB, seed int64, pods int, extra ...*model.Flow) *model.F
 	return fs
 }
 
-// componentOptionMatrix covers every Smax estimator, Property 3's
-// non-preemption blocking, and serial and parallel sweeps.
+// componentOptionMatrix covers Property 3's non-preemption blocking,
+// serial and parallel sweeps, and iteration caps the fixed point hits.
 func componentOptionMatrix(t *testing.T, fs *model.FlowSet) []engineCase {
 	np := cyclicBlocking(fs)
 	for i := 3; i < len(np); i += 4 {
@@ -72,15 +72,11 @@ func componentOptionMatrix(t *testing.T, fs *model.FlowSet) []engineCase {
 	blocked := withBlocking(t, fs, np)
 	var cases []engineCase
 	for _, par := range []int{1, 8} {
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
-			cases = append(cases,
-				engineCase{fs, Options{Smax: mode, Parallelism: par}},
-				engineCase{blocked, Options{Smax: mode, Parallelism: par}},
-			)
-		}
 		cases = append(cases,
-			engineCase{fs, Options{Smax: SmaxPrefixFixpoint, Parallelism: par, MaxIterations: 2}},
-			engineCase{fs, Options{Smax: SmaxPrefixFixpoint, Parallelism: par, MaxIterations: 4}},
+			engineCase{fs, Options{Parallelism: par}},
+			engineCase{blocked, Options{Parallelism: par}},
+			engineCase{fs, Options{Parallelism: par, MaxIterations: 2}},
+			engineCase{fs, Options{Parallelism: par, MaxIterations: 4}},
 		)
 	}
 	return cases
@@ -124,17 +120,14 @@ func TestComponentAnalysisUnstable(t *testing.T) {
 		model.UniformFlow("hog2", 5, 0, 0, 3, 1, 2, 3),
 	}
 	fs := podFlows(t, 7, 3, hog...)
-	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
-		opt := Options{Smax: mode}
-		a, err := NewAnalyzer(fs, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, wholeErr := a.Analyze()
-		_, shardedErr := Analyze(fs, opt)
-		if !errors.Is(wholeErr, model.ErrUnstable) || !errors.Is(shardedErr, model.ErrUnstable) {
-			t.Errorf("%v: whole-set err %v, sharded err %v; want ErrUnstable from both", mode, wholeErr, shardedErr)
-		}
+	a, err := NewAnalyzer(fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wholeErr := a.Analyze()
+	_, shardedErr := Analyze(fs, Options{})
+	if !errors.Is(wholeErr, model.ErrUnstable) || !errors.Is(shardedErr, model.ErrUnstable) {
+		t.Errorf("whole-set err %v, sharded err %v; want ErrUnstable from both", wholeErr, shardedErr)
 	}
 }
 

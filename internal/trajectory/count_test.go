@@ -6,134 +6,48 @@ import (
 	"trajan/internal/model"
 )
 
-// TestCountEdgeCases pins the packet-count operator at its boundary
-// inputs: an empty window counts one packet under the paper's closed
-// convention (the packet generated exactly at the window edge) and zero
-// under the strict half-open variant; windows at exact period multiples
-// are where the two conventions stay one apart.
+// TestCountEdgeCases pins the packet count in the analysed flow's own
+// term of W^{last}_{i,t} at its boundary inputs: under the paper's
+// closed window an empty window counts one packet (the one generated
+// exactly at the window edge), a negative window counts none, and an
+// exact period multiple k·T counts k+1. The count is read back from
+// latestStart of a lone flow with no jitter, where
+// W(t) = fixed + count(t, T)·Cslow.
 func TestCountEdgeCases(t *testing.T) {
-	closed := Options{}
-	strict := Options{StrictWindow: true}
 	cases := []struct {
 		win, period model.Time
-		wantClosed  model.Time
-		wantStrict  model.Time
+		want        model.Time
 	}{
-		{0, 10, 1, 0},  // empty window: edge packet only
-		{-1, 10, 0, 0}, // negative window: no packets either way
-		{-10, 10, 0, 0},
-		{1, 10, 1, 1},
-		{9, 10, 1, 1},
-		{10, 10, 2, 1}, // exact one period
-		{30, 10, 4, 3}, // exact multiple
-		{31, 10, 4, 4}, // just past the multiple: conventions agree
-		{29, 10, 3, 3}, // just before
-		{0, 1, 1, 0},
-		{7, 1, 8, 7}, // unit period: every tick is a multiple
+		{0, 10, 1}, // empty window: edge packet only
+		{-1, 10, 0},
+		{-10, 10, 0},
+		{1, 10, 1},
+		{9, 10, 1},
+		{10, 10, 2}, // exact one period
+		{30, 10, 4}, // exact multiple
+		{31, 10, 4},
+		{29, 10, 3},
+		{0, 1, 1},
+		{7, 1, 8}, // unit period: every tick is a multiple
 	}
 	for _, c := range cases {
-		if got := closed.count(c.win, c.period); got != c.wantClosed {
-			t.Errorf("closed count(%d,%d) = %d, want %d", c.win, c.period, got, c.wantClosed)
+		fs := model.MustNewFlowSet(model.UnitDelayNetwork(), []*model.Flow{
+			model.UniformFlow("lone", c.period, 0, 0, 1, 1, 2, 3),
+		})
+		smax := newSmaxTable(fs)
+		smax.fillNoQueue(fs)
+		ctx, err := newBoundCtx(fs, Options{}, fullView(fs, 0), smax)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := strict.count(c.win, c.period); got != c.wantStrict {
-			t.Errorf("strict count(%d,%d) = %d, want %d", c.win, c.period, got, c.wantStrict)
+		if len(ctx.inter) != 0 || ctx.cslow != 1 {
+			t.Fatalf("lone flow: %d interferers, Cslow %d; want 0, 1", len(ctx.inter), ctx.cslow)
 		}
-	}
-}
-
-// TestCountStrictWindowExactMultiples sweeps exact period multiples:
-// the closed count must be k+1 and the strict count k at win = k·T.
-func TestCountStrictWindowExactMultiples(t *testing.T) {
-	closed := Options{}
-	strict := Options{StrictWindow: true}
-	for _, period := range []model.Time{1, 3, 7, 100} {
-		for k := model.Time(0); k <= 5; k++ {
-			win := k * period
-			if got := closed.count(win, period); got != k+1 {
-				t.Fatalf("closed count(%d,%d) = %d, want %d", win, period, got, k+1)
-			}
-			want := k
-			if period == 1 {
-				// win-1 is still a multiple of 1: strict loses exactly one
-				// packet, k = win.
-				want = win
-			}
-			if got := strict.count(win, period); got != want {
-				t.Fatalf("strict count(%d,%d) = %d, want %d", win, period, got, want)
-			}
+		if got := ctx.latestStart(c.win) - ctx.fixed; got != c.want {
+			t.Errorf("count(%d,%d) = %d, want %d", c.win, c.period, got, c.want)
 		}
-	}
-}
-
-// coincidentCtx builds a view context whose interferers share periods
-// and offsets, so several floor terms jump at the same instants.
-func coincidentCtx(t *testing.T, opt Options) *boundCtx {
-	t.Helper()
-	flows := []*model.Flow{
-		model.UniformFlow("main", 12, 0, 0, 2, 1, 2, 3),
-		model.UniformFlow("a", 6, 0, 0, 1, 1, 2, 3),
-		model.UniformFlow("b", 6, 0, 0, 1, 1, 2, 3),  // identical twin of a
-		model.UniformFlow("c", 12, 0, 0, 1, 3, 2, 1), // reverse, same period as main
-	}
-	fs := model.MustNewFlowSet(model.UnitDelayNetwork(), flows)
-	smax := newSmaxTable(fs)
-	smax.fillNoQueue(fs)
-	c, err := newBoundCtx(fs, opt, fullView(fs, 0), smax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.inter) != 3 {
-		t.Fatalf("expected 3 interferers, got %d", len(c.inter))
-	}
-	return c
-}
-
-// TestCriticalInstantsCoincidentJumps: when several interferers jump at
-// the same instant, the scan list must stay strictly increasing (dedup)
-// with the window start first and everything inside [-Ji, -Ji+Bslow).
-func TestCriticalInstantsCoincidentJumps(t *testing.T) {
-	for _, opt := range []Options{{}, {StrictWindow: true}} {
-		c := coincidentCtx(t, opt)
-		ts := c.criticalInstants()
-		lo := -c.jitter
-		hi := lo + c.bslow
-		if len(ts) == 0 || ts[0] != lo {
-			t.Fatalf("scan must start at window start %d, got %v", lo, ts)
-		}
-		for k := 1; k < len(ts); k++ {
-			if ts[k] <= ts[k-1] {
-				t.Fatalf("instants not strictly increasing at %d: %v", k, ts)
-			}
-		}
-		for _, x := range ts {
-			if x < lo || x >= hi {
-				t.Fatalf("instant %d outside [%d,%d)", x, lo, hi)
-			}
-		}
-		// Twin interferers a and b share period and offset: their jump
-		// sets coincide exactly, so the deduped list must be no longer
-		// than one interferer's jumps plus the self term's plus the start.
-		maxLen := 1 + int(c.bslow/6) + 1 + int(c.bslow/12) + 1 + int(c.bslow/12) + 1
-		if len(ts) > maxLen {
-			t.Fatalf("dedup failed: %d instants for window %d: %v", len(ts), c.bslow, ts)
-		}
-	}
-}
-
-// TestCriticalInstantsShiftUnderStrictWindow: the strict variant moves
-// every jump (except the window start) one tick later.
-func TestCriticalInstantsShiftUnderStrictWindow(t *testing.T) {
-	closed := coincidentCtx(t, Options{})
-	strict := coincidentCtx(t, Options{StrictWindow: true})
-	cts := closed.criticalInstants()
-	sts := strict.criticalInstants()
-	seen := make(map[model.Time]bool, len(sts))
-	for _, x := range sts {
-		seen[x] = true
-	}
-	for _, x := range cts[1:] {
-		if x+1 < -strict.jitter+strict.bslow && !seen[x+1] {
-			t.Fatalf("closed jump %d has no strict jump at %d: %v vs %v", x, x+1, cts, sts)
+		if got := model.OnePlusFloorPos(c.win, c.period); got != c.want {
+			t.Errorf("OnePlusFloorPos(%d,%d) = %d, want %d", c.win, c.period, got, c.want)
 		}
 	}
 }

@@ -71,9 +71,6 @@ type undoSnap struct {
 // previous state: either a converged table exists, or an earlier
 // mutation already left a valid under-seed behind.
 func (a *Analyzer) warmEligible() bool {
-	if a.opt.Smax != SmaxPrefixFixpoint {
-		return false
-	}
 	if a.pendingSeed != nil {
 		return true
 	}

@@ -22,9 +22,6 @@ func deltaOptionMatrix() []Options {
 	return []Options{
 		{},
 		{Parallelism: 3},
-		{StrictWindow: true},
-		{DisableTScan: true},
-		{Smax: SmaxNoQueue},
 	}
 }
 

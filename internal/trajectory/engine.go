@@ -261,7 +261,7 @@ func (a *Analyzer) analyze(ctx context.Context) (*Result, error) {
 				d.Interference = append(d.Interference, InterferenceTerm{
 					Flow:          int(vc.jflow[x]),
 					A:             aOff,
-					Packets:       a.opt.count(tStar+aOff, vc.iperiods[x]),
+					Packets:       model.OnePlusFloorPos(tStar+aOff, vc.iperiods[x]),
 					CSlow:         vc.csj[x],
 					SameDirection: vc.sameDir[x],
 				})
@@ -347,11 +347,11 @@ func (a *Analyzer) BoundsContext(ctx context.Context) (out []model.Time, err err
 	return out, nil
 }
 
-// ensureSmax runs the configured Smax estimator once and caches the
-// converged table (or the error) for all later queries — EXCEPT a
-// cancellation: ErrCanceled reflects the caller's context, not the
-// flow set, so it is returned without being latched and a later call
-// with a live context recomputes from scratch.
+// ensureSmax runs the prefix fixed point once and caches the converged
+// table (or the error, an unknown Smax mode included) for all later
+// queries — EXCEPT a cancellation: ErrCanceled reflects the caller's
+// context, not the flow set, so it is returned without being latched
+// and a later call with a live context recomputes from scratch.
 //
 // When a mutation left warm-start state behind (pendingSeed), the
 // prefix fixed point is first attempted from that seed with only the
@@ -365,64 +365,58 @@ func (a *Analyzer) ensureSmax(ctx context.Context) error {
 	if a.smaxDone {
 		return a.smaxErr
 	}
+	if a.opt.Smax != SmaxPrefixFixpoint {
+		a.smaxDone = true
+		a.smaxErr = model.Errorf(model.ErrInvalidConfig, "trajectory: unknown Smax mode %d", a.opt.Smax)
+		return a.smaxErr
+	}
 	tr := a.opt.Tracer
 	mode := a.opt.Smax.String()
 	var err error
-	switch a.opt.Smax {
-	case SmaxNoQueue:
-		t, flat := newSmaxTableFlat(a.fs)
-		t.fillNoQueue(a.fs)
-		a.smax, a.smaxFlat, a.sweeps, a.converged = t, flat, 0, true
+	if a.pendingSeed != nil {
 		if tr != nil {
-			tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "cold", Outcome: "converged"})
+			tr.Emit(obs.Event{Type: obs.EvSmaxSeed, Op: "warm",
+				Dirty: countDirty(a.pendingDirty, a.fs.N())})
 		}
-	case SmaxPrefixFixpoint:
-		if a.pendingSeed != nil {
-			if tr != nil {
-				tr.Emit(obs.Event{Type: obs.EvSmaxSeed, Op: "warm",
-					Dirty: countDirty(a.pendingDirty, a.fs.N())})
-			}
-			a.smax, a.smaxFlat, a.sweeps, a.converged, err = a.enginePrefixFixpoint(ctx, a.pendingSeed, a.pendingDirty)
-			if errors.Is(err, model.ErrCanceled) {
-				// The partially advanced seed is still a valid
-				// under-seed (values only grow toward the fixed
-				// point), but the dirty bookkeeping of the aborted run
-				// is lost — widen to all-dirty for the retry.
-				if tr != nil {
-					tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "warm",
-						Sweep: a.sweeps, Outcome: "canceled"})
-				}
-				a.pendingDirty = nil
-				a.smax, a.smaxFlat = nil, nil
-				return err
-			}
-			if err == nil && a.converged {
-				if tr != nil {
-					tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "warm",
-						Sweep: a.sweeps, Outcome: "converged"})
-				}
-				a.pendingSeed, a.pendingDirty = nil, nil
-				break
-			}
-			// Warm failure (divergence/overflow discovered in a
-			// different sweep order, or iteration cap): rerun cold for
-			// bit-identical errors and tables.
+		a.smax, a.smaxFlat, a.sweeps, a.converged, err = a.enginePrefixFixpoint(ctx, a.pendingSeed, a.pendingDirty)
+		if errors.Is(err, model.ErrCanceled) {
+			// The partially advanced seed is still a valid under-seed
+			// (values only grow toward the fixed point), but the dirty
+			// bookkeeping of the aborted run is lost — widen to
+			// all-dirty for the retry.
 			if tr != nil {
 				tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "warm",
-					Sweep: a.sweeps, Outcome: "fallback"})
+					Sweep: a.sweeps, Outcome: "canceled"})
+			}
+			a.pendingDirty = nil
+			a.smax, a.smaxFlat = nil, nil
+			return err
+		}
+		if err == nil && a.converged {
+			if tr != nil {
+				tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "warm",
+					Sweep: a.sweeps, Outcome: "converged"})
 			}
 			a.pendingSeed, a.pendingDirty = nil, nil
+			a.smaxDone, a.smaxErr = true, nil
+			return nil
 		}
+		// Warm failure (divergence/overflow discovered in a different
+		// sweep order, or iteration cap): rerun cold for bit-identical
+		// errors and tables.
 		if tr != nil {
-			tr.Emit(obs.Event{Type: obs.EvSmaxSeed, Op: "cold", Dirty: a.fs.N()})
+			tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "warm",
+				Sweep: a.sweeps, Outcome: "fallback"})
 		}
-		a.smax, a.smaxFlat, a.sweeps, a.converged, err = a.enginePrefixFixpoint(ctx, nil, nil)
-		if tr != nil {
-			tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "cold",
-				Sweep: a.sweeps, Outcome: smaxOutcome(err, a.converged)})
-		}
-	default:
-		err = model.Errorf(model.ErrInvalidConfig, "trajectory: unknown Smax mode %d", a.opt.Smax)
+		a.pendingSeed, a.pendingDirty = nil, nil
+	}
+	if tr != nil {
+		tr.Emit(obs.Event{Type: obs.EvSmaxSeed, Op: "cold", Dirty: a.fs.N()})
+	}
+	a.smax, a.smaxFlat, a.sweeps, a.converged, err = a.enginePrefixFixpoint(ctx, nil, nil)
+	if tr != nil {
+		tr.Emit(obs.Event{Type: obs.EvSmaxDone, Mode: mode, Op: "cold",
+			Sweep: a.sweeps, Outcome: smaxOutcome(err, a.converged)})
 	}
 	if errors.Is(err, model.ErrCanceled) {
 		a.smax, a.smaxFlat = nil, nil
@@ -445,7 +439,7 @@ func (a *Analyzer) safeEval(vc *viewCache, flat []model.Time, sc *evalScratch) (
 	if testPanicHook != nil {
 		testPanicHook(vc.flow, vc.plen)
 	}
-	r, tStar = vc.eval(a.opt, flat, sc)
+	r, tStar = vc.eval(flat, sc)
 	return r, tStar, nil
 }
 
@@ -961,7 +955,7 @@ func growTimes(s []model.Time, n int) []model.Time {
 //
 // The visited instants, the W values, and the tie-break are otherwise
 // identical to the reference, so the result is bit-identical.
-func (vc *viewCache) eval(opt Options, flat []model.Time, sc *evalScratch) (model.Time, model.Time) {
+func (vc *viewCache) eval(flat []model.Time, sc *evalScratch) (model.Time, model.Time) {
 	ni := len(vc.jflow)
 	as := growTimes(sc.as, ni)
 	sc.as = as
@@ -977,7 +971,7 @@ func (vc *viewCache) eval(opt Options, flat []model.Time, sc *evalScratch) (mode
 	// proves every count·cost product and their sum — hence rem below —
 	// stays inside the exact int64 range.
 	sat := vc.sat
-	maxOff, minOff := vc.jitter, vc.jitter
+	maxOff := vc.jitter
 	iEnt, jEnt, aConst := vc.iEnt, vc.jEnt, vc.aConst
 	for x := 0; x < ni; x++ {
 		s1 := flat[iEnt[x]] + flat[jEnt[x]]
@@ -989,52 +983,35 @@ func (vc *viewCache) eval(opt Options, flat []model.Time, sc *evalScratch) (mode
 		if v > maxOff {
 			maxOff = v
 		}
-		if v < minOff {
-			minOff = v
-		}
 	}
 
 	lo := -vc.jitter
 	hi := lo + vc.bslow
 	// Quick saturation check: every count term of the scan envelope is
-	// majorized by countSat(hi+maxOff, minPer) — counts are monotone in
-	// the window and (at non-negative windows) anti-monotone in the
-	// period, and negative windows count zero — so the envelope itself
-	// is ≤ fixed + (ni+1)·cnt·maxCharge + clast − lo. When that
+	// majorized by OnePlusFloorPosSat(hi+maxOff, minPer) — counts are
+	// monotone in the window and (at non-negative windows) anti-monotone
+	// in the period, and negative windows count zero — so the envelope
+	// itself is ≤ fixed + (ni+1)·cnt·maxCharge + clast − lo. When that
 	// majorant's fold never saturates, neither does any operation of the
-	// precise rTopSat fold: each AddSat(hi, as[x]) lies between hi+minOff
-	// and hi+maxOff (both proven in-range, including StrictWindow's −1),
-	// each count is ≤ cnt, each product ≤ cnt·maxCharge and each partial
-	// sum lies in [fixed, quick]. Only when the quick check flags does
-	// eval pay the precise per-term guard — whose verdict is what
-	// decides, keeping the Unbounded boundary bit-identical.
+	// precise rTopSat fold: each AddSat(hi, as[x]) lies between hi and
+	// hi+maxOff (Lemma 2's offsets are non-negative: the Smax terms, at
+	// least the queueing-free floor, dominate Smin and M), each count is
+	// ≤ cnt, each product ≤ cnt·maxCharge and each partial sum lies in
+	// [fixed, quick]. Only when the quick check flags does eval pay the
+	// precise per-term guard — whose verdict is what decides, keeping
+	// the Unbounded boundary bit-identical.
 	qs := sat
 	top := model.AddSat(hi, maxOff, &qs)
-	bot := model.AddSat(hi, minOff, &qs)
-	if opt.StrictWindow {
-		model.SubSat(bot, 1, &qs)
-	}
-	cnt := opt.countSat(top, vc.minPer, &qs)
+	cnt := model.OnePlusFloorPosSat(top, vc.minPer, &qs)
 	model.SubSat(model.AddSat(model.AddSat(vc.fixed,
 		model.MulSat(model.MulSat(model.Time(ni)+1, cnt, &qs), vc.maxCharge, &qs), &qs), vc.clast, &qs), lo, &qs)
 	if qs {
-		if _, saturated := rTopSat(opt, sat, vc.fixed, vc.jitter, vc.period, vc.cslow, vc.clast,
+		if _, saturated := rTopSat(sat, vc.fixed, vc.jitter, vc.period, vc.cslow, vc.clast,
 			lo, hi, as, vc.iperiods, vc.csj); saturated {
 			return model.TimeInfinity, 0
 		}
 	}
-	if opt.DisableTScan {
-		w := vc.fixed + opt.count(lo+vc.jitter, vc.period)*vc.cslow
-		for x := 0; x < ni; x++ {
-			w += opt.count(lo+as[x], vc.iperiods[x]) * vc.csj[x]
-		}
-		return w + vc.clast - lo, lo
-	}
 
-	var shift model.Time
-	if opt.StrictWindow {
-		shift = 1
-	}
 	heads := growTimes(sc.heads, ni+1)
 	periods := growTimes(sc.periods, ni+1)
 	costs := growTimes(sc.costs, ni+1)
@@ -1043,10 +1020,10 @@ func (vc *viewCache) eval(opt Options, flat []model.Time, sc *evalScratch) (mode
 
 	// One pass per term folds its W(lo) contribution AND initializes its
 	// jump stream from a single floor division: the term's count at lo
-	// is max(0, 1+⌊a/period⌋) for a = lo+offset−shift, and its first
+	// is max(0, 1+⌊a/period⌋) for a = lo+offset, and its first
 	// in-window jump index is ⌈a/period⌉ = ⌊a/period⌋ + (a mod ≠ 0) —
 	// the remainder is free. Stream s then jumps at t = k·period −
-	// offset + shift, where the term's unclamped count becomes 1+k; its
+	// offset, where the term's unclamped count becomes 1+k; its
 	// clamped contribution rises only once the unclamped count is ≥ 1.
 	// Streams that never jump inside (lo, hi) are dropped here; rem
 	// accumulates the cost mass of every contributing future jump.
@@ -1054,7 +1031,7 @@ func (vc *viewCache) eval(opt Options, flat []model.Time, sc *evalScratch) (mode
 	ns := 0
 	var rem model.Time
 	initStream := func(offset, period, cost model.Time) {
-		a := lo + offset - shift
+		a := lo + offset
 		q := a / period
 		rm := a - q*period
 		if rm < 0 { // floor for negative numerators (period > 0)
@@ -1068,7 +1045,7 @@ func (vc *viewCache) eval(opt Options, flat []model.Time, sc *evalScratch) (mode
 		if rm != 0 {
 			k++
 		}
-		t := k*period - offset + shift
+		t := k*period - offset
 		if t <= lo { // the t = lo jump is already folded into W(lo)
 			t += period
 			k++

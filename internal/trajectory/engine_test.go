@@ -76,22 +76,15 @@ type engineCase struct {
 }
 
 // engineOptionMatrix enumerates the settings the differential tests
-// cover: both Smax estimators crossed with the window and scan
-// variants, serial and parallel sweeps, and Property 3's non-preemption
+// cover: serial and parallel sweeps, and Property 3's non-preemption
 // penalty (the set with cyclicBlocking).
 func engineOptionMatrix(t testing.TB, fs *model.FlowSet) []engineCase {
 	blocked := withBlocking(t, fs, cyclicBlocking(fs))
-	var cases []engineCase
-	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
-		cases = append(cases,
-			engineCase{fs, Options{Smax: mode}},
-			engineCase{fs, Options{Smax: mode, StrictWindow: true}},
-			engineCase{fs, Options{Smax: mode, DisableTScan: true}},
-			engineCase{fs, Options{Smax: mode, Parallelism: 3}},
-			engineCase{blocked, Options{Smax: mode}},
-		)
+	return []engineCase{
+		{fs, Options{}},
+		{fs, Options{Parallelism: 3}},
+		{blocked, Options{}},
 	}
-	return cases
 }
 
 // TestEngineMatchesReferenceFuzzed is the tentpole's correctness bar:
@@ -146,15 +139,12 @@ func TestEngineMatchesReferencePaperExample(t *testing.T) {
 // point against its reference, including the out-of-range error.
 func TestEngineAnalyzeFlowMatchesReference(t *testing.T) {
 	for si, fs := range fuzzedSets(t, 8) {
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
-			opt := Options{Smax: mode}
-			for i := 0; i < fs.N(); i++ {
-				want, wantErr := referenceAnalyzeFlow(fs, opt, i)
-				got, gotErr := AnalyzeFlow(fs, opt, i)
-				if (wantErr == nil) != (gotErr == nil) || want != got {
-					t.Fatalf("set %d mode %v flow %d: reference (%d,%v), engine (%d,%v)",
-						si, mode, i, want, wantErr, got, gotErr)
-				}
+		for i := 0; i < fs.N(); i++ {
+			want, wantErr := referenceAnalyzeFlow(fs, Options{}, i)
+			got, gotErr := AnalyzeFlow(fs, Options{}, i)
+			if (wantErr == nil) != (gotErr == nil) || want != got {
+				t.Fatalf("set %d flow %d: reference (%d,%v), engine (%d,%v)",
+					si, i, want, wantErr, got, gotErr)
 			}
 		}
 	}
@@ -198,21 +188,18 @@ func longTandem(t *testing.T, hops int) *model.FlowSet {
 
 // TestEngineMatchesReferenceLongPaths extends the differential past 64
 // hops, where the view builder's per-view read dedup spans several
-// words, under every Smax estimator.
+// words.
 func TestEngineMatchesReferenceLongPaths(t *testing.T) {
 	for _, hops := range []int{70, 130} {
 		fs := longTandem(t, hops)
-		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
-			opt := Options{Smax: mode}
-			want, wantErr := referenceAnalyze(fs, opt)
-			got, gotErr := Analyze(fs, opt)
-			if wantErr != nil || gotErr != nil {
-				t.Fatalf("%d hops mode %v: reference err %v, engine err %v", hops, mode, wantErr, gotErr)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%d hops mode %v: engine Result diverges from the reference\nreference bounds %v\nengine bounds    %v",
-					hops, mode, want.Bounds, got.Bounds)
-			}
+		want, wantErr := referenceAnalyze(fs, Options{})
+		got, gotErr := Analyze(fs, Options{})
+		if wantErr != nil || gotErr != nil {
+			t.Fatalf("%d hops: reference err %v, engine err %v", hops, wantErr, gotErr)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%d hops: engine Result diverges from the reference\nreference bounds %v\nengine bounds    %v",
+				hops, want.Bounds, got.Bounds)
 		}
 	}
 }
@@ -258,12 +245,9 @@ func TestEngineErrorParity(t *testing.T) {
 		opt  Options
 	}{
 		{"overload prefix", over, Options{Smax: SmaxPrefixFixpoint}},
-		{"overload noqueue", over, Options{Smax: SmaxNoQueue}},
 		{"later view prefix", later, Options{Smax: SmaxPrefixFixpoint}},
-		{"later view noqueue", later, Options{Smax: SmaxNoQueue}},
 		{"later view traced", later, Options{Tracer: &obs.Collector{}}},
 		{"full view only prefix", fullOnly, Options{Smax: SmaxPrefixFixpoint}},
-		{"full view only noqueue", fullOnly, Options{Smax: SmaxNoQueue}},
 		{"prebuilt later view prefix workers 4", later, Options{Smax: SmaxPrefixFixpoint, Parallelism: 4}},
 		{"prebuilt later view traced workers 4", later, Options{Tracer: &obs.Collector{}, Parallelism: 4}},
 		{"prebuilt full view only workers 4", fullOnly, Options{Smax: SmaxPrefixFixpoint, Parallelism: 4}},

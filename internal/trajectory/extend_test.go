@@ -68,9 +68,6 @@ func (c *closTenant) set(tb testing.TB, n int) *model.FlowSet {
 var addChainOptions = []Options{
 	{},
 	{Parallelism: 3},
-	{StrictWindow: true},
-	{DisableTScan: true},
-	{Smax: SmaxNoQueue},
 }
 
 // addChainPair is an Analyzer that extends views from its undo chain
@@ -164,8 +161,8 @@ func FuzzDeltaAddChain(f *testing.F) {
 	f.Add([]byte{2, 5, 0, 3, 0, 1, 1, 0, 2, 2, 0, 4, 1, 0})
 	f.Add([]byte{3, 9, 0, 4, 5, 0, 2, 1, 0, 3, 0, 0})
 	f.Add([]byte{4, 7, 0, 5, 0, 0, 2, 4, 0, 1, 0})
-	// Near-overflow costs under an infinite horizon (no-queue Smax, so
-	// Unbounded bounds are verdicts): the M-term and Smin folds rail, so
+	// Near-overflow costs under an infinite horizon (so Unbounded
+	// bounds are verdicts): the M-term and Smin folds rail, so
 	// the pre-finish saturation flag rides through extensions, and the
 	// busy periods of the grown sets end in ErrOverflow.
 	f.Add([]byte{4, 0, 1, 10, 0, 0, 0, 2, 0, 0, 2, 0})
@@ -174,6 +171,9 @@ func FuzzDeltaAddChain(f *testing.F) {
 	// only after some adds.
 	f.Add([]byte{0, 2, 2, 10, 0, 0, 0, 0, 0, 0, 2, 2, 0})
 	f.Add([]byte{1, 4, 2, 10, 0, 5, 2, 0, 1, 0, 0})
+	// Two removals empty the set; the update step that follows must
+	// skip it.
+	f.Add([]byte{0, 0, 0, 0, 2, 2, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -230,6 +230,9 @@ func FuzzDeltaAddChain(f *testing.F) {
 				k := ten.rng.Intn(n)
 				p.run(tag, func(a *Analyzer) error { return a.RemoveFlow(k) })
 			case 4:
+				if n == 0 { // every flow was removed: nothing to update
+					continue
+				}
 				k := ten.rng.Intn(n)
 				nf := draw()
 				nf.Name = p.ext.fs.Flows[k].Name

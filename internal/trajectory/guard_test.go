@@ -166,8 +166,8 @@ func TestBenchGuardAddExtends(t *testing.T) {
 // five-hop tandem of 30 flows with distinct periods 20–49 at node
 // utilisation 0.93, so each busy window spans 4–9 periods of every
 // interferer and the scan is ~95% of eval's time. The engine measures
-// ~11.5× the reference on 2 vCPU and must stay 8× faster in the median
-// of 9 samples, so an eval doing twice its work (~5.8×) fails; the
+// ~9.5× the reference on 2 vCPU and must stay 7× faster in the median
+// of 9 samples, so an eval doing twice its work (~4.8×) fails; the
 // engine-wide TestBenchGuardEngineSpeedup does not see that, since the
 // scan is a small share of a cold analysis.
 func TestBenchGuardTScan(t *testing.T) {
@@ -189,7 +189,7 @@ func TestBenchGuardTScan(t *testing.T) {
 		start := time.Now()
 		for r := 0; r < engReps; r++ {
 			for _, vc := range a.full {
-				vc.eval(a.opt, a.smaxFlat, &a.scratch)
+				vc.eval(a.smaxFlat, &a.scratch)
 			}
 		}
 		return float64(time.Since(start)) / engReps
@@ -218,8 +218,8 @@ func TestBenchGuardTScan(t *testing.T) {
 		}
 	}
 	med, mad := medianMAD(ratios)
-	if med < 8 {
-		t.Errorf("engine t-scan only %.2fx faster than the reference (median of %d, MAD %.2f, samples %.2f), want >= 8x",
+	if med < 7 {
+		t.Errorf("engine t-scan only %.2fx faster than the reference (median of %d, MAD %.2f, samples %.2f), want >= 7x",
 			med, len(ratios), mad, ratios)
 	} else {
 		t.Logf("engine t-scan %.2fx faster than the reference (MAD %.2f)", med, mad)

@@ -181,14 +181,14 @@ func maxPathUtil(fs *model.FlowSet, path model.Path) float64 {
 //
 // sat carries the build-time saturation state of the view's constants
 // (M terms, maxSum, fixed, A constants) into the decision.
-func rTopSat(opt Options, sat bool, fixed, jitter, period, cslow, clast, lo, hi model.Time,
+func rTopSat(sat bool, fixed, jitter, period, cslow, clast, lo, hi model.Time,
 	as, iperiods, icharges []model.Time) (model.Time, bool) {
 	s := sat
 	w := model.AddSat(fixed,
-		model.MulSat(opt.countSat(model.AddSat(hi, jitter, &s), period, &s), cslow, &s), &s)
+		model.MulSat(model.OnePlusFloorPosSat(model.AddSat(hi, jitter, &s), period, &s), cslow, &s), &s)
 	for x := range as {
 		w = model.AddSat(w,
-			model.MulSat(opt.countSat(model.AddSat(hi, as[x], &s), iperiods[x], &s), icharges[x], &s), &s)
+			model.MulSat(model.OnePlusFloorPosSat(model.AddSat(hi, as[x], &s), iperiods[x], &s), icharges[x], &s), &s)
 	}
 	r := model.SubSat(model.AddSat(w, clast, &s), lo, &s)
 	return r, s

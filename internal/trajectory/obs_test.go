@@ -45,26 +45,23 @@ func TestNilTracerHotPathAllocFree(t *testing.T) {
 }
 
 // TestTracerPreservesResults: tracing is observation only — the Result
-// with a tracer attached is bit-identical to the untraced one, for
-// every estimator.
+// with a tracer attached is bit-identical to the untraced one.
 func TestTracerPreservesResults(t *testing.T) {
 	fs := model.PaperExample()
-	for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxNoQueue} {
-		plain, err := Analyze(fs, Options{Smax: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var c obs.Collector
-		traced, err := Analyze(fs, Options{Smax: mode, Tracer: &c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, traced) {
-			t.Errorf("mode %v: tracer changed the Result", mode)
-		}
-		if len(c.Events()) == 0 {
-			t.Errorf("mode %v: no events collected", mode)
-		}
+	plain, err := Analyze(fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c obs.Collector
+	traced, err := Analyze(fs, Options{Tracer: &c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, traced) {
+		t.Error("tracer changed the Result")
+	}
+	if len(c.Events()) == 0 {
+		t.Error("no events collected")
 	}
 }
 
@@ -83,9 +80,6 @@ func TestFlowBoundDecompSumsToBound(t *testing.T) {
 	for name, tc := range map[string]engineCase{
 		"default":        {paper, Options{}},
 		"non-preemption": {withBlocking(t, paper, np), Options{}},
-		"strict-window":  {paper, Options{StrictWindow: true}},
-		"no-tscan":       {paper, Options{DisableTScan: true}},
-		"no-queue":       {paper, Options{Smax: SmaxNoQueue}},
 	} {
 		fs, opt := tc.fs, tc.opt
 		var c obs.Collector

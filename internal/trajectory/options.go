@@ -22,9 +22,9 @@
 //
 // The A_{i,j} terms depend on Smax^h (worst-case source→node times),
 // which the paper uses but never shows how to compute; this package
-// provides the prefix fixed point and an unsound no-queue floor (see
-// SmaxMode) and documents their soundness arguments. See EXPERIMENTS.md
-// for the calibration against the paper's Table 2.
+// computes them as the prefix fixed point (see SmaxPrefixFixpoint) and
+// documents its soundness argument. See EXPERIMENTS.md for the
+// calibration against the paper's Table 2.
 package trajectory
 
 import (
@@ -43,48 +43,26 @@ const (
 	// SmaxPrefixFixpoint bounds Smax^h_i by the trajectory bound of the
 	// flow restricted to its prefix path ending just before h, plus
 	// Lmax, iterated over all flows and nodes to a fixed point. This is
-	// the only sound estimator and the package default. The fixed
-	// point is reached from below (seeded with SmaxNoQueue); its bounds
-	// are cross-validated against exhaustive simulation in this
-	// repository's test suite.
+	// the only estimator and the package default. The fixed point is
+	// reached from below (seeded with the queueing-free traversal time);
+	// its bounds are cross-validated against exhaustive simulation in
+	// this repository's test suite.
 	SmaxPrefixFixpoint SmaxMode = iota
-
-	// SmaxNoQueue uses the queueing-free traversal time with Lmax links.
-	// It is NOT sound in general (a packet can be queued upstream); it
-	// exists for sensitivity studies of how much the bound depends on
-	// the Smax term.
-	SmaxNoQueue
 )
 
 // String names the mode.
 func (m SmaxMode) String() string {
-	switch m {
-	case SmaxPrefixFixpoint:
+	if m == SmaxPrefixFixpoint {
 		return "prefix-fixpoint"
-	case SmaxNoQueue:
-		return "no-queue"
-	default:
-		return "unknown"
 	}
-}
-
-// ParseSmaxMode maps a -smax flag value (prefix|noqueue) onto a
-// mode; anything else is ErrInvalidConfig.
-func ParseSmaxMode(s string) (SmaxMode, error) {
-	switch s {
-	case "prefix":
-		return SmaxPrefixFixpoint, nil
-	case "noqueue":
-		return SmaxNoQueue, nil
-	}
-	return 0, model.Errorf(model.ErrInvalidConfig, "unknown -smax %q", s)
+	return "unknown"
 }
 
 // Options configures an analysis run. The zero value is the package
-// default: prefix-fixpoint Smax, full scan of the critical instants t,
-// closed workload windows, and generous iteration limits.
+// default: prefix-fixpoint Smax and generous iteration limits.
 type Options struct {
-	// Smax selects the Smax^h estimator.
+	// Smax selects the Smax^h estimator. SmaxPrefixFixpoint, the zero
+	// value, is the only one; any other value is ErrInvalidConfig.
 	Smax SmaxMode
 
 	// MaxIterations caps fixed-point iterations (both the Smax tables
@@ -96,18 +74,6 @@ type Options struct {
 	// Bslow load is ≥ 1, which can happen while every node's
 	// utilization is below 1. Zero selects the default 1<<40 ticks.
 	Horizon model.Time
-
-	// DisableTScan restricts the maximization of Property 2 to
-	// t = -Ji only, skipping the other critical instants. Property 2
-	// requires the full scan; this switch exists to quantify (in the
-	// experiment suite) how much the scan contributes.
-	DisableTScan bool
-
-	// StrictWindow counts interfering packets over half-open generation
-	// windows, i.e. (1+⌊(x-1)/T⌋)⁺ instead of (1+⌊x/T⌋)⁺. The paper's
-	// operator is the closed-window one (default false); the strict
-	// variant exists for the Table-2 calibration study.
-	StrictWindow bool
 
 	// Parallelism bounds the worker count, the calling goroutine
 	// included, for the fixed-point sweeps (each sweep's per-view
@@ -163,24 +129,4 @@ func (o Options) horizon() model.Time {
 		return model.TimeInfinity
 	}
 	return o.Horizon
-}
-
-// count returns the number of packets of a sporadic flow with period
-// period whose generation times can fall in a window of length win —
-// the paper's (1 + ⌊win/period⌋)⁺ operator, or its half-open variant
-// when StrictWindow is set.
-func (o Options) count(win, period model.Time) model.Time {
-	if o.StrictWindow {
-		win--
-	}
-	return model.OnePlusFloorPos(win, period)
-}
-
-// countSat is the saturating variant of count, used by the scan guard
-// (and only there — a guard-cleared scan runs the exact operator).
-func (o Options) countSat(win, period model.Time, sat *bool) model.Time {
-	if o.StrictWindow {
-		win = model.SubSat(win, 1, sat)
-	}
-	return model.OnePlusFloorPosSat(win, period, sat)
 }

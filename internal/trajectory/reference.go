@@ -60,7 +60,7 @@ func referenceAnalyze(fs *model.FlowSet, opt Options) (*Result, error) {
 				d.Interference = append(d.Interference, InterferenceTerm{
 					Flow:          in.j,
 					A:             in.a,
-					Packets:       opt.count(tStar+in.a, fs.Flows[in.j].Period),
+					Packets:       model.OnePlusFloorPos(tStar+in.a, fs.Flows[in.j].Period),
 					CSlow:         in.rel.CSlowJI,
 					SameDirection: in.rel.SameDirection,
 				})

@@ -254,12 +254,8 @@ func TestWorkerPanicContainment(t *testing.T) {
 // bigCount is the (1+⌊win/period⌋)⁺ operator in arbitrary precision.
 // big.Int.Div is Euclidean division, which coincides with floor
 // division for the positive periods the model guarantees.
-func bigCount(win *big.Int, period model.Time, strict bool) *big.Int {
-	w := new(big.Int).Set(win)
-	if strict {
-		w.Sub(w, big.NewInt(1))
-	}
-	q := new(big.Int).Div(w, big.NewInt(int64(period)))
+func bigCount(win *big.Int, period model.Time) *big.Int {
+	q := new(big.Int).Div(win, big.NewInt(int64(period)))
 	q.Add(q, big.NewInt(1))
 	if q.Sign() < 0 {
 		q.SetInt64(0)
@@ -272,17 +268,16 @@ func bigCount(win *big.Int, period model.Time, strict bool) *big.Int {
 // W(t) and r(t) evaluated over big.Int. If the int64 scan wrapped
 // anywhere, this oracle diverges from it.
 func bigBound(c *boundCtx) *big.Int {
-	strict := c.opt.StrictWindow
 	var best *big.Int
 	for _, ti := range c.criticalInstants() {
 		tb := big.NewInt(int64(ti))
 		w := big.NewInt(int64(c.fixed))
 		win := new(big.Int).Add(tb, big.NewInt(int64(c.jitter)))
-		w.Add(w, new(big.Int).Mul(bigCount(win, c.period, strict), big.NewInt(int64(c.cslow))))
+		w.Add(w, new(big.Int).Mul(bigCount(win, c.period), big.NewInt(int64(c.cslow))))
 		for _, in := range c.inter {
 			win := new(big.Int).Add(tb, big.NewInt(int64(in.a)))
 			w.Add(w, new(big.Int).Mul(
-				bigCount(win, c.fs.Flows[in.j].Period, strict), big.NewInt(int64(in.rel.CSlowJI))))
+				bigCount(win, c.fs.Flows[in.j].Period), big.NewInt(int64(in.rel.CSlowJI))))
 		}
 		r := w.Add(w, big.NewInt(int64(c.clast)))
 		r.Sub(r, tb)
@@ -301,9 +296,9 @@ func bigBound(c *boundCtx) *big.Int {
 // always acceptable: they are the saturation degradation path.
 func FuzzEngineOracle(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
-		f.Add(seed, seed%2 == 0)
+		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, strict bool) {
+	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.RandomLineParams{
 			Nodes:          3 + rng.Intn(5),
@@ -318,7 +313,7 @@ func FuzzEngineOracle(f *testing.F) {
 		if err != nil {
 			t.Skip("seed admitted no flows")
 		}
-		opt := Options{Horizon: model.TimeInfinity, StrictWindow: strict}
+		opt := Options{Horizon: model.TimeInfinity}
 		res, err := Analyze(fs, opt)
 		if err != nil {
 			if !errors.Is(err, model.ErrInvalidConfig) &&

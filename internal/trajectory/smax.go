@@ -85,22 +85,13 @@ func (t smaxTable) fillNoQueueRow(fs *model.FlowSet, i int) {
 	}
 }
 
-// computeSmax builds the Smax table for the requested mode. It returns
-// the table, the number of fixed-point sweeps used, and whether the
-// iteration converged (always true for the non-iterative mode).
+// computeSmax builds the Smax table. It returns the table, the number
+// of fixed-point sweeps used, and whether the iteration converged.
 func computeSmax(fs *model.FlowSet, opt Options) (smaxTable, int, bool, error) {
-	t := newSmaxTable(fs)
-	switch opt.Smax {
-	case SmaxNoQueue:
-		t.fillNoQueue(fs)
-		return t, 0, true, nil
-
-	case SmaxPrefixFixpoint:
-		return prefixFixpoint(fs, opt)
-
-	default:
+	if opt.Smax != SmaxPrefixFixpoint {
 		return nil, 0, false, model.Errorf(model.ErrInvalidConfig, "trajectory: unknown Smax mode %d", opt.Smax)
 	}
+	return prefixFixpoint(fs, opt)
 }
 
 // prefixFixpoint iterates: Smax^h_i ← bound(prefix of i ending before h)

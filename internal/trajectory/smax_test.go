@@ -1,9 +1,6 @@
 package trajectory
 
 import (
-	"errors"
-	"fmt"
-	"strings"
 	"testing"
 
 	"trajan/internal/model"
@@ -104,29 +101,5 @@ func TestSmaxTableCloneEqual(t *testing.T) {
 	}
 	if a[0][1] == b[0][1] {
 		t.Fatal("clone shares storage")
-	}
-}
-
-// TestParseSmaxMode: the two -smax spellings map onto their modes;
-// anything else, including the removed "tail", is a configuration error
-// naming the value.
-func TestParseSmaxMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SmaxMode
-	}{
-		{"prefix", SmaxPrefixFixpoint},
-		{"noqueue", SmaxNoQueue},
-	} {
-		got, err := ParseSmaxMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseSmaxMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	for _, in := range []string{"bogus", "tail"} {
-		_, err := ParseSmaxMode(in)
-		if !errors.Is(err, model.ErrInvalidConfig) || !strings.Contains(err.Error(), fmt.Sprintf("unknown -smax %q", in)) {
-			t.Errorf("ParseSmaxMode(%q) error %v, want ErrInvalidConfig naming the value", in, err)
-		}
 	}
 }

@@ -67,7 +67,7 @@ func (a *Analyzer) emitFlowBound(tr obs.Tracer, i int, d *FlowDetail) {
 		Bslow:        d.Bslow,
 		SlowNode:     int(d.SlowNode),
 		SelfCharge:   f.CostAt(d.SlowNode),
-		SelfPackets:  a.opt.count(d.CriticalT+f.Jitter, f.Period),
+		SelfPackets:  model.OnePlusFloorPos(d.CriticalT+f.Jitter, f.Period),
 		CountedTwice: d.MaxSum,
 		Links:        model.Time(len(f.Path)-1) * a.fs.Net.Lmax,
 		Delta:        d.Delta,
