@@ -165,9 +165,11 @@ func TestBenchGuardComponentScaling(t *testing.T) {
 // cores Options.Parallelism allows: the six pods of
 // TestBenchGuardComponentScaling analysed at Parallelism 0 (here
 // GOMAXPROCS 2) against Parallelism 1, both in this process, so host
-// speed cancels. The three backends run concurrently and the
-// trajectory views are built on the sweep workers; with the backends
-// run in turn and no view prebuild the ratio reads 0.85–0.99. A sample
+// speed cancels. The ratio comes from running the three backends
+// concurrently: the pods' trajectory analyses are too small for the
+// engine's own fan-out (fanoutFloor, DESIGN.md §6.2), so their views
+// are built and their sweeps run on one goroutine either way, and with
+// the backends run in turn the ratio reads 0.85–0.99. A sample
 // sums two runs of each, alternated, and the guard takes the median of
 // seven; the floor is 1.25 against 1.45–1.72 measured on 2 vCPUs.
 //

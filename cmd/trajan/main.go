@@ -136,7 +136,7 @@ func runAnalysis(args []string, out io.Writer) (bool, error) {
 		routeFlag   = fl.String("route", "", "with -admit: \"auto\" re-routes every add over the k-shortest paths of -topology, admitting on the best feasible one (empty or \"manual\": source routing, paths taken as submitted)")
 		topoSpec    = fl.String("topology", "", "with -route auto: the network graph candidate paths are enumerated over — a spec (line:N|ring:N|star:N|grid:RxC|clos:SxLxH|paper) or a topology JSON file")
 		routeK      = fl.Int("route-k", 0, "with -route auto: candidate-path fan-out (0 = 4)")
-		workers     = fl.Int("workers", 0, "fixpoint/evaluation parallelism (0 = GOMAXPROCS, 1 = serial)")
+		workers     = fl.Int("workers", 0, "what-if and combined-backend parallelism, and the cap for analyses large enough to fan out (0 = GOMAXPROCS, 1 = serial)")
 		tracePath   = fl.String("trace", "", "write a structured JSON event log of the analysis to this file (see docs/OBSERVABILITY.md)")
 		traceReport = fl.String("trace-report", "", "render a previously written -trace log as a bound-decomposition report and exit")
 		metricsAddr = fl.String("metrics-addr", "", "serve /metrics (Prometheus text) and /vars (JSON) on this address for the duration of the run")

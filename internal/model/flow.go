@@ -163,8 +163,7 @@ func (f *Flow) CostAt(h NodeID) Time {
 }
 
 // SlowNode returns slow_i: a node of the path with maximal processing
-// cost, together with that cost. Ties resolve to the earliest such node;
-// the analysis layer may enumerate the full tie set via SlowCandidates.
+// cost, together with that cost. Ties resolve to the earliest such node.
 func (f *Flow) SlowNode() (NodeID, Time) {
 	best, bc := f.Path[0], f.Cost[0]
 	for k := 1; k < len(f.Path); k++ {
@@ -183,20 +182,6 @@ func (f *Flow) BlockingOver(n int, sat *bool) Time {
 		s = AddSat(s, b, sat)
 	}
 	return s
-}
-
-// SlowCandidates returns every node of the path whose cost equals the
-// maximal per-node cost. Any of them is a valid slow_i in the paper's
-// derivation, so a tight analysis may minimize over the set.
-func (f *Flow) SlowCandidates() []NodeID {
-	_, bc := f.SlowNode()
-	var out []NodeID
-	for k, h := range f.Path {
-		if f.Cost[k] == bc {
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // TotalCost returns Σ_{h∈Pi} C^h_i, the end-to-end processing demand of

@@ -106,14 +106,12 @@ func TestFlowCostAt(t *testing.T) {
 }
 
 func TestSlowNodeAndCandidates(t *testing.T) {
+	// Nodes 2 and 3 are both slow-node candidates (cost 7); the earliest
+	// wins.
 	f := &Flow{Name: "f", Period: 10, Path: Path{1, 2, 3, 4}, Cost: []Time{5, 7, 7, 2}, parent: -1}
 	n, c := f.SlowNode()
 	if n != 2 || c != 7 {
 		t.Errorf("SlowNode = (%d,%d), want (2,7)", n, c)
-	}
-	cand := f.SlowCandidates()
-	if len(cand) != 2 || cand[0] != 2 || cand[1] != 3 {
-		t.Errorf("SlowCandidates = %v", cand)
 	}
 }
 

@@ -277,19 +277,6 @@ func (fs *FlowSet) PrefixRelation(i, plen, j int) PathRelation {
 	return r
 }
 
-// Interferers returns the indices of flows whose paths intersect flow
-// i's path (excluding i itself).
-func (fs *FlowSet) Interferers(i int) []int {
-	fs.ensureRel()
-	var out []int
-	for j := range fs.Flows {
-		if j != i && fs.rel[i][j].Intersects {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Nodes returns the sorted set of all node identifiers appearing on any
 // path. The slice is shared by every caller and must not be modified.
 func (fs *FlowSet) Nodes() []NodeID {
@@ -438,27 +425,6 @@ func (fs *FlowSet) M(i int, h NodeID) (Time, error) {
 		s = AddSat(s, AddSat(minC, fs.Net.Lmin, &sat), &sat)
 	}
 	return s, nil
-}
-
-// MaxSameDirCost returns max over flows j with first_{j,i} = first_{i,j}
-// (same direction as flow i, including i itself) of C^h_j — the
-// "counted-twice packet" term of Lemma 2 at node h.
-func (fs *FlowSet) MaxSameDirCost(i int, h NodeID) Time {
-	fs.ensureRel()
-	maxC := fs.CostOf(i, h)
-	for j := range fs.Flows {
-		if j == i {
-			continue
-		}
-		r := fs.rel[i][j]
-		if !r.Intersects || !r.SameDirection {
-			continue
-		}
-		if c := fs.CostOf(j, h); c > maxC {
-			maxC = c
-		}
-	}
-	return maxC
 }
 
 // TotalUtilizationAt returns Σ_{j: h∈Pj} C^h_j / T_j as a float, the

@@ -31,24 +31,6 @@ func TestNewFlowSetValidation(t *testing.T) {
 	}
 }
 
-func TestFlowSetInterferers(t *testing.T) {
-	fs := PaperExample()
-	got := fs.Interferers(0) // τ1 meets τ3, τ4, τ5
-	want := []int{2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("interferers of τ1 = %v", got)
-	}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("interferers of τ1 = %v, want %v", got, want)
-		}
-	}
-	got = fs.Interferers(1) // τ2 meets τ3, τ4, τ5 but not τ1
-	if len(got) != 3 || got[0] != 2 {
-		t.Errorf("interferers of τ2 = %v", got)
-	}
-}
-
 func TestFlowSetNodes(t *testing.T) {
 	fs := PaperExample()
 	nodes := fs.Nodes()
@@ -249,27 +231,6 @@ func TestMUsesOnlyVisitingFlows(t *testing.T) {
 	// node 2 contributes min(6, 2) = 2; plus Lmin each.
 	if got, err := fs.M(0, 3); err != nil || got != (6+1)+(2+1) {
 		t.Errorf("M = %d, %v, want 10", got, err)
-	}
-}
-
-func TestMaxSameDirCost(t *testing.T) {
-	fs := PaperExample()
-	// Node 7 on P3: τ2 crosses in reverse, so only τ3/τ4/τ5 (cost 4) count.
-	if got := fs.MaxSameDirCost(2, 7); got != 4 {
-		t.Errorf("MaxSameDirCost(τ3,7) = %d", got)
-	}
-	// A heavier same-direction flow raises the max.
-	fi := flowOn("i", 1, 2, 3)
-	fj := &Flow{Name: "j", Period: 36, Path: Path{2, 3}, Cost: []Time{9, 9}, parent: -1}
-	fs2 := MustNewFlowSet(UnitDelayNetwork(), []*Flow{fi, fj})
-	if got := fs2.MaxSameDirCost(0, 2); got != 9 {
-		t.Errorf("MaxSameDirCost = %d, want 9", got)
-	}
-	// A reverse-direction flow does not.
-	fk := &Flow{Name: "k", Period: 36, Path: Path{3, 2}, Cost: []Time{9, 9}, parent: -1}
-	fs3 := MustNewFlowSet(UnitDelayNetwork(), []*Flow{fi, fk})
-	if got := fs3.MaxSameDirCost(0, 2); got != 4 {
-		t.Errorf("MaxSameDirCost with reverse flow = %d, want 4", got)
 	}
 }
 

@@ -80,31 +80,3 @@ func RelateToPath(pi Path, fj *Flow) PathRelation {
 	}
 	return r
 }
-
-// ContiguousOnPath reports whether the shared nodes form one contiguous,
-// direction-consistent run of pi: the positions of Shared on pi must be
-// consecutive and either strictly increasing (same direction) or
-// strictly decreasing (reverse). This is the checkable core of the
-// paper's Assumption 1.
-func (r PathRelation) ContiguousOnPath(pi Path) bool {
-	if !r.Intersects {
-		return true
-	}
-	idx := make([]int, len(r.Shared))
-	for k, h := range r.Shared {
-		idx[k] = pi.Index(h)
-	}
-	if len(idx) == 1 {
-		return true
-	}
-	step := idx[1] - idx[0]
-	if step != 1 && step != -1 {
-		return false
-	}
-	for k := 1; k < len(idx); k++ {
-		if idx[k]-idx[k-1] != step {
-			return false
-		}
-	}
-	return true
-}

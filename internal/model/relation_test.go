@@ -206,23 +206,3 @@ func TestRelationAnchorConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestContiguousOnPath(t *testing.T) {
-	pi := Path{1, 2, 3, 4, 5}
-	contiguous := RelateToPath(pi, flowOn("j", 9, 2, 3, 4, 8))
-	if !contiguous.ContiguousOnPath(pi) {
-		t.Error("contiguous forward segment rejected")
-	}
-	reverse := RelateToPath(pi, flowOn("j", 9, 4, 3, 2, 8))
-	if !reverse.ContiguousOnPath(pi) {
-		t.Error("contiguous reverse segment rejected")
-	}
-	skipping := RelateToPath(pi, flowOn("j", 2, 9, 4))
-	if skipping.ContiguousOnPath(pi) {
-		t.Error("skipping segment accepted")
-	}
-	zigzag := RelateToPath(pi, flowOn("j", 2, 3, 9, 1))
-	if zigzag.ContiguousOnPath(pi) {
-		t.Error("zigzag accepted")
-	}
-}

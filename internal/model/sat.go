@@ -74,15 +74,6 @@ func SubSat(a, b Time, sat *bool) Time {
 	return s
 }
 
-// NegSat returns −a, flagging saturated operands.
-func NegSat(a Time, sat *bool) Time {
-	if IsUnbounded(a) {
-		*sat = true
-		return rail(-a)
-	}
-	return -a
-}
-
 // MulSat returns a·b clamped to the rails, setting *sat if either
 // operand was saturated or the product left the finite domain.
 func MulSat(a, b Time, sat *bool) Time {
@@ -128,14 +119,4 @@ func OnePlusFloorPosSat(a, b Time, sat *bool) Time {
 		return TimeInfinity
 	}
 	return v
-}
-
-// FloorDivChecked is FloorDiv with the divisor contract turned into an
-// ErrInvalidConfig error instead of a panic, for callers dividing by
-// values that were not vetted by Flow.Validate.
-func FloorDivChecked(a, b Time) (Time, error) {
-	if b <= 0 {
-		return 0, Errorf(ErrInvalidConfig, "model.FloorDiv: non-positive divisor %d", b)
-	}
-	return FloorDiv(a, b), nil
 }

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"errors"
 	"math"
 	"math/big"
 	"testing"
@@ -17,9 +16,6 @@ func TestSatOpsExactInsideDomain(t *testing.T) {
 	}
 	if got := MulSat(-6, 7, &sat); got != -42 || sat {
 		t.Errorf("MulSat(-6,7) = %d sat=%v", got, sat)
-	}
-	if got := NegSat(-5, &sat); got != 5 || sat {
-		t.Errorf("NegSat(-5) = %d sat=%v", got, sat)
 	}
 	if got := OnePlusFloorPosSat(7, 3, &sat); got != 3 || sat {
 		t.Errorf("OnePlusFloorPosSat(7,3) = %d sat=%v", got, sat)
@@ -74,18 +70,6 @@ func TestSatOpsPropagate(t *testing.T) {
 	sat = false
 	if got := MulSat(TimeInfinity, 0, &sat); got != 0 || sat {
 		t.Errorf("MulSat(Inf,0) = %d sat=%v", got, sat)
-	}
-}
-
-func TestFloorDivChecked(t *testing.T) {
-	if v, err := FloorDivChecked(-7, 2); err != nil || v != -4 {
-		t.Errorf("FloorDivChecked(-7,2) = %d, %v", v, err)
-	}
-	if _, err := FloorDivChecked(1, 0); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("FloorDivChecked divisor 0: %v", err)
-	}
-	if _, err := FloorDivChecked(1, -3); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("FloorDivChecked divisor -3: %v", err)
 	}
 }
 
@@ -163,14 +147,6 @@ func FuzzCheckedArith(f *testing.F) {
 			}
 		} else {
 			check("MulSat", got, sat, new(big.Int).Mul(ba, bb))
-		}
-
-		if !IsUnbounded(a) {
-			sat = false
-			ng := NegSat(a, &sat)
-			if ng != -a || sat {
-				t.Fatalf("NegSat(%d) = %d sat=%v", a, ng, sat)
-			}
 		}
 
 		if b > 0 && !IsUnbounded(b) {

@@ -21,29 +21,13 @@ type Time int64
 // durations without overflow.
 const TimeInfinity Time = 1 << 60
 
-// MaxTime returns the larger of a and b.
-func MaxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinTime returns the smaller of a and b.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // FloorDiv returns ⌊a/b⌋ for b > 0, rounding toward negative infinity
 // (Go's integer division truncates toward zero, which differs for a < 0).
 //
 // The panic on b ≤ 0 is a documented internal invariant: every divisor
 // on the analysis paths is a flow period, which Flow.Validate requires
-// to be positive. Callers dividing by unvetted values must use
-// FloorDivChecked instead.
+// to be positive. Callers dividing by unvetted values must check the
+// divisor first.
 func FloorDiv(a, b Time) Time {
 	if b <= 0 {
 		panic(fmt.Sprintf("model.FloorDiv: non-positive divisor %d", b))

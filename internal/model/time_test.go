@@ -125,15 +125,3 @@ func TestOnePlusFloorPosProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMaxMinTime(t *testing.T) {
-	if MaxTime(3, 5) != 5 || MaxTime(5, 3) != 5 {
-		t.Error("MaxTime broken")
-	}
-	if MinTime(3, 5) != 3 || MinTime(5, 3) != 3 {
-		t.Error("MinTime broken")
-	}
-	if MaxTime(-2, -7) != -2 {
-		t.Error("MaxTime negative broken")
-	}
-}

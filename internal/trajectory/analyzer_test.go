@@ -302,9 +302,15 @@ func TestDetails(t *testing.T) {
 		if !fs.Flows[i].Path.Contains(d.SlowNode) {
 			t.Errorf("detail %d: slow node %d off path", i, d.SlowNode)
 		}
-		if len(d.Interference) != len(fs.Interferers(i)) {
+		interferers := 0
+		for j := range fs.Flows {
+			if j != i && fs.Relation(i, j).Intersects {
+				interferers++
+			}
+		}
+		if len(d.Interference) != interferers {
 			t.Errorf("detail %d: %d interference terms for %d interferers",
-				i, len(d.Interference), len(fs.Interferers(i)))
+				i, len(d.Interference), interferers)
 		}
 		for _, term := range d.Interference {
 			if term.Packets < 0 || term.CSlow <= 0 {

@@ -40,51 +40,12 @@ import (
 // general path, which is still correct, just not O(1)).
 const maxUndoDepth = 32
 
-// undoSnap captures the Analyzer's complete state: a pre-AddFlow
-// snapshot on the undo chain, or a kept WhatIf fork's converged state
-// (keptFork). AddFlow never mutates the structures a snapshot aliases —
-// it builds fresh outer arrays and a fresh seed table — so restoring is
-// O(1) and bit-exact.
+// undoSnap is a pre-AddFlow state on the undo chain. AddFlow never
+// mutates the structures a state aliases — it builds fresh outer arrays
+// and a fresh seed table — so restoring is O(1) and bit-exact.
 type undoSnap struct {
-	prev      *undoSnap
-	fs        *model.FlowSet
-	full      []*viewCache
-	prefix    [][]*viewCache
-	entryBase []int
-	nEntries  int
-
-	topo *denseTopo
-
-	smax      smaxTable
-	smaxFlat  []model.Time
-	sweeps    int
-	converged bool
-	smaxDone  bool
-	smaxErr   error
-	bounds    []model.Time
-
-	pendingSeed  smaxTable
-	pendingDirty []bool
-}
-
-// warmEligible reports whether the next fixed point may start from the
-// previous state: either a converged table exists, or an earlier
-// mutation already left a valid under-seed behind.
-func (a *Analyzer) warmEligible() bool {
-	if a.pendingSeed != nil {
-		return true
-	}
-	return a.smaxDone && a.smaxErr == nil && a.converged
-}
-
-// seedSource returns the table warm seeds copy their untouched rows
-// from, and whether its rows are uniformly dirty (a cancellation mid
-// warm run widens the dirty set to everything).
-func (a *Analyzer) seedSource() (src smaxTable, srcDirty []bool, allDirty bool) {
-	if a.pendingSeed != nil {
-		return a.pendingSeed, a.pendingDirty, a.pendingDirty == nil
-	}
-	return a.smax, nil, false
+	prev *undoSnap
+	state
 }
 
 // intersectors returns, per flow index of fs, whether that flow's path
@@ -205,55 +166,74 @@ func (a *Analyzer) remapPrefixRow(row []*viewCache, removed int, entryBase []int
 	return row
 }
 
-// resetSmaxState drops the cached fixed point and its error latches: a
-// mutation gives the analyzer a new flow set, and a previously latched
-// divergence verdict no longer describes it.
-func (a *Analyzer) resetSmaxState() {
-	a.smax = nil
-	a.smaxFlat = nil
-	a.sweeps = 0
-	a.converged = false
-	a.smaxDone = false
-	a.smaxErr = nil
-	a.bounds = nil
-}
-
-// snapshot captures the current state (prev unset).
-func (a *Analyzer) snapshot() *undoSnap {
-	return &undoSnap{
-		fs:        a.fs,
-		full:      a.full,
-		prefix:    a.prefix,
-		entryBase: a.entryBase,
-		nEntries:  a.nEntries,
-
-		topo: a.topo,
-
-		smax:      a.smax,
-		smaxFlat:  a.smaxFlat,
-		sweeps:    a.sweeps,
-		converged: a.converged,
-		smaxDone:  a.smaxDone,
-		smaxErr:   a.smaxErr,
-		bounds:    a.bounds,
-
-		pendingSeed:  a.pendingSeed,
-		pendingDirty: a.pendingDirty,
+// rowOf maps row j of a mutated flow list to its row before the
+// mutation: rows at and above a removed index (removed ≥ 0) shift up by
+// one, and a row at or past nOld, the old flow count, is an added flow
+// (−1).
+func rowOf(j, removed, nOld int) int {
+	if removed >= 0 && j >= removed {
+		return j + 1
 	}
+	if j >= nOld {
+		return -1
+	}
+	return j
 }
 
-// install makes s the current state; the undo chain is the caller's.
-// Topo extensions never mutate the rows a snapshot's topo aliases
-// (delta constructors are copy-on-write), so installing the pointer is
-// exact.
-func (a *Analyzer) install(s *undoSnap) {
-	a.fs, a.full, a.prefix = s.fs, s.full, s.prefix
-	a.entryBase, a.nEntries = s.entryBase, s.nEntries
-	a.topo = s.topo
-	a.smax, a.smaxFlat = s.smax, s.smaxFlat
-	a.sweeps, a.converged = s.sweeps, s.converged
-	a.smaxDone, a.smaxErr, a.bounds = s.smaxDone, s.smaxErr, s.bounds
-	a.pendingSeed, a.pendingDirty = s.pendingSeed, s.pendingDirty
+// keptViews returns the n view rows of a mutated flow list: row j
+// carries over the views of its old row (rowOf) unless that row is
+// dropped (drop, indexed by old rows), remapped to the entry bases eb
+// when remap is set. A dropped row and a new flow start empty and are
+// built, or extended, on their next request.
+func (a *Analyzer) keptViews(n, removed int, drop []bool, remap bool, eb []int) ([]*viewCache, [][]*viewCache) {
+	full := make([]*viewCache, n)
+	prefix := make([][]*viewCache, n)
+	nOld := a.fs.N()
+	for j := range full {
+		o := rowOf(j, removed, nOld)
+		switch {
+		case o < 0 || drop[o]:
+		case remap:
+			full[j] = a.remapView(a.full[o], removed, eb)
+			prefix[j] = a.remapPrefixRow(a.prefix[o], removed, eb)
+		default:
+			full[j], prefix[j] = a.full[o], a.prefix[o]
+		}
+	}
+	return full, prefix
+}
+
+// warmSeed returns the under-seed the next fixed point of nfs starts
+// from, with its per-flow dirty marks, or nils when the current state
+// has neither a converged table nor a seed of its own. Row j copies its
+// old row (rowOf) and stays as dirty as that row was, or turns dirty
+// when touched[j]; a new flow and a row with reset[j] restart from the
+// no-queue floor, dirty. reset and touched are indexed by new rows and
+// may be nil.
+func (a *Analyzer) warmSeed(nfs *model.FlowSet, removed int, reset, touched []bool) (smaxTable, []bool) {
+	src, srcDirty := a.pendingSeed, a.pendingDirty
+	// A cancellation mid warm run leaves the seed all dirty.
+	allDirty := src != nil && srcDirty == nil
+	if src == nil {
+		if !a.smaxDone || a.smaxErr != nil || !a.converged {
+			return nil, nil
+		}
+		src = a.smax
+	}
+	nOld := a.fs.N()
+	seed, _ := newSmaxTableFlat(nfs)
+	dirty := make([]bool, nfs.N())
+	for j := range dirty {
+		o := rowOf(j, removed, nOld)
+		if o < 0 || (reset != nil && reset[j]) {
+			seed.fillNoQueueRow(nfs, j)
+			dirty[j] = true
+			continue
+		}
+		copy(seed[j], src[o])
+		dirty[j] = allDirty || (touched != nil && touched[j]) || (srcDirty != nil && srcDirty[o])
+	}
+	return seed, dirty
 }
 
 // pushUndo records the current state on the snapshot chain.
@@ -266,17 +246,39 @@ func (a *Analyzer) pushUndo() {
 		s.prev = nil
 		a.undoDepth--
 	}
-	s := a.snapshot()
-	s.prev = a.undo
-	a.undo = s
+	a.undo = &undoSnap{prev: a.undo, state: a.state}
 	a.undoDepth++
 }
 
 // restore pops one snapshot.
 func (a *Analyzer) restore(s *undoSnap) {
-	a.install(s)
+	a.state = s.state
 	a.undo = s.prev
 	a.undoDepth--
+}
+
+// replace makes next the current state of mutation op: an add pushes
+// the state it replaces on the undo chain, and any other mutation
+// clears the chain. The O(1) undo and extendBase rely on every snapshot
+// holding a prefix of the current flow list, which a removal or update
+// breaks, and a removal or update may have remapped the snapshots'
+// views in place.
+func (a *Analyzer) replace(op string, next state) {
+	if op == "add" {
+		a.pushUndo()
+	} else {
+		a.undo, a.undoDepth = nil, 0
+	}
+	a.state = next
+}
+
+// commit installs next, the successor state a mutation built, and
+// reports the mutation to the tracer.
+func (a *Analyzer) commit(op, name string, next state) {
+	a.replace(op, next)
+	if tr := a.opt.Tracer; tr != nil {
+		emitDelta(tr, op, name, next.pendingSeed != nil, next.pendingDirty)
+	}
 }
 
 // AddFlow admits a copy of f into the analyzer's flow set and returns
@@ -298,7 +300,6 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 		}
 	}()
 	if k := a.takeKept("add", -1, f); k != nil {
-		a.pushUndo()
 		a.adopt(k)
 		return a.fs.N() - 1, nil
 	}
@@ -307,56 +308,21 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 		return 0, err
 	}
 	nOld := a.fs.N()
-	warm := a.warmEligible()
-	src, srcDirty, srcAllDirty := a.seedSource()
-
-	// Existing flows whose views gain the new interferer.
+	// Views of the flows that gain the new interferer are dropped and
+	// extended lazily (buildViews). Existing flows keep their entry ids
+	// (the new flow's entries append at the end), so the other views
+	// carry over as-is, read sets included.
 	nbr := intersectors(nfs, nOld)
-
-	full := make([]*viewCache, nOld+1)
-	prefix := make([][]*viewCache, nOld+1)
-	for j := 0; j < nOld; j++ {
-		if nbr[j] {
-			continue // extended lazily with the new interferer (buildViews)
-		}
-		// Entry ids of existing flows are unchanged (the new flow's
-		// entries append at the end), so untouched views carry over
-		// as-is — including their read sets.
-		full[j] = a.full[j]
-		prefix[j] = a.prefix[j]
-	}
-	entryBase := make([]int, nOld+1)
-	copy(entryBase, a.entryBase)
-	entryBase[nOld] = a.nEntries
-
-	var seed smaxTable
-	var dirty []bool
-	if warm {
-		seed, _ = newSmaxTableFlat(nfs)
-		dirty = make([]bool, nOld+1)
-		for j := 0; j < nOld; j++ {
-			copy(seed[j], src[j])
-			dirty[j] = nbr[j] || srcAllDirty || (srcDirty != nil && srcDirty[j])
-		}
-		seed.fillNoQueueRow(nfs, nOld)
-		dirty[nOld] = true
-	}
-
-	a.pushUndo()
-	a.fs = nfs
-	a.full, a.prefix = full, prefix
-	a.entryBase = entryBase
-	a.nEntries += len(nfs.Flows[nOld].Path)
+	next := state{fs: nfs}
+	next.full, next.prefix = a.keptViews(nOld+1, -1, nbr, false, nil)
+	next.entryBase, next.nEntries = entryBases(nfs)
+	next.pendingSeed, next.pendingDirty = a.warmSeed(nfs, -1, nil, nbr)
 	if a.topo != nil {
 		// Copy-on-write extension; nil (lazy full rebuild) when the new
 		// path visits nodes the dense universe has never seen.
-		a.topo = a.topo.withFlowAdded(nfs.Flows[nOld].Path)
+		next.topo = a.topo.withFlowAdded(nfs.Flows[nOld].Path)
 	}
-	a.resetSmaxState()
-	a.pendingSeed, a.pendingDirty = seed, dirty
-	if tr := a.opt.Tracer; tr != nil {
-		emitDelta(tr, "add", nfs.Flows[nOld].Name, warm, dirty)
-	}
+	a.commit("add", nfs.Flows[nOld].Name, next)
 	return nOld, nil
 }
 
@@ -386,7 +352,6 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 		return nil
 	}
 	if kept != nil {
-		a.undo, a.undoDepth = nil, 0
 		a.adopt(kept)
 		return nil
 	}
@@ -394,72 +359,20 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 	if err != nil {
 		return err
 	}
-	name := a.fs.Flows[i].Name
 	nOld := a.fs.N()
-	warm := a.warmEligible()
-	src, srcDirty, srcAllDirty := a.seedSource()
 	nbr := intersectors(a.fs, i) // old indexes
-
-	// The general path invalidates the snapshot chain: snapshots alias
-	// view objects that are about to be remapped in place.
-	a.undo, a.undoDepth = nil, 0
-
-	entryBase := make([]int, nOld-1)
-	n := 0
-	for nj, f := range nfs.Flows {
-		entryBase[nj] = n
-		n += len(f.Path)
-	}
-
 	closureSeed := make([]bool, nOld-1)
-	for nj := range closureSeed {
-		oj := nj
-		if nj >= i {
-			oj = nj + 1
-		}
-		closureSeed[nj] = nbr[oj]
+	for j := range closureSeed {
+		closureSeed[j] = nbr[rowOf(j, i, nOld)]
 	}
-	closure := closureFrom(nfs, closureSeed)
-
-	full := make([]*viewCache, nOld-1)
-	prefix := make([][]*viewCache, nOld-1)
-	var seed smaxTable
-	var dirty []bool
-	if warm {
-		seed, _ = newSmaxTableFlat(nfs)
-		dirty = make([]bool, nOld-1)
-	}
-	for nj := 0; nj < nOld-1; nj++ {
-		oj := nj
-		if nj >= i {
-			oj = nj + 1
-		}
-		if !nbr[oj] {
-			full[nj] = a.remapView(a.full[oj], i, entryBase)
-			prefix[nj] = a.remapPrefixRow(a.prefix[oj], i, entryBase)
-		}
-		if warm {
-			if closure[nj] {
-				seed.fillNoQueueRow(nfs, nj)
-				dirty[nj] = true
-			} else {
-				copy(seed[nj], src[oj])
-				dirty[nj] = srcAllDirty || (srcDirty != nil && srcDirty[oj])
-			}
-		}
-	}
-
-	a.fs = nfs
-	a.full, a.prefix = full, prefix
-	a.entryBase, a.nEntries = entryBase, n
+	next := state{fs: nfs}
+	next.entryBase, next.nEntries = entryBases(nfs)
+	next.full, next.prefix = a.keptViews(nOld-1, i, nbr, true, next.entryBase)
+	next.pendingSeed, next.pendingDirty = a.warmSeed(nfs, i, closureFrom(nfs, closureSeed), nil)
 	if a.topo != nil {
-		a.topo = a.topo.withFlowRemoved(i)
+		next.topo = a.topo.withFlowRemoved(i)
 	}
-	a.resetSmaxState()
-	a.pendingSeed, a.pendingDirty = seed, dirty
-	if tr := a.opt.Tracer; tr != nil {
-		emitDelta(tr, "remove", name, warm, dirty)
-	}
+	a.commit("remove", a.fs.Flows[i].Name, next)
 	return nil
 }
 
@@ -476,7 +389,6 @@ func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 		}
 	}()
 	if k := a.takeKept("update", i, f); k != nil {
-		a.undo, a.undoDepth = nil, 0
 		a.adopt(k)
 		return nil
 	}
@@ -487,71 +399,22 @@ func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 	if err != nil {
 		return err
 	}
-	n := a.fs.N()
-	warm := a.warmEligible()
-	src, srcDirty, srcAllDirty := a.seedSource()
-
-	oldNbr := intersectors(a.fs, i)
+	affected := intersectors(a.fs, i)
 	newNbr := intersectors(nfs, i)
-	affected := make([]bool, n)
 	for j := range affected {
-		affected[j] = j == i || oldNbr[j] || newNbr[j]
+		affected[j] = j == i || affected[j] || newNbr[j]
 	}
-	closure := closureFrom(nfs, affected)
-
-	a.undo, a.undoDepth = nil, 0
-
-	sameLen := len(nfs.Flows[i].Path) == len(a.fs.Flows[i].Path)
-	entryBase := a.entryBase
-	nEntries := a.nEntries
-	if !sameLen {
-		entryBase = make([]int, n)
-		nEntries = 0
-		for j, fl := range nfs.Flows {
-			entryBase[j] = nEntries
-			nEntries += len(fl.Path)
-		}
+	// Entry ids move only when the path changes length.
+	next := state{fs: nfs, entryBase: a.entryBase, nEntries: a.nEntries}
+	remap := len(nfs.Flows[i].Path) != len(a.fs.Flows[i].Path)
+	if remap {
+		next.entryBase, next.nEntries = entryBases(nfs)
 	}
-
-	full := make([]*viewCache, n)
-	prefix := make([][]*viewCache, n)
-	var seed smaxTable
-	var dirty []bool
-	if warm {
-		seed, _ = newSmaxTableFlat(nfs)
-		dirty = make([]bool, n)
-	}
-	for j := 0; j < n; j++ {
-		if !affected[j] {
-			if sameLen {
-				full[j] = a.full[j]
-				prefix[j] = a.prefix[j]
-			} else {
-				full[j] = a.remapView(a.full[j], -1, entryBase)
-				prefix[j] = a.remapPrefixRow(a.prefix[j], -1, entryBase)
-			}
-		}
-		if warm {
-			if closure[j] {
-				seed.fillNoQueueRow(nfs, j)
-				dirty[j] = true
-			} else {
-				copy(seed[j], src[j])
-				dirty[j] = srcAllDirty || (srcDirty != nil && srcDirty[j])
-			}
-		}
-	}
-
-	a.fs = nfs
-	a.full, a.prefix = full, prefix
-	a.entryBase, a.nEntries = entryBase, nEntries
+	next.full, next.prefix = a.keptViews(nfs.N(), -1, affected, remap, next.entryBase)
+	next.pendingSeed, next.pendingDirty = a.warmSeed(nfs, -1, closureFrom(nfs, affected), nil)
 	if a.topo != nil {
-		a.topo = a.topo.withFlowUpdated(i, nfs.Flows[i].Path)
+		next.topo = a.topo.withFlowUpdated(i, nfs.Flows[i].Path)
 	}
-	a.resetSmaxState()
-	a.pendingSeed, a.pendingDirty = seed, dirty
-	if tr := a.opt.Tracer; tr != nil {
-		emitDelta(tr, "update", nfs.Flows[i].Name, warm, dirty)
-	}
+	a.commit("update", nfs.Flows[i].Name, next)
 	return nil
 }

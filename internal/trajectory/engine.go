@@ -55,31 +55,12 @@ import (
 // flow-set mutations being copy-on-write (a committed *model.FlowSet
 // is never modified by later mutations).
 type Analyzer struct {
-	fs  *model.FlowSet
+	state
 	opt Options
-
-	// full[i] is the cached context of flow i's full-path view;
-	// prefix[i][k] of the view over Path[:k] (1 ≤ k < len(Path)).
-	// buildViews fills all of a flow's missing views at the first
-	// request for any of them; a view whose busy period diverges stays
-	// nil, so its error surfaces at the slot that asks for it, in the
-	// reference path's evaluation order.
-	full   []*viewCache
-	prefix [][]*viewCache
 
 	// pre is prebuildViews' per-flow state while the serial request loop of
 	// a fixed point runs (nil otherwise).
 	pre []prebuilt
-
-	// entryBase[i] is the global id base of flow i's Smax entries:
-	// entry (i,k) has id entryBase[i]+k. Ids index both the flat Smax
-	// backing and the dirty-propagation reverse maps.
-	entryBase []int
-	nEntries  int
-
-	// topo is the dense topology mirror (slab.go), built lazily and
-	// maintained copy-on-write across mutations.
-	topo *denseTopo
 
 	// arena backs the SoA slices of the views built serially; multi is
 	// the serial view builder's working state (buildViews) and fix the
@@ -89,30 +70,7 @@ type Analyzer struct {
 	multi multiScratch
 	fix   fixScratch
 
-	// smax is the converged table; smaxFlat is its flat backing in
-	// entry-id order (always set together — evaluation gathers A
-	// offsets from the flat slice by the views' precomputed entry ids).
-	smax      smaxTable
-	smaxFlat  []model.Time
-	sweeps    int
-	converged bool
-	smaxDone  bool
-	smaxErr   error
-
-	// bounds caches the last successful Bounds of the current state
-	// (nil until then); every mutation clears it.
-	bounds []model.Time
-
-	// pendingSeed/pendingDirty carry warm-start state left behind by
-	// AddFlow/RemoveFlow/UpdateFlow (delta.go): a valid under-seed of the
-	// mutated set's Smax fixed point plus the per-flow dirty marks. The
-	// next ensureSmax consumes them instead of the no-queue seed. The
-	// seed is read-only to the fixed point (it copies the rows into a
-	// fresh flat table), so WhatIf forks share it without cloning.
-	pendingSeed  smaxTable
-	pendingDirty []bool
-
-	// undo is the chain of pre-AddFlow snapshots enabling the O(1)
+	// undo is the chain of pre-AddFlow states enabling the O(1)
 	// RemoveFlow fast path of an admission probe (add, analyze, reject).
 	// Any other mutation clears the chain.
 	undo      *undoSnap
@@ -135,6 +93,59 @@ type Analyzer struct {
 	scratch evalScratch // serial evaluation scratch
 }
 
+// state is everything that describes the analysis of one flow set: the
+// set itself, its views and entry ids, the dense topology, the Smax fixed
+// point with its latches, the cached bounds and the warm seed a mutation
+// leaves behind. Undo snapshots, kept WhatIf forks and forks copy it
+// whole, and a mutation replaces it whole (commit): whatever the
+// successor's literal does not set — the converged table, the error
+// latches, the bounds — starts at zero.
+type state struct {
+	fs *model.FlowSet
+
+	// full[i] is the cached context of flow i's full-path view;
+	// prefix[i][k] of the view over Path[:k] (1 ≤ k < len(Path)).
+	// buildViews fills all of a flow's missing views at the first
+	// request for any of them; a view whose busy period diverges stays
+	// nil, so its error surfaces at the slot that asks for it, in the
+	// reference path's evaluation order.
+	full   []*viewCache
+	prefix [][]*viewCache
+
+	// entryBase[i] is the global id base of flow i's Smax entries:
+	// entry (i,k) has id entryBase[i]+k. Ids index both the flat Smax
+	// backing and the dirty-propagation reverse maps.
+	entryBase []int
+	nEntries  int
+
+	// topo is the dense topology mirror (slab.go), built lazily and
+	// maintained copy-on-write across mutations.
+	topo *denseTopo
+
+	// smax is the converged table; smaxFlat is its flat backing in
+	// entry-id order (always set together — evaluation gathers A
+	// offsets from the flat slice by the views' precomputed entry ids).
+	smax      smaxTable
+	smaxFlat  []model.Time
+	sweeps    int
+	converged bool
+	smaxDone  bool
+	smaxErr   error
+
+	// bounds caches the last successful Bounds of the state (nil until
+	// then).
+	bounds []model.Time
+
+	// pendingSeed/pendingDirty carry warm-start state left behind by
+	// AddFlow/RemoveFlow/UpdateFlow (delta.go): a valid under-seed of the
+	// mutated set's Smax fixed point plus the per-flow dirty marks. The
+	// next ensureSmax consumes them instead of the no-queue seed. The
+	// seed is read-only to the fixed point (it copies the rows into a
+	// fresh flat table), so WhatIf forks share it without cloning.
+	pendingSeed  smaxTable
+	pendingDirty []bool
+}
+
 // FlowSet returns the analyzer's current flow set. After mutations the
 // set differs from the one NewAnalyzer was given; admission controllers
 // use this accessor to read the committed state back.
@@ -153,20 +164,29 @@ func NewAnalyzer(fs *model.FlowSet, opt Options) (*Analyzer, error) {
 // newAnalyzer is NewAnalyzer without the error return, for one-shot
 // analyses: its views are not extendable.
 func newAnalyzer(fs *model.FlowSet, opt Options) *Analyzer {
-	a := &Analyzer{
-		fs:        fs,
-		opt:       opt,
-		full:      make([]*viewCache, fs.N()),
-		prefix:    make([][]*viewCache, fs.N()),
-		entryBase: make([]int, fs.N()),
+	base, n := entryBases(fs)
+	return &Analyzer{
+		state: state{
+			fs:        fs,
+			full:      make([]*viewCache, fs.N()),
+			prefix:    make([][]*viewCache, fs.N()),
+			entryBase: base,
+			nEntries:  n,
+		},
+		opt: opt,
 	}
+}
+
+// entryBases returns every flow's Smax entry id base in fs and the
+// total entry count.
+func entryBases(fs *model.FlowSet) ([]int, int) {
+	base := make([]int, fs.N())
 	n := 0
 	for i, f := range fs.Flows {
-		a.entryBase[i] = n
+		base[i] = n
 		n += len(f.Path)
 	}
-	a.nEntries = n
-	return a
+	return base, n
 }
 
 // ensureTopo returns the dense topology mirror, building it on first

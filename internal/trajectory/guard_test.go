@@ -161,15 +161,16 @@ func TestBenchGuardAddExtends(t *testing.T) {
 
 // TestBenchGuardTScan pins the t-scan: full-view evaluations of a
 // converged Analyzer (eval against the cached views and the flat Smax
-// table) against the reference's boundForView of the same views and
-// table, alternating in this process at GOMAXPROCS 1. The set is a
-// five-hop tandem of 30 flows with distinct periods 20–49 at node
+// table) against naiveScan of the same views and table, alternating in
+// this process at GOMAXPROCS 1. naiveScan shares no code with eval or
+// the reference, so the ratio moves only when eval's cost does. The set
+// is a five-hop tandem of 30 flows with distinct periods 20–49 at node
 // utilisation 0.93, so each busy window spans 4–9 periods of every
 // interferer and the scan is ~95% of eval's time. The engine measures
-// ~9.5× the reference on 2 vCPU and must stay 7× faster in the median
-// of 9 samples, so an eval doing twice its work (~4.8×) fails; the
-// engine-wide TestBenchGuardEngineSpeedup does not see that, since the
-// scan is a small share of a cold analysis.
+// 3.1–4.4× the naive scan on 2 vCPU and must stay 2.4× faster in the
+// median of 9 samples, so an eval doing twice its work (1.6–2.0×) fails;
+// the engine-wide TestBenchGuardEngineSpeedup does not see that, since
+// the scan is a small share of a cold analysis.
 func TestBenchGuardTScan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")
@@ -183,8 +184,14 @@ func TestBenchGuardTScan(t *testing.T) {
 	if _, err := a.Bounds(); err != nil {
 		t.Fatal(err)
 	}
+	for i, vc := range a.full {
+		r, ts := vc.eval(a.smaxFlat, &a.scratch)
+		if nr, nt := naiveScan(vc, a.smaxFlat); nr != r || nt != ts {
+			t.Fatalf("flow %d: eval = (%d, t=%d), naive scan = (%d, t=%d)", i, r, ts, nr, nt)
+		}
+	}
 	// Passes per sample, so each side of a sample spans ~10 ms.
-	const engReps, refReps = 40, 4
+	const engReps, naiveReps = 40, 10
 	eng := func() float64 {
 		start := time.Now()
 		for r := 0; r < engReps; r++ {
@@ -194,36 +201,61 @@ func TestBenchGuardTScan(t *testing.T) {
 		}
 		return float64(time.Since(start)) / engReps
 	}
-	ref := func() float64 {
+	naive := func() float64 {
 		start := time.Now()
-		for r := 0; r < refReps; r++ {
-			for i := range fs.Flows {
-				if _, err := boundForView(fs, a.opt, fullView(fs, i), a.smax); err != nil {
-					t.Fatal(err)
-				}
+		for r := 0; r < naiveReps; r++ {
+			for _, vc := range a.full {
+				naiveScan(vc, a.smaxFlat)
 			}
 		}
-		return float64(time.Since(start)) / refReps
+		return float64(time.Since(start)) / naiveReps
 	}
 	eng() // warm-up
-	ref()
+	naive()
 	ratios := make([]float64, 9)
 	for s := range ratios {
 		if s%2 == 0 {
 			e := eng()
-			ratios[s] = ref() / e
+			ratios[s] = naive() / e
 		} else {
-			r := ref()
-			ratios[s] = r / eng()
+			n := naive()
+			ratios[s] = n / eng()
 		}
 	}
 	med, mad := medianMAD(ratios)
-	if med < 7 {
-		t.Errorf("engine t-scan only %.2fx faster than the reference (median of %d, MAD %.2f, samples %.2f), want >= 7x",
+	if med < 2.4 {
+		t.Errorf("engine t-scan only %.2fx faster than the naive scan (median of %d, MAD %.2f, samples %.2f), want >= 2.4x",
 			med, len(ratios), mad, ratios)
 	} else {
-		t.Logf("engine t-scan %.2fx faster than the reference (MAD %.2f)", med, mad)
+		t.Logf("engine t-scan %.2fx faster than the naive scan (MAD %.2f)", med, mad)
 	}
+}
+
+// naiveScan is Property 2's maximisation by its definition, over the
+// view's constants and the flat Smax table: W(t)+C^last−t at every
+// integer instant t of [−J, −J+Bslow), each packet count (1+⌊w/T⌋)⁺
+// taken afresh, the first maximiser kept. It shares no code with eval
+// or the reference; TestBenchGuardTScan checks it against eval and
+// times eval against it.
+func naiveScan(vc *viewCache, flat []model.Time) (r, tStar model.Time) {
+	count := func(w, per model.Time) model.Time {
+		if w < 0 {
+			return 0
+		}
+		return 1 + w/per
+	}
+	lo := -vc.jitter
+	for t := lo; t < lo+vc.bslow; t++ {
+		w := vc.fixed + count(t+vc.jitter, vc.period)*vc.cslow
+		for x := range vc.jflow {
+			off := flat[vc.iEnt[x]] + flat[vc.jEnt[x]] + vc.aConst[x]
+			w += count(t+off, vc.iperiods[x]) * vc.csj[x]
+		}
+		if v := w + vc.clast - t; t == lo || v > r {
+			r, tStar = v, t
+		}
+	}
+	return r, tStar
 }
 
 // scanSet is TestBenchGuardTScan's tandem: flow k has cost 1 at each

@@ -42,7 +42,7 @@ type keptFork struct {
 	op     string
 	index  int // target of an update or removal; -1 for an add
 	flow   *model.Flow
-	state  *undoSnap
+	state  state
 	events eventBuffer
 }
 
@@ -62,10 +62,10 @@ func (a *Analyzer) takeKept(op string, i int, f *model.Flow) *keptFork {
 
 // adopt installs a kept fork's state, which is bit-identical to what
 // the matching mutation followed by Bounds computes on this Analyzer
-// (the WhatIf contract), and replays the events that work would have
-// emitted. The caller fixes up the undo chain as its mutation would.
+// (the WhatIf contract), with the undo chain fixed up as the mutation
+// would (replace), and replays the events that work would have emitted.
 func (a *Analyzer) adopt(k *keptFork) {
-	a.install(k.state)
+	a.replace(k.op, k.state)
 	if tr := a.opt.Tracer; tr != nil {
 		for _, e := range k.events {
 			tr.Emit(e)
@@ -160,7 +160,7 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 			out[k].Err = err
 		}
 		if c.Keep && out[k].Err == nil {
-			kf := &keptFork{op: op, index: c.Index, state: f.snapshot(), events: rec}
+			kf := &keptFork{op: op, index: c.Index, state: f.state, events: rec}
 			switch op {
 			case "add":
 				kf.index, kf.flow = -1, f.fs.Flows[f.fs.N()-1]
@@ -201,29 +201,12 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 // base records its events instead, and they reach the tracer only if
 // the base adopts the fork.
 func (a *Analyzer) fork() *Analyzer {
-	f := &Analyzer{
-		fs:        a.fs,
-		opt:       a.opt,
-		entryBase: a.entryBase,
-		nEntries:  a.nEntries,
-		topo:      a.topo,
-		smax:      a.smax,
-		smaxFlat:  a.smaxFlat,
-		sweeps:    a.sweeps,
-		converged: a.converged,
-		smaxDone:  a.smaxDone,
-		smaxErr:   a.smaxErr,
-		cow:       true,
-		// The fork's arena starts empty: it carves slices only for the
-		// views its own mutation rebuilds or remaps, so sibling forks
-		// never touch each other's chunks. pendingSeed/pendingDirty are
-		// shared as-is — the engine fixed point copies the seed into a
-		// fresh flat table instead of mutating it, and a fork's own
-		// mutations replace (never write through) these references.
-		pendingSeed:  a.pendingSeed,
-		pendingDirty: a.pendingDirty,
-		extendable:   a.extendable,
-	}
+	// The fork's arena starts empty: it carves slices only for the views
+	// its own mutation rebuilds or remaps, so sibling forks never touch
+	// each other's chunks. The warm seed is shared as-is — the engine
+	// fixed point copies it into a fresh flat table instead of mutating
+	// it, and the fork's mutation replaces the whole state.
+	f := &Analyzer{state: a.state, opt: a.opt, cow: true, extendable: a.extendable}
 	f.opt.Parallelism = 1
 	f.opt.Tracer = nil
 	f.full = append([]*viewCache(nil), a.full...)
