@@ -222,7 +222,12 @@ func randomBlocking(rng *rand.Rand, f *model.Flow) *model.Flow {
 // renegotiate and route=auto sequences through the warm core on a Clos
 // fabric and checks after every step that its decision, bounds and
 // committed set equal the cold oracle's. Manual admits and
-// renegotiations may carry Blocking (an EF set's Lemma-4 δ). Run under
+// renegotiations may carry Blocking (an EF set's Lemma-4 δ). After the
+// random steps, every committed flow is renegotiated three times with
+// the same path, costs, jitter and Blocking: its period scaled by
+// 0.8–1.25 as served, its period cut to its cost, which the core
+// refuses and undoes, and its deadline alone, so the analyzer's view
+// patch and the undo of a refused patch meet the oracle too. Run under
 // -race in CI.
 func TestControllerDifferential(t *testing.T) {
 	topo, err := workload.ClosTopology(3, 4, 2)
@@ -299,6 +304,20 @@ func TestControllerDifferential(t *testing.T) {
 					got, gotErr = c.Release(ctx, name)
 				}
 				record(step, got, gotErr, want, wantErr)
+			}
+			prng := rand.New(rand.NewSource(seed + 100))
+			for _, g := range append([]*model.Flow(nil), o.flows...) {
+				for r, change := range []func(f *model.Flow){
+					func(f *model.Flow) { f.Period = max(1, f.Period*model.Time(80+prng.Intn(46))/100) },
+					func(f *model.Flow) { f.Period = f.Cost[0] },
+					func(f *model.Flow) { f.Deadline = model.Time(25 + prng.Intn(60)) },
+				} {
+					f := o.flows[o.index(g.Name)].Clone()
+					change(f)
+					want, wantErr := o.renegotiate(f)
+					got, gotErr := c.Renegotiate(ctx, f, false)
+					record(fmt.Sprintf("seed %d %s renegotiation %d of %s", seed, backend, r, g.Name), got, gotErr, want, wantErr)
+				}
 			}
 			// Drain and refill: release every flow, admit from the empty
 			// set by route=auto, drain again, admit manually from empty,

@@ -1,6 +1,8 @@
 package trajectory
 
 import (
+	"slices"
+
 	"trajan/internal/model"
 	"trajan/internal/obs"
 )
@@ -10,12 +12,18 @@ import (
 // mutation
 //
 //  1. derives the new flow set copy-on-write (model delta constructors),
-//  2. keeps every cached view whose interferer set the change cannot
-//     touch (flows whose paths do not intersect the changed flow) and
-//     drops only the reachable ones; after an add, buildViews extends a
-//     dropped view from its counterpart in the newest undo snapshot
-//     that holds it, sweeping only the appended flows, while a removal
-//     or update rebuilds it, and
+//  2. keeps the rows of the flows the changed flow does not meet,
+//     remapped when entry ids move, and drops the others, to be
+//     re-derived on their next request (buildViews): after an add every
+//     view of a dropped row is extended from its counterpart in the
+//     newest undo snapshot that holds it, sweeping only the appended
+//     flows; after a release or a renegotiation of the period alone, a
+//     view that does not hold the changed flow — flow j's length-p view
+//     holds it exactly when it visits a node of Path_j[:p] — is carried
+//     over as a copy, and the others are shrunk from their pre-release
+//     columns minus the released entry, or patched, the new period
+//     re-running the busy period (deriveView); after any other update
+//     every view of a dropped row is rebuilt, and
 //  3. leaves a warm-start seed for the Smax prefix fixed point: the
 //     previously converged rows for untouched flows, the no-queue floor
 //     for the flows whose equations changed.
@@ -24,16 +32,20 @@ import (
 // max-update chaotic iteration of a monotone operator F, so from any
 // seed s with noqueue ≤ s ≤ lfp(F) it converges to exactly lfp(F).
 // Adding a flow only grows F pointwise, so the old fixed point is a
-// valid under-seed; removing or updating a flow can shrink F, so every
-// row in the interference closure of the changed flow restarts from the
+// valid under-seed; so does lowering a flow's period, since every term
+// of Property 2 and of the busy period is non-increasing in a period,
+// and a deadline-only renegotiation leaves F as it was. Removing a flow,
+// raising a period or any other update can shrink F, so every row in
+// the interference closure of the changed flow restarts from the
 // no-queue floor while rows outside the closure — whose equations form
 // an unchanged, self-contained subsystem — keep their converged values.
 // A flow-granular dirty set over-approximates the slots whose equations
 // changed; a spurious mark only costs one no-op re-evaluation.
 //
-// Differential tests (delta_test.go) pin the results of every mutated
-// analyzer, including error strings and Unbounded verdicts, to a cold
-// NewAnalyzer over the same flow set.
+// Differential tests (delta_test.go, extend_test.go) pin the results of
+// every mutated analyzer, including error strings, Unbounded verdicts
+// and every re-derived view, to a cold NewAnalyzer over the same flow
+// set.
 
 // maxUndoDepth bounds the AddFlow snapshot chain; deeper chains drop
 // their oldest entry (the corresponding RemoveFlow then takes the
@@ -59,6 +71,40 @@ func intersectors(fs *model.FlowSet, i int) []bool {
 		}
 	}
 	return nbr
+}
+
+// derivation is what a release or a period-only renegotiation keeps of
+// the state it replaces: that state's views and entry ids, from which
+// buildViews re-derives each dropped view (deriveView) instead of
+// rebuilding it. removed is the released flow's index in that state, or
+// -1 for a renegotiation of flow updated (the same index in both).
+type derivation struct {
+	full             []*viewCache
+	prefix           [][]*viewCache
+	entryBase        []int
+	removed, updated int
+}
+
+// changes reports whether flow i's view ov in the predecessor is one
+// the mutation changed: it holds the released or renegotiated flow, or
+// it is the renegotiated flow's own.
+func (d *derivation) changes(i int, ov *viewCache) bool {
+	u := d.removed
+	if u < 0 {
+		u = d.updated
+	}
+	_, held := slices.BinarySearch(ov.jflow, int32(u))
+	return held || i == d.updated
+}
+
+// periodOnly reports whether g differs from f at most in its period and
+// deadline. The analysis never reads a deadline, and a view reads a
+// flow's period only as its own period or an interferer's, so a
+// renegotiation of that kind moves nothing else in any view.
+func periodOnly(f, g *model.Flow) bool {
+	h := *g
+	h.Period, h.Deadline = f.Period, f.Deadline
+	return h.Equal(f)
 }
 
 // closureFrom expands a seed set of flows to its transitive closure
@@ -93,7 +139,7 @@ func closureFrom(fs *model.FlowSet, seed []bool) []bool {
 // above `removed` shift down by one (removed < 0 means no shift, only
 // the entry ids changed), and the precomputed global entry ids and the
 // read set are translated to the new bases. Only views that do NOT
-// interfere with the changed flow are ever remapped, so the cached
+// hold the changed flow are ever remapped, so the cached
 // constants (A offsets, M terms, slow node, Bslow) remain exact —
 // which is why the clone below shares the constant arrays (aConst,
 // csj, iperiods, sameDir) and copies only the index-bearing ones.
@@ -108,19 +154,20 @@ func (a *Analyzer) remapView(vc *viewCache, removed int, entryBase []int) *viewC
 	if a.cow {
 		clone := a.arena.newView()
 		*clone = *vc
-		ni := len(vc.jflow)
-		clone.jflow = arenaSlice(&a.arena.ints, ni)
-		copy(clone.jflow, vc.jflow)
-		clone.iEnt = arenaSlice(&a.arena.ints, ni)
-		copy(clone.iEnt, vc.iEnt)
-		clone.jEnt = arenaSlice(&a.arena.ints, ni)
-		copy(clone.jEnt, vc.jEnt)
-		clone.readIDs = arenaSlice(&a.arena.ints, len(vc.readIDs))
-		copy(clone.readIDs, vc.readIDs)
+		clone.jflow = arenaClone(&a.arena.ints, vc.jflow)
+		clone.iEnt = arenaClone(&a.arena.ints, vc.iEnt)
+		clone.jEnt = arenaClone(&a.arena.ints, vc.jEnt)
+		clone.readIDs = arenaClone(&a.arena.ints, vc.readIDs)
 		vc = clone
 	}
+	remapIDs(vc, removed, a.entryBase, entryBase)
+	return vc
+}
+
+// remapIDs re-indexes vc in place from the entry bases oldBase to
+// entryBase (see remapView).
+func remapIDs(vc *viewCache, removed int, oldBase, entryBase []int) {
 	oldFlow := vc.flow
-	oldBase := a.entryBase
 	if removed >= 0 && vc.flow > removed {
 		vc.flow--
 	}
@@ -149,7 +196,6 @@ func (a *Analyzer) remapView(vc *viewCache, removed int, entryBase []int) *viewC
 		vc.readIDs[r] = vc.jEnt[x]
 		r++
 	}
-	return vc
 }
 
 // remapPrefixRow remaps every built view of one flow's prefix row.
@@ -182,9 +228,10 @@ func rowOf(j, removed, nOld int) int {
 
 // keptViews returns the n view rows of a mutated flow list: row j
 // carries over the views of its old row (rowOf) unless that row is
-// dropped (drop, indexed by old rows), remapped to the entry bases eb
-// when remap is set. A dropped row and a new flow start empty and are
-// built, or extended, on their next request.
+// dropped (drop, indexed by old rows; nil drops none), remapped to the
+// entry bases eb when remap is set. A dropped row and a new flow start
+// empty; on the row's next request buildViews carries over the views
+// the change left alone and extends, re-derives or builds the rest.
 func (a *Analyzer) keptViews(n, removed int, drop []bool, remap bool, eb []int) ([]*viewCache, [][]*viewCache) {
 	full := make([]*viewCache, n)
 	prefix := make([][]*viewCache, n)
@@ -192,7 +239,7 @@ func (a *Analyzer) keptViews(n, removed int, drop []bool, remap bool, eb []int) 
 	for j := range full {
 		o := rowOf(j, removed, nOld)
 		switch {
-		case o < 0 || drop[o]:
+		case o < 0 || (drop != nil && drop[o]):
 		case remap:
 			full[j] = a.remapView(a.full[o], removed, eb)
 			prefix[j] = a.remapPrefixRow(a.prefix[o], removed, eb)
@@ -329,9 +376,12 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 // RemoveFlow evicts the flow at index i; flows above it shift down by
 // one. Removing the most recently added flow (the admission-probe
 // reject path) restores the exact pre-AddFlow state in O(1) from the
-// snapshot chain. The general path remaps the kept views in place and
-// restarts the interference closure of the removed flow from the
-// no-queue floor; rows outside the closure keep their converged values.
+// snapshot chain. The general path remaps the rows of the flows it did
+// not meet in place, leaves the others to be re-derived on their next
+// request — each view carried over, or shrunk when it holds the removed
+// flow (deriveView) — and restarts the interference closure of the
+// removed flow from the no-queue floor; rows outside the closure keep
+// their converged values.
 // A kept WhatIf fork of this removal replaces the general path (adopt).
 func (a *Analyzer) RemoveFlow(i int) (err error) {
 	defer func() {
@@ -368,6 +418,7 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 	next := state{fs: nfs}
 	next.entryBase, next.nEntries = entryBases(nfs)
 	next.full, next.prefix = a.keptViews(nOld-1, i, nbr, true, next.entryBase)
+	next.derive = &derivation{full: a.full, prefix: a.prefix, entryBase: a.entryBase, removed: i, updated: -1}
 	next.pendingSeed, next.pendingDirty = a.warmSeed(nfs, i, closureFrom(nfs, closureSeed), nil)
 	if a.topo != nil {
 		next.topo = a.topo.withFlowRemoved(i)
@@ -377,11 +428,16 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 }
 
 // UpdateFlow replaces the flow at index i with a copy of f (same
-// index, new parameters). Views of flows intersecting neither the old
-// nor the new flow survive; the interference closure of both restarts
-// from the no-queue floor. Validation errors leave the analyzer
-// unchanged. A kept WhatIf fork of this update is installed instead
-// (adopt).
+// index, new parameters). Rows of flows that neither the old nor the
+// new flow meets survive. A renegotiation of the period alone patches,
+// on their next request, the views that hold the flow and its own
+// (deriveView), carrying the others of their rows over, and, when the
+// period does not rise, warm-starts the fixed point like an add; a
+// deadline-only change keeps every view. Any other update rebuilds the
+// dropped rows, and the interference closure of both flows restarts
+// from the no-queue floor. Validation errors leave the
+// analyzer unchanged. A kept WhatIf fork of this update is installed
+// instead (adopt).
 func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -399,21 +455,34 @@ func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 	if err != nil {
 		return err
 	}
+	old, nf := a.fs.Flows[i], nfs.Flows[i]
 	affected := intersectors(a.fs, i)
-	newNbr := intersectors(nfs, i)
-	for j := range affected {
-		affected[j] = j == i || affected[j] || newNbr[j]
-	}
-	// Entry ids move only when the path changes length.
-	next := state{fs: nfs, entryBase: a.entryBase, nEntries: a.nEntries}
-	remap := len(nfs.Flows[i].Path) != len(a.fs.Flows[i].Path)
-	if remap {
-		next.entryBase, next.nEntries = entryBases(nfs)
+	affected[i] = true
+	next := state{fs: nfs, entryBase: a.entryBase, nEntries: a.nEntries, topo: a.topo}
+	remap, grows := false, false
+	switch {
+	case !periodOnly(old, nf):
+		for j, in := range intersectors(nfs, i) {
+			affected[j] = affected[j] || in
+		}
+		// Entry ids move only when the path changes length.
+		if remap = len(nf.Path) != len(old.Path); remap {
+			next.entryBase, next.nEntries = entryBases(nfs)
+		}
+		if a.topo != nil {
+			next.topo = a.topo.withFlowUpdated(i, nf.Path)
+		}
+	case nf.Period == old.Period:
+		affected, grows = nil, true
+	default:
+		grows = nf.Period < old.Period
+		next.derive = &derivation{full: a.full, prefix: a.prefix, entryBase: a.entryBase, removed: -1, updated: i}
 	}
 	next.full, next.prefix = a.keptViews(nfs.N(), -1, affected, remap, next.entryBase)
-	next.pendingSeed, next.pendingDirty = a.warmSeed(nfs, -1, closureFrom(nfs, affected), nil)
-	if a.topo != nil {
-		next.topo = a.topo.withFlowUpdated(i, nfs.Flows[i].Path)
+	if grows {
+		next.pendingSeed, next.pendingDirty = a.warmSeed(nfs, -1, nil, affected)
+	} else {
+		next.pendingSeed, next.pendingDirty = a.warmSeed(nfs, -1, closureFrom(nfs, affected), nil)
 	}
 	a.commit("update", nfs.Flows[i].Name, next)
 	return nil

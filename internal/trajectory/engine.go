@@ -144,6 +144,10 @@ type state struct {
 	// fresh flat table), so WhatIf forks share it without cloning.
 	pendingSeed  smaxTable
 	pendingDirty []bool
+
+	// derive is the predecessor a release or a period-only
+	// renegotiation re-derives its dropped views from (nil otherwise).
+	derive *derivation
 }
 
 // FlowSet returns the analyzer's current flow set. After mutations the
@@ -364,6 +368,7 @@ func (a *Analyzer) BoundsContext(ctx context.Context) (out []model.Time, err err
 		}
 	}
 	a.bounds = slices.Clone(out)
+	a.derive = nil // every view is built
 	return out, nil
 }
 
@@ -621,12 +626,24 @@ func (vc *viewCache) maxCost(fs *model.FlowSet) model.Time {
 // (resumeView); passes 1 and 2 then visit only the appended flows, and
 // finishView runs as on a rebuild.
 //
+// When the state was left by a release or a period-only renegotiation
+// whose predecessor still holds every missing view (deriveRow), each is
+// re-derived from its predecessor instead (deriveView): the interferer
+// list is known, so passes 1 and 2 are skipped, and the view's columns
+// and build state are those a rebuild's sweep would leave.
+//
+// There, a view that does not hold the released or renegotiated flow
+// is carried over as a copy (carryView): no busy period re-runs and no
+// event fires for it. testNoExtend rebuilds the changed views and still
+// carries the others over.
+//
 // The build state is the caller's: ms and ar are the working state and
 // the arena the views are carved from, and tr receives the busy-period
 // events. The serial path passes the Analyzer's own; prebuildViews
 // passes one set per worker, and builds of different flows touch
-// disjoint Analyzer state (flow i's full and prefix slots only), so
-// they may run concurrently once the topology mirror exists.
+// disjoint Analyzer state (flow i's full and prefix slots, and its row
+// of a.derive), so they may run concurrently once the topology mirror
+// exists.
 func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr obs.Tracer) (*viewCache, error) {
 	fs := a.fs
 	f := fs.Flows[i]
@@ -640,10 +657,24 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 	n := fs.N()
 	posI := tp.pos[i]
 	dpi := tp.dpath[i]
+	// The source of the missing views, if a state holds all of them:
+	// an undo snapshot (base) the views are extended from, or the
+	// predecessor of a release or period renegotiation (row src of
+	// a.derive), whose views the mutation did not change carry over
+	// while the others are re-derived. testNoExtend rebuilds the views
+	// that would be extended or re-derived.
 	base := a.extendBase(i, L)
+	src := -1
+	if base == nil {
+		src = a.deriveRow(i, L)
+	}
 	j0 := 0 // the first interferer the sweep visits
-	if base != nil {
+	switch {
+	case testNoExtend:
+	case base != nil:
 		j0 = base.fs.N()
+	case src >= 0:
+		j0 = n
 	}
 
 	// Pass 1: each interferer's activation index, histogrammed so every
@@ -668,8 +699,8 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 		}
 	}
 
-	// Carve the missing views at exact size and open their build
-	// states; top is the longest missing view.
+	// Carry the unchanged views over, carve the others at exact size and
+	// open their build states; top is the longest view carved.
 	ms.vcs = growN(ms.vcs, L)
 	ms.xs = growN(ms.xs, L)
 	ms.st = growN(ms.st, L)
@@ -683,16 +714,31 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 	top, cum := 0, 0
 	for p := 1; p <= L; p++ {
 		cum += int(ms.hist[p-1])
+		ms.vcs[p-1] = nil
 		if viewAt(a.full, a.prefix, i, p, L) != nil {
-			ms.vcs[p-1] = nil
 			continue
+		}
+		var bv *viewCache
+		switch {
+		case base != nil:
+			bv = viewAt(base.full, base.prefix, i, p, L)
+		case src >= 0:
+			bv = viewAt(a.derive.full, a.derive.prefix, src, p, L)
+			if !a.derive.changes(i, bv) {
+				a.carryView(bv, ar, L)
+				continue
+			}
+		}
+		if testNoExtend {
+			bv = nil
 		}
 		top = p
 		ni := cum
-		var bv *viewCache
-		if base != nil {
-			bv = viewAt(base.full, base.prefix, i, p, L)
+		if bv != nil {
 			ni += len(bv.jflow)
+			if src >= 0 && a.derive.removed >= 0 {
+				ni-- // the released flow's entry
+			}
 		}
 		vc := ar.newView()
 		vc.flow = i
@@ -711,9 +757,18 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 		ms.vcs[p-1] = vc
 		ms.xs[p-1] = 0
 		ms.st[p-1].reset(p, f.Cost[:p])
-		if bv != nil {
+		switch {
+		case bv == nil:
+		case base != nil:
 			ms.resumeView(vc, bv, &ms.st[p-1], baseI)
+		default:
+			a.deriveView(ms, vc, bv, &ms.st[p-1], tp)
 		}
+	}
+	if src >= 0 {
+		// The predecessor's views of flow i are consumed: they become
+		// garbage now, not when the derivation does.
+		a.derive.full[src], a.derive.prefix[src] = nil, nil
 	}
 
 	// Pass 2: one bucket computation per pair, then an ascending-plen
@@ -845,13 +900,13 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 
 // extendBase returns the newest undo snapshot holding every view of
 // flow i (path length L) that the current state misses, or nil when no
-// snapshot does, the Analyzer is not extendable or testNoExtend is set.
+// snapshot does or the Analyzer is not extendable.
 // Every snapshot on the chain is a pre-AddFlow state — any other
 // mutation clears the chain — so its flow set is a prefix of the
 // current one with unchanged entry ids, and older snapshots hold fewer
 // flows: the walk stops at the first one without flow i.
 func (a *Analyzer) extendBase(i, L int) *undoSnap {
-	if testNoExtend || !a.extendable {
+	if !a.extendable {
 		return nil
 	}
 next:
@@ -895,6 +950,157 @@ func (ms *multiScratch) resumeView(vc, bv *viewCache, st *buildScratch, baseI in
 		}
 	}
 	ms.xs[p-1] = int32(len(bv.jflow))
+}
+
+// deriveRow returns flow i's row in the predecessor of a release or a
+// period-only renegotiation (Analyzer.derive) when that row holds every
+// view of flow i (path length L) the current state misses, none that the
+// mutation changed saturated, or -1 — also when the Analyzer is not
+// extendable. A saturated view rebuilds: its sticky flags may hide which
+// operation set them.
+func (a *Analyzer) deriveRow(i, L int) int {
+	d := a.derive
+	if d == nil || !a.extendable {
+		return -1
+	}
+	o := rowOf(i, d.removed, len(d.full))
+	for p := 1; p <= L; p++ {
+		if viewAt(a.full, a.prefix, i, p, L) != nil {
+			continue
+		}
+		ov := viewAt(d.full, d.prefix, o, p, L)
+		if ov == nil || (d.changes(i, ov) && (ov.sat || ov.sweepSat)) {
+			return -1
+		}
+	}
+	return o
+}
+
+// carryView makes a copy of bv, a view of the predecessor that a
+// release or renegotiation left unchanged, the current view of its flow
+// (path length L), re-indexed after a release. The copy is carved from
+// ar, so a row's views stay together and the predecessor's chunks are
+// not kept alive by the few views a row carries.
+func (a *Analyzer) carryView(bv *viewCache, ar *slabArena, L int) {
+	vc := ar.newView()
+	*vc = *bv
+	vc.jflow = arenaClone(&ar.ints, bv.jflow)
+	vc.iEnt = arenaClone(&ar.ints, bv.iEnt)
+	vc.jEnt = arenaClone(&ar.ints, bv.jEnt)
+	vc.aConst = arenaClone(&ar.times, bv.aConst)
+	vc.csj = arenaClone(&ar.times, bv.csj)
+	vc.iperiods = arenaClone(&ar.times, bv.iperiods)
+	vc.sameDir = arenaClone(&ar.bools, bv.sameDir)
+	vc.readIDs = arenaClone(&ar.ints, bv.readIDs)
+	vc.sd = arenaClone(&ar.times, bv.sd)
+	if d := a.derive; d.removed >= 0 {
+		remapIDs(vc, d.removed, d.entryBase, a.entryBase)
+	}
+	if vc.plen == L {
+		a.full[vc.flow] = vc
+	} else {
+		a.prefix[vc.flow][vc.plen] = vc
+	}
+}
+
+// deriveView fills vc, flow i's length-p view, and its build state st
+// from ov, the same view in the predecessor a.derive, leaving both as a
+// rebuild's sweep would: the columns, the busy-period groups replayed
+// through addGroup, the read set, the same-direction extrema and the
+// saturation flag. ov is unsaturated (deriveRow), so every operation of
+// its build ran unflagged and exact.
+//
+// After a period-only renegotiation of flow u, a view differs from ov
+// only in u's period — its own (vc.period, set by the caller) or u's
+// interferer entry's — so the columns copy over with that one period
+// patched, and the read set and extrema are ov's.
+//
+// After the release of flow r, ov holds r, and vc is ov without r's
+// entry. Entries keep their columns, translated to the new flow
+// indexes and entry ids, except for one dependency: Lemma 2's M ranges
+// over the same-direction interferers before each entry, so when r was
+// same-direction, every later entry's A constant (and the extrema the
+// slow node reads) moved. Those entries re-run the build's M query and
+// subtraction against extrema replayed through absorbSameDir without
+// r — the operand sequence of a rebuild, flags included.
+func (a *Analyzer) deriveView(ms *multiScratch, vc, ov *viewCache, st *buildScratch, tp *denseTopo) {
+	d := a.derive
+	p, i := vc.plen, vc.flow
+	if d.removed < 0 {
+		copy(vc.jflow, ov.jflow)
+		copy(vc.iEnt, ov.iEnt)
+		copy(vc.jEnt, ov.jEnt)
+		copy(vc.aConst, ov.aConst)
+		copy(vc.csj, ov.csj)
+		copy(vc.iperiods, ov.iperiods)
+		copy(vc.sameDir, ov.sameDir)
+		if x, ok := slices.BinarySearch(vc.jflow, int32(d.updated)); ok {
+			vc.iperiods[x] = a.fs.Flows[d.updated].Period
+		}
+		for x := range vc.iperiods {
+			st.addGroup(vc.iperiods[x], vc.csj[x])
+		}
+		copy(st.minSD, ov.sd[:p])
+		copy(st.maxSD, ov.sd[p:])
+		st.reads = append(st.reads, ov.readIDs...)
+		ms.xs[p-1] = int32(len(vc.jflow))
+		return
+	}
+	fs, r := a.fs, d.removed
+	xr, _ := slices.BinarySearch(ov.jflow, int32(r))
+	rsd := ov.sameDir[xr]
+	oldBaseI := int32(d.entryBase[rowOf(i, r, len(d.full))])
+	baseI := int32(a.entryBase[i])
+	posI, dpi := tp.pos[i], tp.dpath[i]
+	x := 0
+	for y, jo := range ov.jflow {
+		if y == xr {
+			continue
+		}
+		j := jo
+		if int(jo) > r {
+			j--
+		}
+		fji := ov.iEnt[y] - oldBaseI
+		fij := ov.jEnt[y] - int32(d.entryBase[jo])
+		iEnt, jEnt := baseI+fji, int32(a.entryBase[j])+fij
+		aConst := ov.aConst[y]
+		if rsd && y > xr {
+			// first_{i,j} lies at fij on Pj and first_{j,i} at fji on Pi.
+			m := st.mTermAt(fs.Net.Lmin, int(posI[tp.dpath[j][fij]]), &vc.sat)
+			var jmsF bool
+			jms := model.SubSat(fs.Flows[j].Jitter, fs.SminAt(int(j), int(tp.pos[j][dpi[fji]])), &jmsF)
+			if jmsF {
+				vc.sat = true
+			}
+			aConst = model.SubSat(jms, m, &vc.sat)
+		}
+		vc.jflow[x] = j
+		vc.iEnt[x] = iEnt
+		vc.jEnt[x] = jEnt
+		vc.aConst[x] = aConst
+		vc.csj[x] = ov.csj[y]
+		vc.iperiods[x] = ov.iperiods[y]
+		vc.sameDir[x] = ov.sameDir[y]
+		x++
+		st.addGroup(ov.iperiods[y], ov.csj[y])
+		ms.addReads(st, p, fji, iEnt, jEnt)
+		if rsd && ov.sameDir[y] {
+			crow, posJ, costJ := ms.crow[:p], tp.pos[j], fs.Flows[j].Cost
+			for m, dn := range dpi[:p] {
+				crow[m] = 0
+				if k := posJ[dn]; k >= 0 {
+					crow[m] = costJ[k]
+				}
+			}
+			st.absorbSameDir(crow, p)
+		}
+	}
+	if !rsd {
+		copy(st.minSD, ov.sd[:p])
+		copy(st.maxSD, ov.sd[p:])
+	}
+	ms.xs[p-1] = int32(x)
 }
 
 // viewAt returns the length-p view of flow i (path length L) in a

@@ -70,9 +70,9 @@ var addChainOptions = []Options{
 	{Parallelism: 3},
 }
 
-// addChainPair is an Analyzer that extends views from its undo chain
-// and a twin that rebuilds them (testNoExtend), driven through the same
-// calls, each tracing into its own Collector.
+// addChainPair is an Analyzer that extends, shrinks and patches the
+// views a mutation changed and a twin that rebuilds them (testNoExtend),
+// driven through the same calls, each tracing into its own Collector.
 type addChainPair struct {
 	t           *testing.T
 	ext, twin   *Analyzer
@@ -139,21 +139,26 @@ func (p *addChainPair) bounds(tag string) {
 }
 
 // FuzzDeltaAddChain decodes bytes into mutation steps on a seeded Clos
-// tenant whose flows carry random Blocking and checks the view
-// extension differentially: after every Bounds, the extending Analyzer
-// equals a rebuilding twin (bounds, errors, traced events) and a cold
-// analysis (bounds, Unbounded verdicts, errors, views).
+// tenant whose flows carry random Blocking and checks the re-derived
+// views differentially — extended after an add, shrunk after a release,
+// patched after a period renegotiation: after every Bounds, the
+// Analyzer equals a twin that rebuilds the views each mutation changed
+// (bounds, errors, traced events) and a cold analysis (bounds,
+// Unbounded verdicts, errors, every built view, the kept and carried
+// ones included).
 //
 // Layout: data[0] picks the options, data[1] the base size, data[2] the
 // contract regime (served, near-overflow, overload-prone), data[3] the
 // seed; every later byte is one step:
 //
-//	0 AddFlow, then Bounds      3 RemoveFlow of a random flow
-//	1 AddFlow without Bounds    4 UpdateFlow of a random flow
-//	2 RemoveFlow of the last    5 WhatIf Keep batch, then its AddFlow
+//	0 AddFlow, then Bounds      5 WhatIf Keep batch, then its AddFlow
+//	1 AddFlow without Bounds    6 RemoveFlow of flow 0 (the oldest)
+//	2 RemoveFlow of the last    7 period of a random flow rises
+//	3 RemoveFlow of a random    8 period of a random flow falls
+//	4 UpdateFlow of a random    9 deadline of a random flow changes
 //
-// Steps 3 and 4 clear the undo chain; steps 1 leave snapshots whose
-// views are missing, which a later extension walks past.
+// Steps 3, 4 and 6–9 clear the undo chain; steps 1 leave snapshots
+// whose views are missing, which a later extension walks past.
 func FuzzDeltaAddChain(f *testing.F) {
 	lowerFanoutFloor(f)
 	f.Add([]byte{0, 8, 0, 1, 0, 0, 2, 0, 1, 0, 2, 2, 5, 0, 4, 0})
@@ -174,6 +179,15 @@ func FuzzDeltaAddChain(f *testing.F) {
 	// Two removals empty the set; the update step that follows must
 	// skip it.
 	f.Add([]byte{0, 0, 0, 0, 2, 2, 4})
+	// Releases of the oldest flow, which precedes nearly every entry of
+	// its neighbours' views, so a same-direction one that is cheaper on
+	// a shared node moves their M terms; renegotiations of the period
+	// both ways, and of the deadline alone, between them.
+	f.Add([]byte{0, 11, 0, 1, 6, 6, 0, 6, 1, 6})
+	f.Add([]byte{1, 13, 0, 7, 6, 7, 8, 6, 9, 0, 8, 7})
+	f.Add([]byte{0, 9, 0, 12, 8, 8, 7, 9, 6, 3, 8})
+	f.Add([]byte{3, 10, 2, 5, 8, 8, 6, 7, 0, 8, 6})
+	f.Add([]byte{4, 6, 1, 10, 6, 8, 7, 9, 6, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -212,9 +226,9 @@ func FuzzDeltaAddChain(f *testing.F) {
 			steps = steps[:24]
 		}
 		for s, b := range steps {
-			tag := fmt.Sprintf("step %d op %d", s, b%6)
+			tag := fmt.Sprintf("step %d op %d", s, b%10)
 			n := p.ext.fs.N()
-			switch b % 6 {
+			switch b % 10 {
 			case 0, 1:
 				nf := draw()
 				p.run(tag, func(a *Analyzer) error { _, err := a.AddFlow(nf); return err })
@@ -257,6 +271,27 @@ func FuzzDeltaAddChain(f *testing.F) {
 				p.extEv.Reset()
 				p.twEv.Reset()
 				p.run(tag, func(a *Analyzer) error { _, err := a.AddFlow(c1); return err })
+			case 6:
+				if n == 0 {
+					continue
+				}
+				p.run(tag, func(a *Analyzer) error { return a.RemoveFlow(0) })
+			case 7, 8, 9:
+				if n == 0 {
+					continue
+				}
+				k := ten.rng.Intn(n)
+				nf := p.ext.fs.Flows[k].Clone()
+				step := 1 + model.Time(ten.rng.Int63n(int64(nf.Period/2)+1))
+				switch b % 10 {
+				case 7:
+					nf.Period += step
+				case 8:
+					nf.Period = max(1, nf.Period-step)
+				default:
+					nf.Deadline = model.Time(ten.rng.Intn(1000))
+				}
+				p.run(tag, func(a *Analyzer) error { return a.UpdateFlow(k, nf) })
 			}
 			p.bounds(tag)
 		}

@@ -208,9 +208,11 @@ func ctxErr(ctx context.Context) error {
 var testPanicHook func(flow, plen int)
 
 // testNoExtend, when set, makes buildViews rebuild every missing view
-// instead of extending it from an undo snapshot: the twin that tests
-// and guards compare an extending Analyzer against. It is false in
-// production.
+// instead of extending it from an undo snapshot or re-deriving it from
+// the state a release or renegotiation replaced: the twin that tests
+// and guards compare an Analyzer against. It is the one switch between
+// the two; which views a mutation keeps does not depend on it. It is
+// false in production.
 var testNoExtend bool
 
 // internalPanicError converts a recovered panic value into the

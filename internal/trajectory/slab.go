@@ -178,6 +178,13 @@ func arenaSlice[T any](buf *[]T, n int) []T {
 	return s
 }
 
+// arenaClone returns a copy of s carved from buf.
+func arenaClone[T any](buf *[]T, s []T) []T {
+	c := arenaSlice(buf, len(s))
+	copy(c, s)
+	return c
+}
+
 // newView allocates one viewCache from the arena's struct chunk. The
 // returned pointer is stable: chunks are appended within capacity only.
 func (ar *slabArena) newView() *viewCache {
