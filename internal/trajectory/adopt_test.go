@@ -146,14 +146,14 @@ func TestWhatIfKeepAdoptionMatchesTwin(t *testing.T) {
 				case c.Update != nil:
 					p.step(name+" update", out[k].Err == nil, func(a *Analyzer) error { return a.UpdateFlow(c.Index, c.Update) })
 				default:
-					// Removing the last flow added takes the O(1) undo
-					// path before any kept fork.
-					undo := c.Index == n-1 && p.kept.undo != nil && p.kept.undo.fs.N() == c.Index
+					// Removing the flow the last mutation added takes the
+					// O(1) undo path before any kept fork.
+					undo := p.kept.derive != nil && p.kept.derive.added == c.Index
 					p.step(name+" remove", out[k].Err == nil && !undo, func(a *Analyzer) error { return a.RemoveFlow(c.Index) })
 				}
-				// An adopted update or removal clears the undo chain, as
-				// the recomputing mutation does: removing the last flow
-				// now takes the general path on both.
+				// An adopted update or removal leaves no undo, as the
+				// recomputing mutation does: removing the last flow now
+				// takes the general path on both.
 				if c.Add == nil && p.kept.FlowSet().N() > 1 {
 					last := p.kept.FlowSet().N() - 1
 					p.step(name+" drop last", false, func(a *Analyzer) error { return a.RemoveFlow(last) })

@@ -14,19 +14,23 @@ import (
 //  1. derives the new flow set copy-on-write (model delta constructors),
 //  2. keeps the rows of the flows the changed flow does not meet,
 //     remapped when entry ids move, and drops the others, to be
-//     re-derived on their next request (buildViews): after an add every
-//     view of a dropped row is extended from its counterpart in the
-//     newest undo snapshot that holds it, sweeping only the appended
-//     flows; after a release or a renegotiation of the period alone, a
-//     view that does not hold the changed flow — flow j's length-p view
-//     holds it exactly when it visits a node of Path_j[:p] — is carried
-//     over as a copy, and the others are shrunk from their pre-release
-//     columns minus the released entry, or patched, the new period
-//     re-running the busy period (deriveView); after any other update
-//     every view of a dropped row is rebuilt, and
+//     re-derived on their next request (buildViews) from the state an
+//     add, a release or a renegotiation of the period alone replaced
+//     (derivation): after an add every view of a dropped row is that
+//     state's view extended by the added flow's entry; after a release
+//     or a period renegotiation, a view that does not hold the changed
+//     flow — flow j's length-p view holds it exactly when it visits a
+//     node of Path_j[:p] — is carried over as a copy, and the others are
+//     shrunk from their pre-release columns minus the released entry
+//     (deriveView), or patched, the new period re-running the busy
+//     period (resumeView); after any other update every view of a
+//     dropped row is rebuilt, and
 //  3. leaves a warm-start seed for the Smax prefix fixed point: the
 //     previously converged rows for untouched flows, the no-queue floor
 //     for the flows whose equations changed.
+//
+// The state an add replaced is also its undo: removing the added flow
+// restores it whole.
 //
 // Soundness of the warm start (see DESIGN.md §6): the sweep is a
 // max-update chaotic iteration of a monotone operator F, so from any
@@ -47,19 +51,6 @@ import (
 // and every re-derived view, to a cold NewAnalyzer over the same flow
 // set.
 
-// maxUndoDepth bounds the AddFlow snapshot chain; deeper chains drop
-// their oldest entry (the corresponding RemoveFlow then takes the
-// general path, which is still correct, just not O(1)).
-const maxUndoDepth = 32
-
-// undoSnap is a pre-AddFlow state on the undo chain. AddFlow never
-// mutates the structures a state aliases — it builds fresh outer arrays
-// and a fresh seed table — so restoring is O(1) and bit-exact.
-type undoSnap struct {
-	prev *undoSnap
-	state
-}
-
 // intersectors returns, per flow index of fs, whether that flow's path
 // intersects flow i's (i itself excluded).
 func intersectors(fs *model.FlowSet, i int) []bool {
@@ -73,22 +64,35 @@ func intersectors(fs *model.FlowSet, i int) []bool {
 	return nbr
 }
 
-// derivation is what a release or a period-only renegotiation keeps of
-// the state it replaces: that state's views and entry ids, from which
-// buildViews re-derives each dropped view (deriveView) instead of
-// rebuilding it. removed is the released flow's index in that state, or
-// -1 for a renegotiation of flow updated (the same index in both).
+// derivation is the state an add, a release or a period-only
+// renegotiation replaced, kept by its successor (state.derive): the
+// source buildViews re-derives each dropped view from, and an add's
+// undo. Exactly one of added, removed and updated is a flow index, the
+// others are -1: added is the new flow's index in the successor,
+// removed the released flow's in the predecessor, updated the
+// renegotiated flow's in both. The predecessor's own derivation is cut
+// (predecessor), so one generation is kept.
 type derivation struct {
-	full             []*viewCache
-	prefix           [][]*viewCache
-	entryBase        []int
-	removed, updated int
+	state
+	added, removed, updated int
+}
+
+// predecessor returns the current state as the derivation of the
+// successor a mutation is building.
+func (a *Analyzer) predecessor(added, removed, updated int) *derivation {
+	d := &derivation{state: a.state, added: added, removed: removed, updated: updated}
+	d.derive = nil
+	return d
 }
 
 // changes reports whether flow i's view ov in the predecessor is one
-// the mutation changed: it holds the released or renegotiated flow, or
-// it is the renegotiated flow's own.
+// the mutation changed: every view of a row an add dropped, and after a
+// release or a renegotiation a view that holds the changed flow, or the
+// renegotiated flow's own.
 func (d *derivation) changes(i int, ov *viewCache) bool {
+	if d.added >= 0 {
+		return true
+	}
 	u := d.removed
 	if u < 0 {
 		u = d.updated
@@ -283,46 +287,10 @@ func (a *Analyzer) warmSeed(nfs *model.FlowSet, removed int, reset, touched []bo
 	return seed, dirty
 }
 
-// pushUndo records the current state on the snapshot chain.
-func (a *Analyzer) pushUndo() {
-	if a.undoDepth >= maxUndoDepth {
-		s := a.undo
-		for s.prev != nil && s.prev.prev != nil {
-			s = s.prev
-		}
-		s.prev = nil
-		a.undoDepth--
-	}
-	a.undo = &undoSnap{prev: a.undo, state: a.state}
-	a.undoDepth++
-}
-
-// restore pops one snapshot.
-func (a *Analyzer) restore(s *undoSnap) {
-	a.state = s.state
-	a.undo = s.prev
-	a.undoDepth--
-}
-
-// replace makes next the current state of mutation op: an add pushes
-// the state it replaces on the undo chain, and any other mutation
-// clears the chain. The O(1) undo and extendBase rely on every snapshot
-// holding a prefix of the current flow list, which a removal or update
-// breaks, and a removal or update may have remapped the snapshots'
-// views in place.
-func (a *Analyzer) replace(op string, next state) {
-	if op == "add" {
-		a.pushUndo()
-	} else {
-		a.undo, a.undoDepth = nil, 0
-	}
-	a.state = next
-}
-
 // commit installs next, the successor state a mutation built, and
 // reports the mutation to the tracer.
 func (a *Analyzer) commit(op, name string, next state) {
-	a.replace(op, next)
+	a.state = next
 	if tr := a.opt.Tracer; tr != nil {
 		emitDelta(tr, op, name, next.pendingSeed != nil, next.pendingDirty)
 	}
@@ -332,14 +300,14 @@ func (a *Analyzer) commit(op, name string, next state) {
 // its index (always N()-1). Views of flows that do not intersect f are
 // kept; the views of flows that do are extended on their next request:
 // f is their last interferer, so each is the pre-add view (from the
-// snapshot this call pushes) with f's entry appended. The Smax fixed
-// point warm-starts from the previous converged table, which remains a
-// valid under-seed because an added flow only grows the interference
-// operator. On a validation error (invalid flow,
-// duplicate name, Assumption-1 violation — the exact errors NewFlowSet
-// would report) the analyzer is unchanged and remains usable. When the
-// last WhatIf batch kept a fork for this very add, its converged state
-// is installed instead (adopt).
+// state this call replaces, kept as its derivation) with f's entry
+// appended. The Smax fixed point warm-starts from the previous
+// converged table, which remains a valid under-seed because an added
+// flow only grows the interference operator. On a validation error
+// (invalid flow, duplicate name, Assumption-1 violation — the exact
+// errors NewFlowSet would report) the analyzer is unchanged and remains
+// usable. When the last WhatIf batch kept a fork for this very add, its
+// converged state is installed instead (adopt).
 func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -360,7 +328,7 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 	// (the new flow's entries append at the end), so the other views
 	// carry over as-is, read sets included.
 	nbr := intersectors(nfs, nOld)
-	next := state{fs: nfs}
+	next := state{fs: nfs, derive: a.predecessor(nOld, -1, -1)}
 	next.full, next.prefix = a.keptViews(nOld+1, -1, nbr, false, nil)
 	next.entryBase, next.nEntries = entryBases(nfs)
 	next.pendingSeed, next.pendingDirty = a.warmSeed(nfs, -1, nil, nbr)
@@ -374,9 +342,9 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 }
 
 // RemoveFlow evicts the flow at index i; flows above it shift down by
-// one. Removing the most recently added flow (the admission-probe
-// reject path) restores the exact pre-AddFlow state in O(1) from the
-// snapshot chain. The general path remaps the rows of the flows it did
+// one. Removing the flow the last mutation added (the admission-probe
+// reject path) restores the exact pre-AddFlow state in O(1) from its
+// derivation. The general path remaps the rows of the flows it did
 // not meet in place, leaves the others to be re-derived on their next
 // request — each view carried over, or shrunk when it holds the removed
 // flow (deriveView) — and restarts the interference closure of the
@@ -393,9 +361,9 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 	if i < 0 || i >= a.fs.N() {
 		return model.Errorf(model.ErrInvalidConfig, "trajectory: flow index %d out of range [0,%d)", i, a.fs.N())
 	}
-	if i == a.fs.N()-1 && a.undo != nil && a.undo.fs.N() == i {
+	if d := a.derive; d != nil && d.added == i {
 		name := a.fs.Flows[i].Name
-		a.restore(a.undo)
+		a.state = d.state
 		if tr := a.opt.Tracer; tr != nil {
 			tr.Emit(obs.Event{Type: obs.EvDelta, Op: "remove", Flow: name, Outcome: "undo"})
 		}
@@ -415,10 +383,9 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 	for j := range closureSeed {
 		closureSeed[j] = nbr[rowOf(j, i, nOld)]
 	}
-	next := state{fs: nfs}
+	next := state{fs: nfs, derive: a.predecessor(-1, i, -1)}
 	next.entryBase, next.nEntries = entryBases(nfs)
 	next.full, next.prefix = a.keptViews(nOld-1, i, nbr, true, next.entryBase)
-	next.derive = &derivation{full: a.full, prefix: a.prefix, entryBase: a.entryBase, removed: i, updated: -1}
 	next.pendingSeed, next.pendingDirty = a.warmSeed(nfs, i, closureFrom(nfs, closureSeed), nil)
 	if a.topo != nil {
 		next.topo = a.topo.withFlowRemoved(i)
@@ -476,7 +443,7 @@ func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 		affected, grows = nil, true
 	default:
 		grows = nf.Period < old.Period
-		next.derive = &derivation{full: a.full, prefix: a.prefix, entryBase: a.entryBase, removed: -1, updated: i}
+		next.derive = a.predecessor(-1, -1, i)
 	}
 	next.full, next.prefix = a.keptViews(nfs.N(), -1, affected, remap, next.entryBase)
 	if grows {

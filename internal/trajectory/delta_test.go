@@ -334,8 +334,10 @@ func TestDeltaUndoFastPathBitExact(t *testing.T) {
 	}
 }
 
-// TestDeltaChainedAddsUndoInOrder: two stacked adds pop in LIFO order
-// through the snapshot chain.
+// TestDeltaChainedAddsUndoInOrder: two stacked adds pop in LIFO order.
+// The first pop is the O(1) undo, which restores the state p2 replaced
+// without its own derivation; the second is therefore a general
+// release, and both match the results before each add.
 func TestDeltaChainedAddsUndoInOrder(t *testing.T) {
 	fs := model.PaperExample()
 	a, err := NewAnalyzer(fs, Options{})

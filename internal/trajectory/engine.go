@@ -70,12 +70,6 @@ type Analyzer struct {
 	multi multiScratch
 	fix   fixScratch
 
-	// undo is the chain of pre-AddFlow states enabling the O(1)
-	// RemoveFlow fast path of an admission probe (add, analyze, reject).
-	// Any other mutation clears the chain.
-	undo      *undoSnap
-	undoDepth int
-
 	// kept holds the converged forks of the last WhatIf batch's Keep
 	// candidates; the next mutation adopts the matching one and drops
 	// the rest.
@@ -96,7 +90,7 @@ type Analyzer struct {
 // state is everything that describes the analysis of one flow set: the
 // set itself, its views and entry ids, the dense topology, the Smax fixed
 // point with its latches, the cached bounds and the warm seed a mutation
-// leaves behind. Undo snapshots, kept WhatIf forks and forks copy it
+// leaves behind. Derivations, kept WhatIf forks and forks copy it
 // whole, and a mutation replaces it whole (commit): whatever the
 // successor's literal does not set — the converged table, the error
 // latches, the bounds — starts at zero.
@@ -145,8 +139,9 @@ type state struct {
 	pendingSeed  smaxTable
 	pendingDirty []bool
 
-	// derive is the predecessor a release or a period-only
-	// renegotiation re-derives its dropped views from (nil otherwise).
+	// derive is the state an add, a release or a period-only
+	// renegotiation replaced: the source of the views it re-derives and
+	// an add's undo (nil otherwise).
 	derive *derivation
 }
 
@@ -368,7 +363,9 @@ func (a *Analyzer) BoundsContext(ctx context.Context) (out []model.Time, err err
 		}
 	}
 	a.bounds = slices.Clone(out)
-	a.derive = nil // every view is built
+	if a.derive != nil && a.derive.added < 0 {
+		a.derive = nil // every view is built; an add's stays its undo
+	}
 	return out, nil
 }
 
@@ -617,24 +614,23 @@ func (vc *viewCache) maxCost(fs *model.FlowSet) model.Time {
 // it and returns the identical error, at the slot the reference
 // evaluation order reaches first.
 //
-// When an undo snapshot still holds every missing view (extendBase),
-// the sweep resumes from those views instead of starting over: the
-// snapshot's set is the current one minus flows appended after it,
-// which carry the highest indexes, so the ascending-j sweep meets them
-// last. Each base view's interferer entries are therefore exact
-// entries of the new view, and its build state after them is restored
-// (resumeView); passes 1 and 2 then visit only the appended flows, and
-// finishView runs as on a rebuild.
+// When the state a mutation replaced (a.derive) still holds every
+// missing view (deriveRow), each is re-derived from it instead of
+// rebuilt. After an add the sweep resumes from the predecessor's view
+// (resumeView): the added flow carries the highest index, so the
+// ascending-j sweep meets it last, the predecessor's interferer entries
+// are exact entries of the new view, and passes 1 and 2 visit only the
+// added flow. After a period-only renegotiation the view resumes from
+// the predecessor's with the one period patched, and after a release it
+// is shrunk (deriveView); the interferer list is known, so passes 1 and
+// 2 are skipped. Either way the view's columns and build state are
+// those a rebuild's sweep would leave, and finishView runs as on a
+// rebuild.
 //
-// When the state was left by a release or a period-only renegotiation
-// whose predecessor still holds every missing view (deriveRow), each is
-// re-derived from its predecessor instead (deriveView): the interferer
-// list is known, so passes 1 and 2 are skipped, and the view's columns
-// and build state are those a rebuild's sweep would leave.
-//
-// There, a view that does not hold the released or renegotiated flow
-// is carried over as a copy (carryView): no busy period re-runs and no
-// event fires for it. testNoExtend rebuilds the changed views and still
+// After a release or a renegotiation, a view that does not hold the
+// changed flow is carried over as a copy (carryView): no busy period
+// re-runs and no event fires for it. An add changes every view of a
+// row it dropped. testNoExtend rebuilds the changed views and still
 // carries the others over.
 //
 // The build state is the caller's: ms and ar are the working state and
@@ -657,23 +653,18 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 	n := fs.N()
 	posI := tp.pos[i]
 	dpi := tp.dpath[i]
-	// The source of the missing views, if a state holds all of them:
-	// an undo snapshot (base) the views are extended from, or the
-	// predecessor of a release or period renegotiation (row src of
-	// a.derive), whose views the mutation did not change carry over
-	// while the others are re-derived. testNoExtend rebuilds the views
-	// that would be extended or re-derived.
-	base := a.extendBase(i, L)
-	src := -1
-	if base == nil {
-		src = a.deriveRow(i, L)
-	}
+	// The source of the missing views, if the predecessor holds all of
+	// them: row src of d, whose views the mutation did not change carry
+	// over while the others are re-derived. testNoExtend rebuilds the
+	// views that would be re-derived.
+	d := a.derive
+	src := a.deriveRow(i, L)
 	j0 := 0 // the first interferer the sweep visits
 	switch {
-	case testNoExtend:
-	case base != nil:
-		j0 = base.fs.N()
-	case src >= 0:
+	case src < 0 || testNoExtend:
+	case d.added >= 0:
+		j0 = d.added
+	default:
 		j0 = n
 	}
 
@@ -719,12 +710,9 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 			continue
 		}
 		var bv *viewCache
-		switch {
-		case base != nil:
-			bv = viewAt(base.full, base.prefix, i, p, L)
-		case src >= 0:
-			bv = viewAt(a.derive.full, a.derive.prefix, src, p, L)
-			if !a.derive.changes(i, bv) {
+		if src >= 0 {
+			bv = viewAt(d.full, d.prefix, src, p, L)
+			if !d.changes(i, bv) {
 				a.carryView(bv, ar, L)
 				continue
 			}
@@ -736,7 +724,7 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 		ni := cum
 		if bv != nil {
 			ni += len(bv.jflow)
-			if src >= 0 && a.derive.removed >= 0 {
+			if d.removed >= 0 {
 				ni-- // the released flow's entry
 			}
 		}
@@ -759,16 +747,17 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 		ms.st[p-1].reset(p, f.Cost[:p])
 		switch {
 		case bv == nil:
-		case base != nil:
-			ms.resumeView(vc, bv, &ms.st[p-1], baseI)
-		default:
+		case d.removed >= 0:
 			a.deriveView(ms, vc, bv, &ms.st[p-1], tp)
+		default:
+			a.resumeView(ms, vc, bv, &ms.st[p-1], baseI)
 		}
 	}
-	if src >= 0 {
+	if src >= 0 && d.added < 0 {
 		// The predecessor's views of flow i are consumed: they become
-		// garbage now, not when the derivation does.
-		a.derive.full[src], a.derive.prefix[src] = nil, nil
+		// garbage now, not when the derivation does. An add's
+		// predecessor is its undo and keeps them.
+		d.full[src], d.prefix[src] = nil, nil
 	}
 
 	// Pass 2: one bucket computation per pair, then an ascending-plen
@@ -898,36 +887,15 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 	return viewAt(a.full, a.prefix, i, want, L), nil
 }
 
-// extendBase returns the newest undo snapshot holding every view of
-// flow i (path length L) that the current state misses, or nil when no
-// snapshot does or the Analyzer is not extendable.
-// Every snapshot on the chain is a pre-AddFlow state — any other
-// mutation clears the chain — so its flow set is a prefix of the
-// current one with unchanged entry ids, and older snapshots hold fewer
-// flows: the walk stops at the first one without flow i.
-func (a *Analyzer) extendBase(i, L int) *undoSnap {
-	if !a.extendable {
-		return nil
-	}
-next:
-	for s := a.undo; s != nil && i < s.fs.N(); s = s.prev {
-		for p := 1; p <= L; p++ {
-			if viewAt(a.full, a.prefix, i, p, L) == nil && viewAt(s.full, s.prefix, i, p, L) == nil {
-				continue next
-			}
-		}
-		return s
-	}
-	return nil
-}
-
-// resumeView starts vc's build from bv, the same view over a flow set
-// whose flows are a prefix of the current ones. bv's interferer entries
-// become vc's first entries, and the build state takes the values the
-// sweep held after visiting them: the busy-period groups replayed
-// through addGroup, the same-direction extrema, the read set with its
-// dedup bits, and the pre-finish saturation flag.
-func (ms *multiScratch) resumeView(vc, bv *viewCache, st *buildScratch, baseI int32) {
+// resumeView starts vc's build from bv, the same view in the state an
+// add or a period-only renegotiation replaced. bv's interferer entries
+// become vc's first entries, with the renegotiated flow's period
+// patched, and the build state takes the values the sweep held after
+// visiting them: the busy-period groups replayed through addGroup, the
+// same-direction extrema, the read set with its dedup bits, and the
+// pre-finish saturation flag. After an add the sweep then appends the
+// added flow's entry.
+func (a *Analyzer) resumeView(ms *multiScratch, vc, bv *viewCache, st *buildScratch, baseI int32) {
 	copy(vc.jflow, bv.jflow)
 	copy(vc.iEnt, bv.iEnt)
 	copy(vc.jEnt, bv.jEnt)
@@ -935,9 +903,14 @@ func (ms *multiScratch) resumeView(vc, bv *viewCache, st *buildScratch, baseI in
 	copy(vc.csj, bv.csj)
 	copy(vc.iperiods, bv.iperiods)
 	copy(vc.sameDir, bv.sameDir)
+	if u := a.derive.updated; u >= 0 {
+		if x, ok := slices.BinarySearch(bv.jflow, int32(u)); ok {
+			vc.iperiods[x] = a.fs.Flows[u].Period
+		}
+	}
 	vc.sat = bv.sweepSat
 	for x := range bv.jflow {
-		st.addGroup(bv.iperiods[x], bv.csj[x])
+		st.addGroup(vc.iperiods[x], vc.csj[x])
 	}
 	p := vc.plen
 	copy(st.minSD, bv.sd[:p])
@@ -952,24 +925,27 @@ func (ms *multiScratch) resumeView(vc, bv *viewCache, st *buildScratch, baseI in
 	ms.xs[p-1] = int32(len(bv.jflow))
 }
 
-// deriveRow returns flow i's row in the predecessor of a release or a
-// period-only renegotiation (Analyzer.derive) when that row holds every
-// view of flow i (path length L) the current state misses, none that the
-// mutation changed saturated, or -1 — also when the Analyzer is not
-// extendable. A saturated view rebuilds: its sticky flags may hide which
-// operation set them.
+// deriveRow returns flow i's row in the state a mutation replaced
+// (Analyzer.derive) when that row holds every view of flow i (path
+// length L) the current state misses, or -1 — also when the Analyzer is
+// not extendable. After a release or a renegotiation, a changed view
+// that is saturated rebuilds: its sticky flags may hide which operation
+// set them. An extension resumes from the flag as the sweep left it.
 func (a *Analyzer) deriveRow(i, L int) int {
 	d := a.derive
 	if d == nil || !a.extendable {
 		return -1
 	}
-	o := rowOf(i, d.removed, len(d.full))
+	o := rowOf(i, d.removed, d.fs.N())
+	if o < 0 {
+		return -1 // the added flow
+	}
 	for p := 1; p <= L; p++ {
 		if viewAt(a.full, a.prefix, i, p, L) != nil {
 			continue
 		}
 		ov := viewAt(d.full, d.prefix, o, p, L)
-		if ov == nil || (d.changes(i, ov) && (ov.sat || ov.sweepSat)) {
+		if ov == nil || (d.added < 0 && d.changes(i, ov) && (ov.sat || ov.sweepSat)) {
 			return -1
 		}
 	}
@@ -1004,19 +980,13 @@ func (a *Analyzer) carryView(bv *viewCache, ar *slabArena, L int) {
 }
 
 // deriveView fills vc, flow i's length-p view, and its build state st
-// from ov, the same view in the predecessor a.derive, leaving both as a
-// rebuild's sweep would: the columns, the busy-period groups replayed
-// through addGroup, the read set, the same-direction extrema and the
-// saturation flag. ov is unsaturated (deriveRow), so every operation of
-// its build ran unflagged and exact.
+// from ov, the same view in the state the release of flow r replaced
+// (a.derive), leaving both as a rebuild's sweep would: the columns, the
+// busy-period groups replayed through addGroup, the read set, the
+// same-direction extrema and the saturation flag. ov is unsaturated
+// (deriveRow), so every operation of its build ran unflagged and exact.
 //
-// After a period-only renegotiation of flow u, a view differs from ov
-// only in u's period — its own (vc.period, set by the caller) or u's
-// interferer entry's — so the columns copy over with that one period
-// patched, and the read set and extrema are ov's.
-//
-// After the release of flow r, ov holds r, and vc is ov without r's
-// entry. Entries keep their columns, translated to the new flow
+// ov holds r, and vc is ov without r's entry. Entries keep their columns, translated to the new flow
 // indexes and entry ids, except for one dependency: Lemma 2's M ranges
 // over the same-direction interferers before each entry, so when r was
 // same-direction, every later entry's A constant (and the extrema the
@@ -1026,30 +996,10 @@ func (a *Analyzer) carryView(bv *viewCache, ar *slabArena, L int) {
 func (a *Analyzer) deriveView(ms *multiScratch, vc, ov *viewCache, st *buildScratch, tp *denseTopo) {
 	d := a.derive
 	p, i := vc.plen, vc.flow
-	if d.removed < 0 {
-		copy(vc.jflow, ov.jflow)
-		copy(vc.iEnt, ov.iEnt)
-		copy(vc.jEnt, ov.jEnt)
-		copy(vc.aConst, ov.aConst)
-		copy(vc.csj, ov.csj)
-		copy(vc.iperiods, ov.iperiods)
-		copy(vc.sameDir, ov.sameDir)
-		if x, ok := slices.BinarySearch(vc.jflow, int32(d.updated)); ok {
-			vc.iperiods[x] = a.fs.Flows[d.updated].Period
-		}
-		for x := range vc.iperiods {
-			st.addGroup(vc.iperiods[x], vc.csj[x])
-		}
-		copy(st.minSD, ov.sd[:p])
-		copy(st.maxSD, ov.sd[p:])
-		st.reads = append(st.reads, ov.readIDs...)
-		ms.xs[p-1] = int32(len(vc.jflow))
-		return
-	}
 	fs, r := a.fs, d.removed
 	xr, _ := slices.BinarySearch(ov.jflow, int32(r))
 	rsd := ov.sameDir[xr]
-	oldBaseI := int32(d.entryBase[rowOf(i, r, len(d.full))])
+	oldBaseI := int32(d.entryBase[rowOf(i, r, d.fs.N())])
 	baseI := int32(a.entryBase[i])
 	posI, dpi := tp.pos[i], tp.dpath[i]
 	x := 0

@@ -157,8 +157,9 @@ func (p *addChainPair) bounds(tag string) {
 //	3 RemoveFlow of a random    8 period of a random flow falls
 //	4 UpdateFlow of a random    9 deadline of a random flow changes
 //
-// Steps 3, 4 and 6–9 clear the undo chain; steps 1 leave snapshots
-// whose views are missing, which a later extension walks past.
+// Only the state the last mutation replaced is a source of views, and
+// only an add's is an undo. Step 1 leaves that state with views missing,
+// so a second add in a row rebuilds the views the first one dropped.
 func FuzzDeltaAddChain(f *testing.F) {
 	lowerFanoutFloor(f)
 	f.Add([]byte{0, 8, 0, 1, 0, 0, 2, 0, 1, 0, 2, 2, 5, 0, 4, 0})

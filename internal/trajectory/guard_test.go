@@ -95,11 +95,11 @@ func medianMAD(xs []float64) (med, mad float64) {
 // TestBenchGuardAddExtends pins the view extension of a warm add: on a
 // 50-flow Clos tenant (extend_test.go) at GOMAXPROCS 1 and Parallelism
 // 1, a warm AddFlow+Bounds+undo on an Analyzer that extends its
-// neighbours' views from the undo snapshot, against the same decision
-// on a twin that rebuilds them (testNoExtend). Decisions alternate one
-// by one in this process, and each of 9 samples compares their median
-// times; the extension must save at least 10% in the median ratio
-// (0.69–0.81 on 2 vCPU).
+// neighbours' views from the state the add replaced, against the same
+// decision on a twin that rebuilds them (testNoExtend). Decisions
+// alternate one by one in this process, and each of 9 samples compares
+// their median times; the extension must save at least 10% in the
+// median ratio (0.69–0.81 on 2 vCPU).
 func TestBenchGuardAddExtends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")

@@ -208,8 +208,9 @@ func ctxErr(ctx context.Context) error {
 var testPanicHook func(flow, plen int)
 
 // testNoExtend, when set, makes buildViews rebuild every missing view
-// instead of extending it from an undo snapshot or re-deriving it from
-// the state a release or renegotiation replaced: the twin that tests
+// the last mutation changed instead of re-deriving it from the state
+// that mutation replaced (extended after an add, shrunk after a
+// release, patched after a period renegotiation): the twin that tests
 // and guards compare an Analyzer against. It is the one switch between
 // the two; which views a mutation keeps does not depend on it. It is
 // false in production.

@@ -22,9 +22,9 @@ import (
 // construction (≈40% of flows128 CPU before the slab layer).
 //
 // A topo is immutable once built: the delta constructors below share
-// rows copy-on-write, so undo snapshots and WhatIf forks alias it
-// safely. nodeOf is only consulted at (re)build time, never on a hot
-// path.
+// rows copy-on-write, so the state a mutation replaced and WhatIf forks
+// alias it safely. nodeOf is only consulted at (re)build time, never on
+// a hot path.
 type denseTopo struct {
 	nNodes int
 	nodeOf map[model.NodeID]int32
@@ -99,7 +99,8 @@ func (tp *denseTopo) rowFor(path model.Path) (prow, drow []int32, ok bool) {
 
 // withFlowAdded returns a topo for the flow set with path appended, or
 // nil when the path introduces new nodes (rebuild lazily). Existing
-// rows are shared — the receiver stays valid for undo snapshots.
+// rows are shared — the receiver stays valid for the state the add
+// replaced, which is its undo.
 func (tp *denseTopo) withFlowAdded(path model.Path) *denseTopo {
 	prow, drow, ok := tp.rowFor(path)
 	if !ok {

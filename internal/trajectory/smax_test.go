@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"reflect"
 	"testing"
 
 	"trajan/internal/model"
@@ -101,5 +102,68 @@ func TestSmaxTableCloneEqual(t *testing.T) {
 	}
 	if a[0][1] == b[0][1] {
 		t.Fatal("clone shares storage")
+	}
+}
+
+// TestSmaxLeastOfTwoFixedPoints pins the smallest known set whose
+// prefix operator F — Property 2 on every prefix view plus Lmax,
+// floored at the no-queue table — has two fixed points: the engine
+// serves the least one, reached by climbing from the floor, and a
+// second, larger table maps to itself too, with larger bounds. f0 and
+// f2 cross nodes 1 and 2 in opposite directions. Whether the least
+// fixed point is sound here is open (ROADMAP item 1).
+func TestSmaxLeastOfTwoFixedPoints(t *testing.T) {
+	fs, err := model.NewFlowSet(model.UnitDelayNetwork(), []*model.Flow{
+		model.UniformFlow("f0", 19, 3, 0, 5, 2, 1, 0),
+		model.UniformFlow("f1", 10, 1, 0, 2, 0, 1),
+		model.UniformFlow("f2", 17, 3, 0, 5, 0, 1, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := NewAnalyzer(fs, Options{})
+	res, err := a.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := smaxTable{{3, 19, 37}, {1, 20}, {3, 21, 32}}
+	if got := smaxTable(res.ArrivalBounds); !got.equal(least) {
+		t.Fatalf("served Smax %v, want %v", got, least)
+	}
+	if want := []model.Time{56, 30, 42}; !reflect.DeepEqual(res.Bounds, want) {
+		t.Fatalf("served bounds %v, want %v", res.Bounds, want)
+	}
+
+	// F applied to a table, and the full-path bounds under it.
+	apply := func(s smaxTable) (smaxTable, []model.Time) {
+		next := newSmaxTable(fs)
+		next.fillNoQueue(fs)
+		bounds := make([]model.Time, fs.N())
+		for i, f := range fs.Flows {
+			for k := 1; k < len(f.Path); k++ {
+				r, err := boundForView(fs, Options{}, prefixView(fs, i, k), s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next[i][k] = max(next[i][k], r+fs.Net.Lmax)
+			}
+			r, err := boundForView(fs, Options{}, fullView(fs, i), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounds[i] = r
+		}
+		return next, bounds
+	}
+	if got, bounds := apply(least); !got.equal(least) || !reflect.DeepEqual(bounds, res.Bounds) {
+		t.Fatalf("F(served) = %v with bounds %v, want the served table and bounds", got, bounds)
+	}
+	upper := smaxTable{{3, 19, 41}, {1, 20}, {3, 21, 36}}
+	got, bounds := apply(upper)
+	if !got.equal(upper) {
+		t.Fatalf("F(%v) = %v, want a second fixed point", upper, got)
+	}
+	if want := []model.Time{57, 34, 47}; !reflect.DeepEqual(bounds, want) {
+		t.Fatalf("bounds at the upper fixed point %v, want %v", bounds, want)
 	}
 }

@@ -62,10 +62,10 @@ func (a *Analyzer) takeKept(op string, i int, f *model.Flow) *keptFork {
 
 // adopt installs a kept fork's state, which is bit-identical to what
 // the matching mutation followed by Bounds computes on this Analyzer
-// (the WhatIf contract), with the undo chain fixed up as the mutation
-// would (replace), and replays the events that work would have emitted.
+// (the WhatIf contract), its derivation (an add's undo) included, and
+// replays the events that work would have emitted.
 func (a *Analyzer) adopt(k *keptFork) {
-	a.replace(k.op, k.state)
+	a.state = k.state
 	if tr := a.opt.Tracer; tr != nil {
 		for _, e := range k.events {
 			tr.Emit(e)
@@ -205,8 +205,11 @@ func (a *Analyzer) fork() *Analyzer {
 	// its own mutation rebuilds or remaps, so sibling forks never touch
 	// each other's chunks. The warm seed is shared as-is — the engine
 	// fixed point copies it into a fresh flat table instead of mutating
-	// it, and the fork's mutation replaces the whole state.
+	// it, and the fork's mutation replaces the whole state. The base's
+	// derivation stays the base's: its arrays are not the fork's to fill
+	// or to restore.
 	f := &Analyzer{state: a.state, opt: a.opt, cow: true, extendable: a.extendable}
+	f.derive = nil
 	f.opt.Parallelism = 1
 	f.opt.Tracer = nil
 	f.full = append([]*viewCache(nil), a.full...)

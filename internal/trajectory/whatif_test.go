@@ -155,3 +155,31 @@ func TestWhatIfEmptyAndCanceled(t *testing.T) {
 		t.Fatalf("base unusable after canceled WhatIf: %v", err)
 	}
 }
+
+// TestWhatIfForksLeaveTheUndoToTheBase: removals of the flow the base
+// just added, evaluated on parallel forks, each take the general path
+// rather than restoring the state the add replaced, whose view arrays
+// the base owns and the forks would fill concurrently. Every outcome is
+// the cold analysis of the set before the add.
+func TestWhatIfForksLeaveTheUndoToTheBase(t *testing.T) {
+	fs := pinnedClosSet(t, 20)
+	want, err := Analyze(fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Parallelism: 4}
+	a, _ := NewAnalyzer(fs, opt)
+	last, err := a.AddFlow(pinnedClosSet(t, 21).Flows[20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := make([]Candidate, 4)
+	for k := range cands {
+		cands[k] = Candidate{Remove: true, Index: last}
+	}
+	for k, o := range a.WhatIf(cands) {
+		if o.Err != nil || !reflect.DeepEqual(o.Bounds, want.Bounds) {
+			t.Fatalf("candidate %d: bounds %v (%v), cold %v", k, o.Bounds, o.Err, want.Bounds)
+		}
+	}
+}
