@@ -550,28 +550,37 @@ type viewCache struct {
 }
 
 // finishView runs the interferer-independent tail of a view build
-// against the view's build state: the busy period (through
-// bslowFixpointGrouped over the state's (period, charge) groups —
-// value- and flag-equivalent to the reference's per-interferer
-// bslowFixpoint, so divergence and overflow verdicts match it exactly),
-// the slow-node selection, the fixed W term and the quick-guard
-// majorant constants.
+// against the view's columns and build state: the busy period and the
+// quick-guard majorants (busyPeriod), the slow-node selection and the
+// fixed W term.
 func (a *Analyzer) finishView(vc *viewCache, opt Options, path model.Path, cost []model.Time, sc *buildScratch) error {
-	fs := a.fs
-	b, err := bslowFixpointGrouped(fs, vc.flow, vc.plen, opt, vc.period, vc.maxCost(fs), sc.gPer, sc.gChg, sc.gMul)
-	if err != nil {
+	if err := a.busyPeriod(vc, opt); err != nil {
 		return err
 	}
-	vc.bslow = b
 	a.finishSlow(vc, path, cost, sc)
 	vc.fixed = model.AddSat(
 		model.AddSat(
 			model.SubSat(vc.maxSum, vc.clast, &vc.sat),
-			model.MulSat(model.Time(vc.plen-1), fs.Net.Lmax, &vc.sat), &vc.sat),
+			model.MulSat(model.Time(vc.plen-1), a.fs.Net.Lmax, &vc.sat), &vc.sat),
 		vc.delta, &vc.sat)
+	return nil
+}
+
+// busyPeriod sets the view's C^{slow}_i, its quick-guard majorants and
+// its busy period from its columns, in one pass that also folds the
+// busy period's first iterate b0 = C^{slow}_i + Σ_x csj[x]. When
+// b0 ≤ minPer, every ⌈b0/T⌉ of the equation is 1, so b0 is the least
+// fixed point, where the iteration would stop at once: the view takes
+// it, with that iteration's event. A saturated b0 lies on the rail,
+// above every valid period, so it never takes this case. Otherwise the
+// reference's bslowFixpoint solves the equation over the same columns.
+func (a *Analyzer) busyPeriod(vc *viewCache, opt Options) error {
+	fs := a.fs
+	vc.cslow = vc.maxCost(fs)
 	// minPer/maxCharge majorize every packet-count term of the scan —
 	// the constants of eval's quick saturation check.
 	vc.minPer, vc.maxCharge = vc.period, vc.cslow
+	b0, bsat := vc.cslow, false
 	for x := range vc.iperiods {
 		if vc.iperiods[x] < vc.minPer {
 			vc.minPer = vc.iperiods[x]
@@ -579,8 +588,18 @@ func (a *Analyzer) finishView(vc *viewCache, opt Options, path model.Path, cost 
 		if vc.csj[x] > vc.maxCharge {
 			vc.maxCharge = vc.csj[x]
 		}
+		b0 = model.AddSat(b0, vc.csj[x], &bsat)
 	}
-	return nil
+	if b0 <= vc.minPer {
+		vc.bslow = b0
+		if tr := opt.Tracer; tr != nil {
+			tr.Emit(obs.Event{Type: obs.EvBslow, Flow: fs.Flows[vc.flow].Name, Iters: 1, Value: b0})
+		}
+		return nil
+	}
+	b, err := bslowFixpoint(fs, vc.flow, vc.plen, opt, vc.period, vc.cslow, vc.iperiods, vc.csj)
+	vc.bslow = b
+	return err
 }
 
 // maxCost returns the view's maximal per-node cost (C^{slow_i}_i).
@@ -602,11 +621,11 @@ func (vc *viewCache) maxCost(fs *model.FlowSet) model.Time {
 // the per-pair anchors (first-crossing positions, running charge
 // maxima, jitter-minus-Smin offsets) are derived once per pair, and
 // every view's build state advances in ascending-j order, so each
-// view's sequence of mTermAt/absorb/addGroup/read calls — hence its
-// values, sticky flags and error — is that of building it alone. The
-// M-term and slow-node scans are incremental (buildScratch): O(plen)
-// per same-direction interferer where the reference rescans in
-// O(plen·ni).
+// view's sequence of mTermAt/absorb/read calls — hence its columns,
+// sticky flags and, through finishView, its busy period and error — is
+// that of building it alone. The M-term and slow-node scans are
+// incremental (buildScratch): O(plen) per same-direction interferer
+// where the reference rescans in O(plen·ni).
 //
 // Building a flow's views together moves its bslow.fixpoint events to
 // the first request for any of them, in ascending view length. A view
@@ -845,7 +864,6 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 			vc.iperiods[x] = per
 			vc.sameDir[x] = sd
 			ms.xs[p-1] = x + 1
-			st.addGroup(per, cs)
 			ms.addReads(st, p, fji, iEnt, jEntJ)
 			if sd {
 				st.absorbSameDir(crow, p)
@@ -891,10 +909,9 @@ func (a *Analyzer) buildViews(i, want int, ms *multiScratch, ar *slabArena, tr o
 // add or a period-only renegotiation replaced. bv's interferer entries
 // become vc's first entries, with the renegotiated flow's period
 // patched, and the build state takes the values the sweep held after
-// visiting them: the busy-period groups replayed through addGroup, the
-// same-direction extrema, the read set with its dedup bits, and the
-// pre-finish saturation flag. After an add the sweep then appends the
-// added flow's entry.
+// visiting them: the same-direction extrema, the read set with its
+// dedup bits, and the pre-finish saturation flag. After an add the
+// sweep then appends the added flow's entry.
 func (a *Analyzer) resumeView(ms *multiScratch, vc, bv *viewCache, st *buildScratch, baseI int32) {
 	copy(vc.jflow, bv.jflow)
 	copy(vc.iEnt, bv.iEnt)
@@ -909,9 +926,6 @@ func (a *Analyzer) resumeView(ms *multiScratch, vc, bv *viewCache, st *buildScra
 		}
 	}
 	vc.sat = bv.sweepSat
-	for x := range bv.jflow {
-		st.addGroup(vc.iperiods[x], vc.csj[x])
-	}
 	p := vc.plen
 	copy(st.minSD, bv.sd[:p])
 	copy(st.maxSD, bv.sd[p:])
@@ -982,9 +996,9 @@ func (a *Analyzer) carryView(bv *viewCache, ar *slabArena, L int) {
 // deriveView fills vc, flow i's length-p view, and its build state st
 // from ov, the same view in the state the release of flow r replaced
 // (a.derive), leaving both as a rebuild's sweep would: the columns, the
-// busy-period groups replayed through addGroup, the read set, the
-// same-direction extrema and the saturation flag. ov is unsaturated
-// (deriveRow), so every operation of its build ran unflagged and exact.
+// read set, the same-direction extrema and the saturation flag. ov is
+// unsaturated (deriveRow), so every operation of its build ran
+// unflagged and exact.
 //
 // ov holds r, and vc is ov without r's entry. Entries keep their columns, translated to the new flow
 // indexes and entry ids, except for one dependency: Lemma 2's M ranges
@@ -1033,7 +1047,6 @@ func (a *Analyzer) deriveView(ms *multiScratch, vc, ov *viewCache, st *buildScra
 		vc.iperiods[x] = ov.iperiods[y]
 		vc.sameDir[x] = ov.sameDir[y]
 		x++
-		st.addGroup(ov.iperiods[y], ov.csj[y])
 		ms.addReads(st, p, fji, iEnt, jEnt)
 		if rsd && ov.sameDir[y] {
 			crow, posJ, costJ := ms.crow[:p], tp.pos[j], fs.Flows[j].Cost
@@ -1069,9 +1082,8 @@ func viewAt(full []*viewCache, prefix [][]*viewCache, i, p, L int) *viewCache {
 // per-node same-direction maxima (already folded incrementally by the
 // interferer loop): the total fold and the first-maximum tie-break use
 // the identical values and AddSat order as the reference's per-node
-// rescan.
+// rescan. It reads vc.cslow, which busyPeriod set.
 func (a *Analyzer) finishSlow(vc *viewCache, path model.Path, cost []model.Time, sc *buildScratch) {
-	vc.cslow = vc.maxCost(a.fs)
 	var total model.Time
 	for k := range path {
 		total = model.AddSat(total, sc.maxSD[k], &vc.sat)

@@ -284,6 +284,98 @@ func TestBenchGuardReleasePatch(t *testing.T) {
 	}
 }
 
+// TestBenchGuardBusyPeriod pins the one-pass busy period: on the 250
+// views of a converged 50-flow pinned-spine Clos tenant (pinnedClosSet),
+// where one packet of every flow fits under every period, the engine's
+// busyPeriod against iterating bslowFixpoint, the general path, over the
+// same columns. The two alternate in this process at GOMAXPROCS 1, and
+// busyPeriod, which also folds the view's majorants, must be at least
+// 2× faster in the median of 7 samples (2.7–3.4× on 2 vCPU).
+func TestBenchGuardBusyPeriod(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("time ratio not checked under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fs := pinnedClosSet(t, 50)
+	opt := Options{Parallelism: 1}
+	a, _ := NewAnalyzer(fs, opt)
+	if _, err := a.Bounds(); err != nil {
+		t.Fatal(err)
+	}
+	var views []*viewCache
+	for i, vc := range a.full {
+		for _, pv := range a.prefix[i] {
+			if pv != nil {
+				views = append(views, pv)
+			}
+		}
+		views = append(views, vc)
+	}
+	if len(views) != 250 {
+		t.Fatalf("%d views, want 250", len(views))
+	}
+	iterated := func(vc *viewCache) model.Time {
+		b, err := bslowFixpoint(fs, vc.flow, vc.plen, opt, vc.period, vc.cslow, vc.iperiods, vc.csj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, vc := range views {
+		want := vc.bslow
+		if err := a.busyPeriod(vc, opt); err != nil || vc.bslow != want {
+			t.Fatalf("flow %d plen %d: busyPeriod = %d (%v), want %d", vc.flow, vc.plen, vc.bslow, err, want)
+		}
+		if b := iterated(vc); b != want {
+			t.Fatalf("flow %d plen %d: iterated busy period %d, want %d", vc.flow, vc.plen, b, want)
+		}
+	}
+	// Passes per sample, so each side of a sample spans ~3 ms.
+	const engReps, iterReps = 100, 33
+	eng := func() float64 {
+		start := time.Now()
+		for r := 0; r < engReps; r++ {
+			for _, vc := range views {
+				if err := a.busyPeriod(vc, opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return float64(time.Since(start)) / engReps
+	}
+	iter := func() float64 {
+		start := time.Now()
+		for r := 0; r < iterReps; r++ {
+			for _, vc := range views {
+				iterated(vc)
+			}
+		}
+		return float64(time.Since(start)) / iterReps
+	}
+	eng() // warm-up
+	iter()
+	ratios := make([]float64, 7)
+	for s := range ratios {
+		if s%2 == 0 {
+			e := eng()
+			ratios[s] = iter() / e
+		} else {
+			it := iter()
+			ratios[s] = it / eng()
+		}
+	}
+	med, mad := medianMAD(ratios)
+	if med < 2 {
+		t.Errorf("one-pass busy period only %.2fx faster than the iterated fixed point (median of %d, MAD %.2f, samples %.2f), want >= 2x",
+			med, len(ratios), mad, ratios)
+	} else {
+		t.Logf("one-pass busy period %.2fx faster than the iterated fixed point (MAD %.2f)", med, mad)
+	}
+}
+
 // pinnedClosSet draws n flows as the root package's helper of the same
 // name does: the served workloads' Clos(4,8,4) routes through the spine
 // pinned to each leaf pair, costs 1–3 and periods 150–300 stretched

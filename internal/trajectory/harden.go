@@ -55,61 +55,9 @@ func bslowFixpoint(fs *model.FlowSet, i, plen int, opt Options, selfPeriod, self
 			return b, nil
 		}
 		if nb > horizon {
-			return 0, bslowUnstable(fs, i, plen, horizon, bslowLoad(selfPeriod, selfSlow, periods, charges, nil))
-		}
-		b = nb
-	}
-	return 0, model.Errorf(model.ErrUnstable,
-		"trajectory: busy period of flow %q did not converge in %d iterations",
-		name, opt.maxIterations())
-}
-
-// bslowFixpointGrouped is bslowFixpoint over terms grouped by identical
-// (period, charge) pairs: group g contributes mults[g] copies of
-// ⌈b/periods[g]⌉·charges[g] per iterate, computed as one multiplication
-// instead of mults[g] additions. The engine uses it with the build
-// scratch's groups; the reference keeps the per-interferer fold.
-//
-// The two folds are value- AND flag-equivalent, which is what the
-// differential tests require:
-//
-//   - Values: every term is exact until it saturates, addition of exact
-//     non-negative terms is order-independent, and q·C·mult equals the
-//     mult-fold sum of q·C exactly.
-//   - Sticky flag: all terms are non-negative, so a partial AddSat sum
-//     rails iff the total rails — independent of grouping and order.
-//     The extra MulSat(q·C, mult) can only rail when its group subtotal
-//     does, which rails the reference's running sum too; conversely any
-//     railed reference partial sum is ≤ the grouped total, railing it.
-//
-// Convergence, horizon and overflow checks therefore fire on identical
-// iterates in identical iterations, producing identical error strings
-// and EvBslow trace events.
-func bslowFixpointGrouped(fs *model.FlowSet, i, plen int, opt Options, selfPeriod, selfSlow model.Time, periods, charges, mults []model.Time) (model.Time, error) {
-	name := fs.Flows[i].Name
-	var sat bool
-	b := selfSlow
-	for g := range charges {
-		b = model.AddSat(b, model.MulSat(charges[g], mults[g], &sat), &sat)
-	}
-	horizon := opt.horizon()
-	for iter := 0; iter < opt.maxIterations(); iter++ {
-		nb := model.MulSat(model.CeilDiv(b, selfPeriod), selfSlow, &sat)
-		for g := range periods {
-			nb = model.AddSat(nb, model.MulSat(model.MulSat(model.CeilDiv(b, periods[g]), charges[g], &sat), mults[g], &sat), &sat)
-		}
-		if sat || model.IsUnbounded(nb) {
-			return 0, model.Errorf(model.ErrOverflow,
-				"trajectory: busy period of flow %q overflows the time domain", name)
-		}
-		if nb == b {
-			if tr := opt.Tracer; tr != nil {
-				tr.Emit(obs.Event{Type: obs.EvBslow, Flow: name, Iters: iter + 1, Value: b})
-			}
-			return b, nil
-		}
-		if nb > horizon {
-			return 0, bslowUnstable(fs, i, plen, horizon, bslowLoad(selfPeriod, selfSlow, periods, charges, mults))
+			return 0, model.Errorf(model.ErrUnstable,
+				"trajectory: busy period of flow %q diverges past horizon %d (Bslow load Σ C^slow_j/T_j = %.3f over the flows meeting it, the flow included; highest node utilisation on its path %.3f)",
+				name, horizon, bslowLoad(selfPeriod, selfSlow, periods, charges), maxPathUtil(fs, fs.Flows[i].Path[:plen]))
 		}
 		b = nb
 	}
@@ -120,29 +68,17 @@ func bslowFixpointGrouped(fs *model.FlowSet, i, plen int, opt Options, selfPerio
 
 // bslowLoad is the load of the busy-period equation,
 // Σ_j C^{slow_{j,i}}_j / Tj with the flow itself included: every flow
-// that meets τi charged at its slowest shared node. It is summed as an
-// exact rational, so the grouped (mults non-nil, mults[g] copies of a
-// term) and per-interferer folds give the same value.
-func bslowLoad(selfPeriod, selfSlow model.Time, periods, charges, mults []model.Time) float64 {
+// that meets τi charged at its slowest shared node, summed as an exact
+// rational.
+func bslowLoad(selfPeriod, selfSlow model.Time, periods, charges []model.Time) float64 {
 	load := big.NewRat(int64(selfSlow), int64(selfPeriod))
 	var term big.Rat
 	for x := range periods {
 		term.SetFrac64(int64(charges[x]), int64(periods[x]))
-		if mults != nil {
-			term.Mul(&term, new(big.Rat).SetInt64(int64(mults[x])))
-		}
 		load.Add(load, &term)
 	}
 	f, _ := load.Float64()
 	return f
-}
-
-// bslowUnstable is the divergence error of both busy-period folds for
-// the view of flow i over its first plen nodes.
-func bslowUnstable(fs *model.FlowSet, i, plen int, horizon model.Time, load float64) error {
-	return model.Errorf(model.ErrUnstable,
-		"trajectory: busy period of flow %q diverges past horizon %d (Bslow load Σ C^slow_j/T_j = %.3f over the flows meeting it, the flow included; highest node utilisation on its path %.3f)",
-		fs.Flows[i].Name, horizon, load, maxPathUtil(fs, fs.Flows[i].Path[:plen]))
 }
 
 // maxPathUtil is the highest node utilisation Σ_j C^h_j/Tj over the

@@ -218,16 +218,10 @@ func newSmaxTableFlat(fs *model.FlowSet) (smaxTable, []model.Time) {
 }
 
 // buildScratch is one view's build state inside buildViews: the
-// incremental M-term/slow-node per-node extrema, the busy-period term
-// groups and the staged read set. Reused across builds, so steady-state
-// churn builds allocate only the arena-carved result slices.
+// incremental M-term/slow-node per-node extrema and the staged read
+// set. Reused across builds, so steady-state churn builds allocate only
+// the arena-carved result slices.
 type buildScratch struct {
-	// gPer/gChg/gMul stage the busy-period terms grouped by identical
-	// (period, charge) pairs for bslowFixpointGrouped.
-	gPer []model.Time
-	gChg []model.Time
-	gMul []model.Time
-
 	// minSD/maxSD[m]: minimum/maximum same-direction cost at the m-th
 	// view-path node among the flow itself and the same-direction
 	// interferers absorbed so far. minSD feeds the M terms, maxSD the
@@ -249,12 +243,9 @@ type buildScratch struct {
 	reads []int32
 }
 
-// reset prepares the state for one view build: group and read staging
-// emptied, the per-node extrema seeded with the view's own costs.
+// reset prepares the state for one view build: read staging emptied,
+// the per-node extrema seeded with the view's own costs.
 func (sc *buildScratch) reset(plen int, cost []model.Time) {
-	sc.gPer = sc.gPer[:0]
-	sc.gChg = sc.gChg[:0]
-	sc.gMul = sc.gMul[:0]
 	sc.reads = sc.reads[:0]
 
 	sc.minSD = growTimes(sc.minSD, plen)
@@ -338,29 +329,6 @@ func (sc *buildScratch) absorbSameDir(row []model.Time, plen int) {
 			sc.maxSD[m] = cc
 		}
 	}
-}
-
-// addGroup stages one interferer's busy-period term, merging it into an
-// existing (period, charge) group when one is found within a bounded
-// backward scan. The grouped iteration (bslowFixpointGrouped) is value-
-// and flag-equivalent to the per-interferer fold for any grouping, so
-// the scan cap only trades merge quality for build time — identical
-// terms dominate real EF flow sets, where the first probe hits.
-func (sc *buildScratch) addGroup(per, chg model.Time) {
-	g := len(sc.gPer)
-	lim := g - 8
-	if lim < 0 {
-		lim = 0
-	}
-	for x := g - 1; x >= lim; x-- {
-		if sc.gPer[x] == per && sc.gChg[x] == chg {
-			sc.gMul[x]++
-			return
-		}
-	}
-	sc.gPer = append(sc.gPer, per)
-	sc.gChg = append(sc.gChg, chg)
-	sc.gMul = append(sc.gMul, 1)
 }
 
 // mTermAt returns M up to (exclusive) position k of the view path under
